@@ -1,8 +1,8 @@
 //! Speculative batch provisioning vs the serial loop (the per-window
-//! regression guard behind `exp_parallel_batch`), in all three schedule
-//! modes: the PR 3 windowed abort-the-rest engine, the conflict-aware
-//! group scheduler, and the shard-parallel engine (single-threaded here;
-//! `exp_parallel_batch` owns the multi-thread wall-clock grid).
+//! regression guard behind `exp_parallel_batch`), in both schedule modes:
+//! the conflict-aware group scheduler and the shard-parallel engine
+//! (single-threaded here; `exp_parallel_batch` owns the multi-thread
+//! wall-clock grid).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -42,7 +42,6 @@ fn bench_windows(c: &mut Criterion) {
     });
     for (label, schedule) in [
         ("conflict-groups", ScheduleMode::ConflictGroups),
-        ("windowed", ScheduleMode::Windowed),
         ("sharded", ScheduleMode::Sharded { shards: 4 }),
     ] {
         for window in [1usize, 8, 64] {

@@ -1,4 +1,4 @@
-//! Experiment — incremental auxiliary-graph engine vs scratch rebuild.
+//! Experiment — incremental CSR auxiliary-graph engine vs scratch rebuild.
 //!
 //! ```sh
 //! cargo run --release -p wdm-bench --bin exp_aux_engine            # full
@@ -8,14 +8,12 @@
 //! For each network size, routes the same churn-interleaved request stream
 //! two ways and reports ns/request:
 //!
-//! * **scratch** — the pre-engine pipeline: `AuxGraph::build` over the
+//! * **scratch** — the oracle pipeline: `AuxGraph::build` over the
 //!   residual state, then the allocating Suurballe (`edge_disjoint_pair`);
-//! * **engine**  — a persistent [`AuxEngine`] synced per request (only
-//!   dirty links refreshed) searched by a reusable [`SearchArena`] over the
-//!   pointer-chasing skeleton graph;
-//! * **csr**     — the same engine searched through its flat CSR mirror:
-//!   integer-scaled bucket-heap Dijkstra with warm Johnson potentials
-//!   carried across requests.
+//! * **csr**     — a persistent [`AuxEngine`] synced per request (only
+//!   dirty links refreshed) and searched through its CSR arrays by a
+//!   reusable [`SearchArena`]: integer-scaled bucket-heap Dijkstra with
+//!   warm Johnson potentials carried across requests.
 //!
 //! Instances use quarter-integer link costs and free conversions so the
 //! integer certificate holds on every request (same topology distribution
@@ -42,14 +40,9 @@ struct SizeResult {
     wavelengths: usize,
     requests: usize,
     scratch_ns_per_req: f64,
-    engine_ns_per_req: f64,
     csr_ns_per_req: f64,
-    /// scratch / engine — the PR-5 baseline ratio.
-    speedup: f64,
     /// scratch / csr.
     csr_speedup: f64,
-    /// engine / csr — the CSR tentpole's gain over the pointer engine.
-    csr_vs_engine: f64,
 }
 
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -123,40 +116,11 @@ fn scratch_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (us
     (found, secs)
 }
 
-/// One engine-pipeline pass over the identical stream (fresh engine, so the
-/// skeleton build is charged to the pass, as in production start-up).
-fn engine_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (usize, f64) {
-    let mut st = ResidualState::fresh(net);
-    let mut churn = Churn::new(net, 256, seed ^ 2);
-    let mut eng = AuxEngine::new(net, AuxSpec::g_prime());
-    let mut arena = SearchArena::new();
-    let mut found = 0usize;
-    let (_, secs) = timed(|| {
-        for &(s, t) in stream {
-            churn.step(net, &mut st);
-            eng.sync(net, &st, s, t);
-            let eng = &eng;
-            if arena
-                .edge_disjoint_pair(
-                    eng.graph(),
-                    eng.source(),
-                    eng.sink(),
-                    |e| eng.weight(e),
-                    |e| eng.enabled(e),
-                )
-                .is_some()
-            {
-                found += 1;
-            }
-        }
-    });
-    (found, secs)
-}
-
-/// One CSR-pipeline pass: persistent engine synced per request, searched
-/// through the flat CSR mirror — integer bucket-heap Dijkstra with warm
-/// Johnson potentials when the dyadic certificate holds (always, on these
-/// instances), f64 flat fallback otherwise.
+/// One CSR-pipeline pass over the identical stream: a fresh engine (so the
+/// skeleton build is charged to the pass, as in production start-up)
+/// synced per request and searched through its CSR arrays — integer
+/// bucket-heap Dijkstra with warm Johnson potentials when the dyadic
+/// certificate holds (always, on these instances), f64 fallback otherwise.
 fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (usize, f64) {
     let mut st = ResidualState::fresh(net);
     let mut churn = Churn::new(net, 256, seed ^ 2);
@@ -195,27 +159,19 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
     // speedup ratio is stable enough for CI to gate on (a single-pass
     // measurement swings ±25 % on a busy box).
     let mut scratch_secs = f64::INFINITY;
-    let mut engine_secs = f64::INFINITY;
     let mut csr_secs = f64::INFINITY;
     for _ in 0..passes {
         let (found_scratch, ss) = scratch_pass(&net, &stream, seed);
-        let (found_engine, es) = engine_pass(&net, &stream, seed);
         let (found_csr, cs) = csr_pass(&net, &stream, seed);
         assert_eq!(
-            found_scratch, found_engine,
-            "the scratch and engine pipelines must route identically"
-        );
-        assert_eq!(
             found_scratch, found_csr,
-            "the CSR pipeline must route identically"
+            "the scratch and CSR pipelines must route identically"
         );
         scratch_secs = scratch_secs.min(ss);
-        engine_secs = engine_secs.min(es);
         csr_secs = csr_secs.min(cs);
     }
 
     let scratch_ns = scratch_secs / reqs as f64 * 1e9;
-    let engine_ns = engine_secs / reqs as f64 * 1e9;
     let csr_ns = csr_secs / reqs as f64 * 1e9;
     SizeResult {
         name: format!("n{n}_d{d}_w{w}"),
@@ -224,11 +180,8 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
         wavelengths: w,
         requests: reqs,
         scratch_ns_per_req: scratch_ns,
-        engine_ns_per_req: engine_ns,
         csr_ns_per_req: csr_ns,
-        speedup: scratch_ns / engine_ns,
         csr_speedup: scratch_ns / csr_ns,
-        csr_vs_engine: engine_ns / csr_ns,
     }
 }
 
@@ -236,18 +189,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (reqs, passes) = if quick { (200, 3) } else { (2000, 5) };
 
-    println!("aux-engine — scratch rebuild vs pointer engine vs CSR engine (ns/request)\n");
-    let mut table = Table::new(&[
-        "size",
-        "m",
-        "W",
-        "scratch ns",
-        "engine ns",
-        "csr ns",
-        "eng speedup",
-        "csr speedup",
-        "csr/eng",
-    ]);
+    println!("aux-engine — scratch rebuild vs CSR engine (ns/request)\n");
+    let mut table = Table::new(&["size", "m", "W", "scratch ns", "csr ns", "csr speedup"]);
     let mut sizes = Vec::new();
     for &(n, d, w) in &[(50usize, 4usize, 8usize), (100, 4, 8), (200, 4, 8)] {
         let res = measure(n, d, w, reqs, passes, 0xA0 + n as u64);
@@ -256,11 +199,8 @@ fn main() {
             res.links.to_string(),
             res.wavelengths.to_string(),
             format!("{:.0}", res.scratch_ns_per_req),
-            format!("{:.0}", res.engine_ns_per_req),
             format!("{:.0}", res.csr_ns_per_req),
-            format!("{:.2}x", res.speedup),
             format!("{:.2}x", res.csr_speedup),
-            format!("{:.2}x", res.csr_vs_engine),
         ]);
         sizes.push(res);
     }

@@ -6,7 +6,7 @@
 //! cargo run --release -p wdm-bench --bin exp_parallel_batch -- --threads 4
 //! ```
 //!
-//! Provisions the same demand batch on an m≈800-link, W=8 instance three
+//! Provisions the same demand batch on an m≈800-link, W=8 instance two
 //! ways and reports ns/demand:
 //!
 //! * **serial** — [`provision_batch`], the pre-engine baseline: one
@@ -15,10 +15,7 @@
 //! * **conflict-groups(K)** — the conflict-aware scheduler at window
 //!   sizes K ∈ {1, 2, 8, 64}: footprint-predicted link-disjoint groups,
 //!   inline serial routing for predicted conflicts, bounded retry on
-//!   mispredictions;
-//! * **windowed(K)** — the PR 3 abort-the-rest engine at the same K, kept
-//!   as the before/after reference for the contention-collapse curve
-//!   (EXPERIMENTS.md A8).
+//!   mispredictions.
 //!
 //! `--threads N` pins the speculative engines' worker count (default 1,
 //! so the committed curves are reproducible on any host; `0` = all
@@ -28,7 +25,7 @@
 //! an S × N grid (shards × worker threads) at K = 64 on a *locality*
 //! instance of the same size — a ring with short chords, the shardable
 //! shape of a geographically laid-out WAN — under a locality-biased
-//! demand mix, against serial and threads-matched windowed baselines.
+//! demand mix, against the serial baseline.
 //! The expander-style instance above is deliberately not used there:
 //! random global chords give every partition a huge cut, which is a
 //! property of the topology, not the engine (the report records the
@@ -129,16 +126,11 @@ struct ShardedReport {
     single_core_host: bool,
     host_threads: usize,
     serial_ns_per_demand: f64,
-    /// Threads-matched windowed baseline: K=64, N=4 on the same instance.
-    windowed_n4_ns_per_demand: f64,
     cells: Vec<ShardedCell>,
     /// ns(S=4, N=1, K=64) / ns(S=4, N=4, K=64) — the multi-core
     /// wall-clock gain of the sharded engine itself. CI gates ≥ 1.8 on
     /// its 4-vCPU runners.
     wallclock_speedup_n4: f64,
-    /// windowed(K=64, N=4) / sharded(S=4, N=4, K=64) — sharding must not
-    /// lose to the threads-matched windowed engine.
-    sharded_vs_windowed_n4: f64,
     /// speedup(S=4, N=4, K=64) / speedup(S=4, N=4, K=8): flat-or-better
     /// scaling into the contention tail.
     k64_vs_k8_speedup: f64,
@@ -163,18 +155,15 @@ struct BenchReport {
     links: usize,
     wavelengths: usize,
     demands: usize,
-    /// Worker-thread count used for the windowed/conflict-groups sweeps
+    /// Worker-thread count used for the conflict-groups sweep
     /// (`--threads`, default 1 so committed curves are host-independent).
     threads: usize,
     serial_ns_per_demand: f64,
     /// Conflict-groups scheduling — the headline numbers CI gates on.
     windows: Vec<WindowResult>,
-    /// The PR 3 windowed engine on the same instance: the "before" curve.
-    /// (Named so the gate filter `windows.` cannot match it.)
-    windowed_reference: Vec<WindowResult>,
     /// Scaling headroom: speedup(K=64) / speedup(K=8) under
     /// conflict-groups. Near-monotone scaling keeps this near (or above)
-    /// 1.0; the old windowed engine collapsed to 0.13.
+    /// 1.0.
     k64_vs_k8_speedup: f64,
     /// The sharded engine's S × N grid on the locality instance.
     sharded: ShardedReport,
@@ -326,7 +315,7 @@ fn assert_outcomes_identical(serial: &BatchOutcome, spec: &BatchOutcome, window:
 
 const WINDOWS: [usize; 4] = [1, 2, 8, 64];
 
-/// One mode's full sweep: timed min-of-`passes` ns/demand per window
+/// The conflict-groups sweep: timed min-of-`passes` ns/demand per window
 /// (unrecorded), plus one untimed instrumented pass for the counters and
 /// the group-size histogram.
 #[allow(clippy::too_many_arguments)]
@@ -336,7 +325,6 @@ fn sweep(
     demands: &[Demand],
     policy: Policy,
     order: BatchOrder,
-    schedule: ScheduleMode,
     threads: usize,
     reference: &BatchOutcome,
     serial_ns: f64,
@@ -354,7 +342,7 @@ fn sweep(
                     policy,
                     order,
                     window,
-                    schedule,
+                    ScheduleMode::ConflictGroups,
                     threads,
                     NoopRecorder,
                     NoopSink,
@@ -380,15 +368,15 @@ fn sweep(
                 policy,
                 order,
                 window,
-                schedule,
+                ScheduleMode::ConflictGroups,
                 threads,
                 &sink,
                 NoopSink,
                 &NoopTracer,
             );
             let snap = sink.snapshot();
-            // Absent entries mean "never recorded": windowed mode has no
-            // group histogram, and either mode may simply not abort.
+            // Absent entries mean "never recorded": a run may simply not
+            // abort.
             let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
             let grp = snap.histograms.get("conflict_group_size");
             let ns = secs / demands.len() as f64 * 1e9;
@@ -510,7 +498,7 @@ fn print_mode(table: &mut Table, label: &str, results: &[WindowResult]) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let quick = argv.iter().any(|a| a == "--quick");
-    // Worker threads for the windowed/conflict-groups sweeps. Default 1:
+    // Worker threads for the conflict-groups sweep. Default 1:
     // the committed curves measure the engine, not the host's core count.
     let threads: usize = argv
         .iter()
@@ -545,7 +533,7 @@ fn main() {
     let order = BatchOrder::AsGiven;
 
     println!(
-        "parallel-batch — conflict-groups vs windowed speculation vs serial \
+        "parallel-batch — conflict-groups speculation vs serial \
          (n={n}, m={}, W={w}, {demand_count} demands, CostOnly, \
          {threads} worker thread(s))\n",
         net.link_count()
@@ -568,28 +556,7 @@ fn main() {
     let serial_ns = serial_secs / demand_count as f64 * 1e9;
 
     let groups = sweep(
-        &net,
-        &state,
-        &demands,
-        policy,
-        order,
-        ScheduleMode::ConflictGroups,
-        threads,
-        &reference,
-        serial_ns,
-        passes,
-    );
-    let windowed = sweep(
-        &net,
-        &state,
-        &demands,
-        policy,
-        order,
-        ScheduleMode::Windowed,
-        threads,
-        &reference,
-        serial_ns,
-        passes,
+        &net, &state, &demands, policy, order, threads, &reference, serial_ns, passes,
     );
 
     let mut table = Table::new(&[
@@ -611,7 +578,6 @@ fn main() {
         String::from("-"),
     ]);
     print_mode(&mut table, "conflict-groups", &groups);
-    print_mode(&mut table, "windowed", &windowed);
     table.print();
 
     let speedup_at = |rs: &[WindowResult], k: usize| {
@@ -621,12 +587,7 @@ fn main() {
             .expect("window measured")
     };
     let k64_vs_k8 = speedup_at(&groups, 64) / speedup_at(&groups, 8);
-    println!(
-        "\nscaling: conflict-groups K=64 at {:.2} of K=8 speedup \
-         (windowed reference: {:.2})",
-        k64_vs_k8,
-        speedup_at(&windowed, 64) / speedup_at(&windowed, 8)
-    );
+    println!("\nscaling: conflict-groups K=64 at {k64_vs_k8:.2} of K=8 speedup");
 
     // ── Sharded S × N grid on the locality instance (A9) ──────────────
     let lnet = locality_instance(&mut rng(0xBA7C6), n, w);
@@ -646,30 +607,6 @@ fn main() {
         lserial_secs = lserial_secs.min(secs);
     }
     let lserial_ns = lserial_secs / demand_count as f64 * 1e9;
-
-    // Threads-matched windowed baseline at the deepest window: the bar
-    // the sharded engine has to clear with the same resources.
-    let mut win_secs = f64::INFINITY;
-    for _ in 0..passes {
-        let ((out, _), secs) = timed(|| {
-            provision_batch_speculative_scheduled(
-                &lnet,
-                &lstate,
-                &ldemands,
-                policy,
-                order,
-                64,
-                ScheduleMode::Windowed,
-                4,
-                NoopRecorder,
-                NoopSink,
-                &NoopTracer,
-            )
-        });
-        assert_outcomes_identical(&lreference, &out, 64);
-        win_secs = win_secs.min(secs);
-    }
-    let windowed_n4_ns = win_secs / demand_count as f64 * 1e9;
 
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut cells = Vec::new();
@@ -731,16 +668,6 @@ fn main() {
         String::from("-"),
         String::from("-"),
     ]);
-    stable.row(vec![
-        String::from("windowed K=64 N=4"),
-        format!("{windowed_n4_ns:.0}"),
-        format!("{:.2}x", lserial_ns / windowed_n4_ns),
-        String::from("-"),
-        String::from("-"),
-        String::from("-"),
-        String::from("-"),
-        String::from("-"),
-    ]);
     for c in &cells {
         stable.row(vec![
             format!("sharded S={} N={} K={}", c.shards, c.threads, c.window),
@@ -765,14 +692,12 @@ fn main() {
             .expect("cell measured")
     };
     let wallclock_speedup_n4 = cell(4, 1, 64).ns_per_demand / cell(4, 4, 64).ns_per_demand;
-    let sharded_vs_windowed_n4 = windowed_n4_ns / cell(4, 4, 64).ns_per_demand;
     let shard_k64_vs_k8 = cell(4, 4, 64).speedup_vs_serial / cell(4, 4, 8).speedup_vs_serial;
     let cut_demand_ratio_s4 = cell(4, 1, 64).cut_demand_ratio;
     let abort_rate_s4n4 = cell(4, 4, 64).abort_rate;
     println!(
         "\nsharded scaling: N=1→N=4 wall-clock {wallclock_speedup_n4:.2}x, \
-         vs windowed(N=4) {sharded_vs_windowed_n4:.2}x, K64/K8 {shard_k64_vs_k8:.2}, \
-         cut demands {:.1}%",
+         K64/K8 {shard_k64_vs_k8:.2}, cut demands {:.1}%",
         cut_demand_ratio_s4 * 100.0
     );
 
@@ -790,10 +715,8 @@ fn main() {
         single_core_host: host_threads == 1,
         host_threads,
         serial_ns_per_demand: lserial_ns,
-        windowed_n4_ns_per_demand: windowed_n4_ns,
         cells,
         wallclock_speedup_n4,
-        sharded_vs_windowed_n4,
         k64_vs_k8_speedup: shard_k64_vs_k8,
         cut_demand_ratio_s4,
         abort_rate_s4n4,
@@ -811,7 +734,6 @@ fn main() {
         threads,
         serial_ns_per_demand: serial_ns,
         windows: groups,
-        windowed_reference: windowed,
         k64_vs_k8_speedup: k64_vs_k8,
         sharded,
     };

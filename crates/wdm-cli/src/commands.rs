@@ -655,7 +655,7 @@ pub fn batch(args: &Args) -> Result<(), String> {
     let mut schedule = match args.get("schedule") {
         None => ScheduleMode::default(),
         Some(s) => ScheduleMode::parse(s).ok_or_else(|| {
-            format!("unknown schedule '{s}' (expected 'windowed', 'conflict-groups' or 'sharded')")
+            format!("unknown schedule '{s}' (expected 'conflict-groups' or 'sharded')")
         })?,
     };
     if let ScheduleMode::Sharded { shards } = &mut schedule {
@@ -898,115 +898,6 @@ fn trace_analyze(args: &Args) -> Result<(), String> {
             phases.join(", ")
         );
     }
-    Ok(())
-}
-
-/// `wdm serve-metrics` — run a simulation while exposing live telemetry as
-/// a Prometheus text-format endpoint on a plain `TcpListener` (no HTTP
-/// dependency; the exposition format is newline-delimited text).
-pub fn serve_metrics(args: &Args) -> Result<(), String> {
-    use std::io::Write;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let net = load_network(args.require("net")?)?;
-    let erlangs: f64 = args.get_or("erlangs", 60.0)?;
-    let duration: f64 = args.get_or("duration", 1000.0)?;
-    let holding: f64 = args.get_or("holding", 10.0)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("cost-only"))?;
-    let seed: u64 = args.get_or("seed", 1)?;
-    let port: u16 = args.get_or("port", 9184)?;
-    let serve_requests: u64 = args.get_or("serve-requests", 0)?;
-
-    let cfg = SimConfig {
-        policy,
-        traffic: TrafficModel::new(erlangs / holding, holding),
-        duration,
-        failure_rate: args.get_or("failure-rate", 0.0)?,
-        mean_repair: args.get_or("repair", 20.0)?,
-        reconfig_threshold: None,
-        seed: replication_seeds(seed, 1)[0],
-        switchover_time: 0.001,
-        setup_time_per_hop: 0.05,
-    };
-
-    let listener = std::net::TcpListener::bind(("127.0.0.1", port))
-        .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // `--port 0` binds an ephemeral port; print the resolved address first
-    // (and flushed) so scripted callers can scrape it.
-    println!("serving http://{addr}/metrics");
-    std::io::stdout().flush().ok();
-
-    let sink = TelemetrySink::new();
-    let done = AtomicBool::new(false);
-    let mut served = 0u64;
-    let metrics = std::thread::scope(|s| {
-        let handle = s.spawn(|| {
-            let m = Simulator::with_recorder(&net, cfg, &sink).run();
-            done.store(true, Ordering::Release);
-            m
-        });
-        // Poll-accept so the loop notices simulation completion: with
-        // `--serve-requests N` it keeps serving until N responses went
-        // out (even past completion — CI probes race the short sims);
-        // without it, it serves whatever arrives while the run lasts.
-        listener.set_nonblocking(true).ok();
-        loop {
-            let finished = done.load(Ordering::Acquire);
-            if serve_requests > 0 {
-                if served >= serve_requests && finished {
-                    break;
-                }
-            } else if finished {
-                break;
-            }
-            match listener.accept() {
-                Ok((mut conn, _)) => {
-                    conn.set_nonblocking(false).ok();
-                    // The shared daemon listener does the parsing: size
-                    // caps, timeouts, and malformed-head rejection all
-                    // behave exactly as they do under `wdm serve`.
-                    match wdm_serve::http::read_request(&mut conn) {
-                        Ok(req) if req.target == "/metrics" => {
-                            let body = sink.snapshot().prometheus("wdm");
-                            wdm_serve::http::write_response(
-                                &mut conn,
-                                "200 OK",
-                                "text/plain; version=0.0.4",
-                                &[],
-                                body.as_bytes(),
-                            )
-                            .ok();
-                        }
-                        Ok(_) => {
-                            wdm_serve::http::write_response(
-                                &mut conn,
-                                "404 Not Found",
-                                "text/plain",
-                                &[],
-                                b"only /metrics is exported\n",
-                            )
-                            .ok();
-                        }
-                        Err(e) => wdm_serve::http::answer_error(&mut conn, &e),
-                    }
-                    served += 1;
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                Err(e) => eprintln!("accept: {e}"),
-            }
-        }
-        handle.join().expect("simulation thread panicked")
-    });
-
-    println!(
-        "simulation done: {} offered, {} admitted, {:.3}% blocking; served {served} scrape(s)",
-        metrics.offered,
-        metrics.admitted,
-        metrics.blocking_probability() * 100.0
-    );
     Ok(())
 }
 

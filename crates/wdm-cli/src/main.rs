@@ -100,20 +100,12 @@ COMMANDS:
       --top K           show the K slowest requests (default 5)
       --json            machine-readable output
 
-  serve-metrics --net FILE
-      --port P          listen on 127.0.0.1:P (default 9184; 0 picks an
-                        ephemeral port, printed on startup)
-      --serve-requests N  keep serving until N scrapes answered (default:
-                        exit when the simulation ends)
-      --erlangs E --duration D --holding H --policy P --seed S
-                        simulation shape, as in 'wdm simulate'
-
   batch     --net FILE --mesh K
       --policy P        as above (default cost-only)
       --order O         as-given | shortest-first | longest-first
       --parallel-window K   speculate K demands per round (default 1 =
                         serial; results are bit-identical for every K)
-      --schedule S      windowed | conflict-groups (default) | sharded:
+      --schedule S      conflict-groups (default) | sharded:
                         how the speculative engine picks each round's
                         demands
       --shards S        shard count for --schedule sharded (default 4)
@@ -195,7 +187,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         "batch" => commands::batch(&rest),
         "telemetry" => commands::telemetry(&rest),
         "trace" => commands::trace(&rest),
-        "serve-metrics" => commands::serve_metrics(&rest),
         other => Err(format!("unknown command '{other}'")),
     }
 }

@@ -564,106 +564,3 @@ fn replay_telemetry_matches_live() {
         }
     }
 }
-
-#[test]
-fn serve_metrics_answers_prometheus_scrape() {
-    use std::io::{BufRead, BufReader, Read, Write};
-
-    let net_path = tmp("serve.wdm");
-    assert!(wdm()
-        .args([
-            "topology",
-            "nsfnet",
-            "--wavelengths",
-            "8",
-            "--out",
-            net_path.to_str().expect("utf8"),
-        ])
-        .status()
-        .expect("spawn")
-        .success());
-    let mut child = wdm()
-        .args([
-            "serve-metrics",
-            "--net",
-            net_path.to_str().expect("utf8"),
-            "--erlangs",
-            "40",
-            "--duration",
-            "80",
-            "--port",
-            "0",
-            "--serve-requests",
-            "1",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn");
-    let mut reader = BufReader::new(child.stdout.take().expect("stdout piped"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("address line");
-    let addr = line
-        .trim()
-        .strip_prefix("serving http://")
-        .and_then(|rest| rest.strip_suffix("/metrics"))
-        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-        .to_string();
-
-    let scrape = |addr: &str| -> std::io::Result<String> {
-        let mut conn = std::net::TcpStream::connect(addr)?;
-        conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: wdm\r\nConnection: close\r\n\r\n")?;
-        let mut response = String::new();
-        conn.read_to_string(&mut response)?;
-        Ok(response)
-    };
-
-    let response = scrape(&addr).expect("first scrape");
-    assert!(
-        response.starts_with("HTTP/1.1 200 OK"),
-        "{}",
-        &response[..response.len().min(200)]
-    );
-    assert!(response.contains("text/plain; version=0.0.4"), "{response}");
-    assert!(
-        response.contains("wdm_requests_routed_total"),
-        "counter exposition missing: {response}"
-    );
-    assert!(
-        response.contains("# HELP wdm_requests_routed_total"),
-        "HELP metadata missing: {response}"
-    );
-    assert!(
-        response.contains("# TYPE wdm_requests_routed_total counter"),
-        "TYPE metadata missing: {response}"
-    );
-
-    // The first scrape can land before any request completes, when every
-    // histogram is still empty and thus skipped. Keep scraping while the
-    // simulation makes progress until buckets show up; the server stays
-    // alive until the run ends, so this converges well before it exits.
-    let mut response = response;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while !response.contains("_bucket{le=") {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no histogram exposition before timeout: {response}"
-        );
-        match scrape(&addr) {
-            Ok(r) => response = r,
-            // Server already drained and exited — the previous response is
-            // final and must have carried the finished run's histograms.
-            Err(_) => break,
-        }
-    }
-    assert!(
-        response.contains("_bucket{le="),
-        "histogram exposition missing: {response}"
-    );
-
-    // Scrapes answered: the server drains the run and exits cleanly.
-    let status = child.wait().expect("wait");
-    assert!(status.success());
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).ok();
-    assert!(rest.contains("scrape(s)"), "{rest}");
-}

@@ -27,6 +27,11 @@
 //! * **Tap retargeting (per request).** Changing `(s, t)` flips the enabled
 //!   bits of the old and new terminals' tap arcs; nothing else moves.
 //!
+//! The skeleton exists only as flat CSR arrays: per-arc tail, head and
+//! kind, per-node slot ranges, and slot-ordered weight/enabled mirrors.
+//! Node ids follow a fixed layout — `0` is `s'`, `1` is `t''`, and
+//! `2 + 2e` / `3 + 2e` are the out/in edge-nodes of link `e`.
+//!
 //! Because disabled arcs are filtered (not removed), searches run over a
 //! graph whose enabled arcs appear in the same relative order with the same
 //! weights as the scratch graph's arcs, and Dijkstra/Suurballe tie-breaking
@@ -42,10 +47,10 @@
 //! went *backwards* (a fresh or deserialized state) is detected and handled
 //! by a full refresh.
 
-use crate::aux_graph::{AuxArc, AuxEdgeData, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
+use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
 use crate::network::{ResidualState, WdmNetwork};
 use wdm_graph::suurballe::DisjointPair;
-use wdm_graph::{DiGraph, EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
+use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
 
 /// Fixed-point scale for integer weight certification: weights that are
 /// exact multiples of `2^-SCALE_SHIFT` get a `u64` key `weight << SCALE_SHIFT`.
@@ -76,12 +81,44 @@ pub struct SyncStats {
     pub remasked: bool,
 }
 
+/// `s'` in the fixed node layout.
+const SOURCE: u32 = 0;
+/// `t''` in the fixed node layout.
+const SINK: u32 = 1;
+
+/// `u_out^e`: the tail-side edge-node of link `e`.
+#[inline]
+fn out_node(e: usize) -> u32 {
+    2 + 2 * e as u32
+}
+
+/// `v_in^e`: the head-side edge-node of link `e`.
+#[inline]
+fn in_node(e: usize) -> u32 {
+    3 + 2 * e as u32
+}
+
+/// What skeleton node `v` stands for (inverse of the fixed layout).
+fn node_kind(v: u32) -> AuxNode {
+    match v {
+        SOURCE => AuxNode::Source,
+        SINK => AuxNode::Sink,
+        _ => {
+            let e = EdgeId::from(((v - 2) / 2) as usize);
+            match v % 2 {
+                0 => AuxNode::OutNode(e),
+                _ => AuxNode::InNode(e),
+            }
+        }
+    }
+}
+
 /// One potential conversion arc `v_in^{e_in} → v_out^{e_out}` of the
 /// skeleton.
 #[derive(Debug, Clone, Copy)]
 struct ConvSlot {
     /// The skeleton arc id.
-    arc: EdgeId,
+    arc: u32,
     /// The physical node the conversion happens at.
     node: NodeId,
     /// Incoming physical link.
@@ -97,13 +134,12 @@ struct ConvSlot {
 #[derive(Debug, Clone)]
 pub struct AuxEngine {
     spec: AuxSpec,
-    graph: DiGraph<AuxNode, AuxEdgeData>,
-    source: NodeId,
-    sink: NodeId,
-    /// Per physical link: its skeleton arcs (always present).
-    trav_arc: Vec<EdgeId>,
-    src_tap: Vec<EdgeId>,
-    dst_tap: Vec<EdgeId>,
+    /// Arc-id layout: the traversal arc of link `e` is `e`, the conversion
+    /// arcs follow, then the source taps (`tap_base + e`) and the sink taps
+    /// (`tap_base + m + e`).
+    tap_base: usize,
+    /// Semantic role per arc id (physical map-back reads the traversals).
+    arc_kind: Vec<AuxArc>,
     /// All potential conversion arcs, in skeleton emission order.
     conv: Vec<ConvSlot>,
     /// Per physical link: indices into `conv` of the slots touching it.
@@ -127,7 +163,7 @@ pub struct AuxEngine {
     conv_stamp: Vec<u64>,
     pass: u64,
 
-    // ---- CSR flat mirror (the layout the searches actually traverse) ----
+    // ---- CSR layout (the skeleton's only representation) ----
     /// Row offsets per aux node (`len == node_count + 1`).
     csr_off: Vec<u32>,
     /// Destination aux node per CSR slot.
@@ -139,7 +175,7 @@ pub struct AuxEngine {
     /// Tail / head aux node per arc id.
     arc_src: Vec<u32>,
     arc_dst: Vec<u32>,
-    /// Weight mirror per arc id (kept bit-identical to the graph payload).
+    /// Weight per arc id (meaningful only while the arc is enabled).
     arc_weight: Vec<f64>,
     /// Certified integer key per arc id (valid only while `arc_exact`).
     arc_key: Vec<u64>,
@@ -174,29 +210,16 @@ impl AuxEngine {
     /// call [`AuxEngine::sync`] before searching.
     pub fn new(net: &WdmNetwork, spec: AuxSpec) -> Self {
         let m = net.link_count();
-        let mut graph: DiGraph<AuxNode, AuxEdgeData> = DiGraph::with_capacity(2 * m + 2, 4 * m);
-        let source = graph.add_node(AuxNode::Source);
-        let sink = graph.add_node(AuxNode::Sink);
-
-        // Edge-nodes and traversal arcs for every link, in link order —
-        // matching the scratch builder's emission order over its admitted
-        // subset.
-        let mut out_node = Vec::with_capacity(m);
-        let mut in_node = Vec::with_capacity(m);
-        let mut trav_arc = Vec::with_capacity(m);
+        // Arcs as (tail, head, kind), emitted once in the scratch builder's
+        // relative order. Traversal arcs for every link come first, in link
+        // order — matching the scratch builder's emission order over its
+        // admitted subset.
+        let mut arcs: Vec<(u32, u32, AuxArc)> = Vec::with_capacity(4 * m);
         for ei in 0..m {
-            let e = EdgeId::from(ei);
-            let uo = graph.add_node(AuxNode::OutNode(e));
-            let vi = graph.add_node(AuxNode::InNode(e));
-            out_node.push(uo);
-            in_node.push(vi);
-            trav_arc.push(graph.add_edge(
-                uo,
-                vi,
-                AuxEdgeData {
-                    kind: AuxArc::Traversal(e),
-                    weight: 0.0,
-                },
+            arcs.push((
+                out_node(ei),
+                in_node(ei),
+                AuxArc::Traversal(EdgeId::from(ei)),
             ));
         }
 
@@ -219,14 +242,12 @@ impl AuxEngine {
                     if !possible {
                         continue;
                     }
-                    let arc = graph.add_edge(
-                        in_node[ein.index()],
-                        out_node[eout.index()],
-                        AuxEdgeData {
-                            kind: AuxArc::Conversion(v),
-                            weight: 0.0,
-                        },
-                    );
+                    let arc = arcs.len() as u32;
+                    arcs.push((
+                        in_node(ein.index()),
+                        out_node(eout.index()),
+                        AuxArc::Conversion(v),
+                    ));
                     let idx = conv.len() as u32;
                     conv.push(ConvSlot {
                         arc,
@@ -245,69 +266,48 @@ impl AuxEngine {
 
         // Tap slots for every link; the scratch builder emits source taps
         // (in link order) before sink taps, so both groups stay ordered.
-        let mut src_tap = Vec::with_capacity(m);
-        for &uo in &out_node {
-            src_tap.push(graph.add_edge(
-                source,
-                uo,
-                AuxEdgeData {
-                    kind: AuxArc::Tap,
-                    weight: 0.0,
-                },
-            ));
+        let tap_base = arcs.len();
+        for ei in 0..m {
+            arcs.push((SOURCE, out_node(ei), AuxArc::Tap));
         }
-        let mut dst_tap = Vec::with_capacity(m);
-        for &vi in &in_node {
-            dst_tap.push(graph.add_edge(
-                vi,
-                sink,
-                AuxEdgeData {
-                    kind: AuxArc::Tap,
-                    weight: 0.0,
-                },
-            ));
+        for ei in 0..m {
+            arcs.push((in_node(ei), SINK, AuxArc::Tap));
         }
 
-        let edge_count = graph.edge_count();
+        let edge_count = arcs.len();
         let conv_count = conv.len();
 
-        // CSR mirror of the finished skeleton. The skeleton never changes
-        // shape, so this is built once; weights/enabled bits are per-arc
-        // array updates from here on. Per-node slots inherit the ascending
-        // arc-id order of `out_edges` (arcs are appended in id order), which
-        // is what keeps flat relaxation order — and every Dijkstra tie —
-        // identical to the pointer-based search.
-        let n_aux = graph.node_count();
-        let mut csr_off = Vec::with_capacity(n_aux + 1);
-        let mut csr_head = Vec::with_capacity(edge_count);
-        let mut csr_arc = Vec::with_capacity(edge_count);
-        for v in graph.node_ids() {
-            csr_off.push(csr_head.len() as u32);
-            for &e in graph.out_edges(v) {
-                csr_head.push(graph.dst(e).index() as u32);
-                csr_arc.push(e.index() as u32);
-            }
+        // CSR layout by a stable counting sort on the tail. The skeleton
+        // never changes shape, so this is built once; weights/enabled bits
+        // are per-arc array updates from here on. Arcs are placed in id
+        // order, so each node's slots hold its arcs in ascending id — the
+        // order the scratch graph's adjacency lists yield them in, which is
+        // what keeps relaxation order and every Dijkstra tie identical to
+        // the scratch oracle.
+        let n_aux = 2 + 2 * m;
+        let mut csr_off = vec![0u32; n_aux + 1];
+        for &(u, _, _) in &arcs {
+            csr_off[u as usize + 1] += 1;
         }
-        csr_off.push(csr_head.len() as u32);
+        for v in 0..n_aux {
+            csr_off[v + 1] += csr_off[v];
+        }
+        let mut next_slot = csr_off[..n_aux].to_vec();
+        let mut csr_head = vec![0u32; edge_count];
+        let mut csr_arc = vec![0u32; edge_count];
         let mut arc_slot = vec![0u32; edge_count];
-        for (slot, &a) in csr_arc.iter().enumerate() {
-            arc_slot[a as usize] = slot as u32;
-        }
-        let mut arc_src = vec![0u32; edge_count];
-        let mut arc_dst = vec![0u32; edge_count];
-        for e in graph.edge_ids() {
-            arc_src[e.index()] = graph.src(e).index() as u32;
-            arc_dst[e.index()] = graph.dst(e).index() as u32;
+        for (a, &(u, v, _)) in arcs.iter().enumerate() {
+            let slot = next_slot[u as usize];
+            next_slot[u as usize] += 1;
+            csr_head[slot as usize] = v;
+            csr_arc[slot as usize] = a as u32;
+            arc_slot[a] = slot;
         }
 
         Self {
             spec,
-            graph,
-            source,
-            sink,
-            trav_arc,
-            src_tap,
-            dst_tap,
+            tap_base,
+            arc_kind: arcs.iter().map(|a| a.2).collect(),
             conv,
             conv_of_link,
             enabled: vec![false; edge_count],
@@ -324,8 +324,8 @@ impl AuxEngine {
             csr_head,
             csr_arc,
             arc_slot,
-            arc_src,
-            arc_dst,
+            arc_src: arcs.iter().map(|a| a.0).collect(),
+            arc_dst: arcs.iter().map(|a| a.1).collect(),
             // All skeleton weights start at 0.0 == key 0, which certifies.
             arc_weight: vec![0.0; edge_count],
             arc_key: vec![0; edge_count],
@@ -340,6 +340,24 @@ impl AuxEngine {
             pi_events: Vec::new(),
             pi_work: Vec::new(),
         }
+    }
+
+    /// Number of skeleton nodes (`2 + 2m`).
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.csr_off.len() - 1
+    }
+
+    /// Arc id of link `e`'s source tap `s' → u_out^e`.
+    #[inline]
+    fn src_tap(&self, e: usize) -> usize {
+        self.tap_base + e
+    }
+
+    /// Arc id of link `e`'s sink tap `v_in^e → t''`.
+    #[inline]
+    fn dst_tap(&self, e: usize) -> usize {
+        self.tap_base + self.admitted.len() + e
     }
 
     /// Whether this engine's skeleton was built for (a network shaped like)
@@ -419,7 +437,7 @@ impl AuxEngine {
         }
         if self.warm {
             if reset_pi || self.inexact > 0 {
-                self.pot.reset(self.graph.node_count());
+                self.pot.reset(self.node_count());
                 self.pi_events.clear();
             } else {
                 self.pi_repair();
@@ -429,12 +447,9 @@ impl AuxEngine {
         stats
     }
 
-    /// Writes an arc weight into both the graph payload and the flat mirror,
-    /// maintaining the integer certification and (when warm) the potential
-    /// feasibility event queue.
-    fn set_arc_weight(&mut self, arc: EdgeId, w: f64) {
-        let i = arc.index();
-        self.graph.edge_mut(arc).weight = w;
+    /// Writes arc `i`'s weight and its slot mirror, maintaining the integer
+    /// certification and (when warm) the potential feasibility event queue.
+    fn set_arc_weight(&mut self, i: usize, w: f64) {
         let old = self.arc_weight[i];
         self.arc_weight[i] = w;
         let slot = self.arc_slot[i] as usize;
@@ -489,7 +504,8 @@ impl AuxEngine {
                 }
             }
         };
-        self.set_arc_weight(self.trav_arc[ei], weight);
+        // The traversal arc of link `e` is arc `e`.
+        self.set_arc_weight(ei, weight);
         for i in 0..self.conv_of_link[ei].len() {
             let ci = self.conv_of_link[ei][i] as usize;
             if self.conv_stamp[ci] != self.pass {
@@ -521,7 +537,7 @@ impl AuxEngine {
                 AuxWeights::CongestionExp { .. } => 0.0,
                 _ => total / k as f64,
             };
-            self.set_arc_weight(slot.arc, w);
+            self.set_arc_weight(slot.arc as usize, w);
         }
         self.update_conv_enabled(ci);
     }
@@ -550,18 +566,18 @@ impl AuxEngine {
             }
         };
         self.admitted[ei] = adm;
-        let ti = self.trav_arc[ei].index();
-        if self.warm && adm && !self.enabled[ti] {
+        // The traversal arc of link `e` is arc `e`.
+        if self.warm && adm && !self.enabled[ei] {
             // Newly enabled arc: its feasibility constraint comes into force.
-            self.pi_events.push(ti as u32);
+            self.pi_events.push(ei as u32);
         }
-        self.set_enabled(ti, adm);
+        self.set_enabled(ei, adm);
         // Tap constraints are re-derived from scratch each warm solve
         // (`warm_prepare`), so their flips need no events.
         let src_en = adm && self.cur_s == Some(net.graph().src(e));
-        self.set_enabled(self.src_tap[ei].index(), src_en);
+        self.set_enabled(self.src_tap(ei), src_en);
         let dst_en = adm && self.cur_t == Some(net.graph().dst(e));
-        self.set_enabled(self.dst_tap[ei].index(), dst_en);
+        self.set_enabled(self.dst_tap(ei), dst_en);
         for i in 0..self.conv_of_link[ei].len() {
             let ci = self.conv_of_link[ei][i] as usize;
             self.update_conv_enabled(ci);
@@ -573,7 +589,7 @@ impl AuxEngine {
     fn update_conv_enabled(&mut self, ci: usize) {
         let slot = self.conv[ci];
         let en = slot.k > 0 && self.admitted[slot.ein.index()] && self.admitted[slot.eout.index()];
-        let idx = slot.arc.index();
+        let idx = slot.arc as usize;
         if self.warm && en && !self.enabled[idx] {
             self.pi_events.push(idx as u32);
         }
@@ -585,22 +601,22 @@ impl AuxEngine {
         if self.cur_s != Some(s) {
             if let Some(old) = self.cur_s {
                 for &e in net.graph().out_edges(old) {
-                    self.set_enabled(self.src_tap[e.index()].index(), false);
+                    self.set_enabled(self.src_tap(e.index()), false);
                 }
             }
             for &e in net.graph().out_edges(s) {
-                self.set_enabled(self.src_tap[e.index()].index(), self.admitted[e.index()]);
+                self.set_enabled(self.src_tap(e.index()), self.admitted[e.index()]);
             }
             self.cur_s = Some(s);
         }
         if self.cur_t != Some(t) {
             if let Some(old) = self.cur_t {
                 for &e in net.graph().in_edges(old) {
-                    self.set_enabled(self.dst_tap[e.index()].index(), false);
+                    self.set_enabled(self.dst_tap(e.index()), false);
                 }
             }
             for &e in net.graph().in_edges(t) {
-                self.set_enabled(self.dst_tap[e.index()].index(), self.admitted[e.index()]);
+                self.set_enabled(self.dst_tap(e.index()), self.admitted[e.index()]);
             }
             self.cur_t = Some(t);
         }
@@ -621,7 +637,7 @@ impl AuxEngine {
             self.pi_events.clear();
             return;
         }
-        let n = self.graph.node_count();
+        let n = self.node_count();
         debug_assert_eq!(self.pot.pi.len(), n);
         for k in 0..self.pi_events.len() {
             let a = self.pi_events[k] as usize;
@@ -675,22 +691,22 @@ impl AuxEngine {
         };
         let mut ps = 0u64;
         for &e in net.graph().out_edges(s) {
-            let tap = self.src_tap[e.index()].index();
+            let tap = self.src_tap(e.index());
             if self.enabled[tap] {
                 ps = ps.max(self.pot.pi[self.arc_dst[tap] as usize]);
             }
         }
-        self.pot.pi[self.source.index()] = ps;
+        self.pot.pi[SOURCE as usize] = ps;
         let mut pt = u64::MAX;
         for &e in net.graph().in_edges(t) {
-            let tap = self.dst_tap[e.index()].index();
+            let tap = self.dst_tap(e.index());
             if self.enabled[tap] {
                 pt = pt.min(self.pot.pi[self.arc_src[tap] as usize]);
             }
         }
         // No enabled dst tap ⇒ the sink has no in-arcs at all, so its
         // potential is unconstrained.
-        self.pot.pi[self.sink.index()] = if pt == u64::MAX { 0 } else { pt };
+        self.pot.pi[SINK as usize] = if pt == u64::MAX { 0 } else { pt };
     }
 
     /// Opts this engine in/out of carrying Johnson potentials across
@@ -766,35 +782,33 @@ impl AuxEngine {
         (view, int, &mut self.pot)
     }
 
-    /// The skeleton graph. Search it with the [`AuxEngine::enabled`] filter;
-    /// disabled arcs carry stale weights.
-    #[inline]
-    pub fn graph(&self) -> &DiGraph<AuxNode, AuxEdgeData> {
-        &self.graph
-    }
-
     /// `s'`.
     #[inline]
     pub fn source(&self) -> NodeId {
-        self.source
+        NodeId(SOURCE)
     }
 
     /// `t''`.
     #[inline]
     pub fn sink(&self) -> NodeId {
-        self.sink
+        NodeId(SINK)
     }
 
-    /// Weight of skeleton arc `ae` (meaningful only while enabled).
-    #[inline]
-    pub fn weight(&self, ae: EdgeId) -> f64 {
-        self.graph.edge(ae).weight
-    }
-
-    /// Whether skeleton arc `ae` is part of the current auxiliary graph.
-    #[inline]
-    pub fn enabled(&self, ae: EdgeId) -> bool {
-        self.enabled[ae.index()]
+    /// The current auxiliary graph: `(tail, head, kind, weight)` of every
+    /// enabled arc, in arc-id order — the canonical form a scratch
+    /// [`AuxGraph::build`](crate::aux_graph::AuxGraph::build) of the same
+    /// state and request must reproduce arc for arc.
+    pub fn enabled_arcs(&self) -> impl Iterator<Item = (AuxNode, AuxNode, AuxArc, f64)> + '_ {
+        (0..self.arc_kind.len())
+            .filter(|&a| self.enabled[a])
+            .map(|a| {
+                (
+                    node_kind(self.arc_src[a]),
+                    node_kind(self.arc_dst[a]),
+                    self.arc_kind[a],
+                    self.arc_weight[a],
+                )
+            })
     }
 
     /// Maps a path over the skeleton back to the physical links it
@@ -802,7 +816,7 @@ impl AuxEngine {
     pub fn physical_edges(&self, path: &Path) -> Vec<EdgeId> {
         path.edges
             .iter()
-            .filter_map(|&ae| match self.graph.edge(ae).kind {
+            .filter_map(|&ae| match self.arc_kind[ae.index()] {
                 AuxArc::Traversal(pe) => Some(pe),
                 _ => None,
             })
@@ -1188,29 +1202,24 @@ mod tests {
         b.build()
     }
 
-    /// Collects (kind, src-kind, dst-kind, weight-bits) of every enabled /
-    /// existing arc — the canonical form both constructions must agree on.
-    fn canon_engine(eng: &AuxEngine) -> Vec<(String, u64)> {
-        eng.graph()
-            .edge_ids()
-            .filter(|&e| eng.enabled(e))
-            .map(|e| {
-                let d = eng.graph().edge(e);
-                let s = eng.graph().node(eng.graph().src(e));
-                let t = eng.graph().node(eng.graph().dst(e));
-                (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
-            })
+    type Canon = Vec<(AuxNode, AuxNode, AuxArc, u64)>;
+
+    /// (src-kind, dst-kind, kind, weight-bits) of every enabled / existing
+    /// arc — the canonical form both constructions must agree on.
+    fn canon_engine(eng: &AuxEngine) -> Canon {
+        eng.enabled_arcs()
+            .map(|(s, t, kind, w)| (s, t, kind, w.to_bits()))
             .collect()
     }
 
-    fn canon_scratch(aux: &AuxGraph) -> Vec<(String, u64)> {
+    fn canon_scratch(aux: &AuxGraph) -> Canon {
         aux.graph
             .edge_ids()
             .map(|e| {
                 let d = aux.graph.edge(e);
-                let s = aux.graph.node(aux.graph.src(e));
-                let t = aux.graph.node(aux.graph.dst(e));
-                (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
+                let s = *aux.graph.node(aux.graph.src(e));
+                let t = *aux.graph.node(aux.graph.dst(e));
+                (s, t, d.kind, d.weight.to_bits())
             })
             .collect()
     }

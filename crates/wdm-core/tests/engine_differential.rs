@@ -7,10 +7,11 @@
 //! every step, each engine's enabled subgraph must match a from-scratch
 //! build **bit-for-bit**: same admitted links, same arcs in the same
 //! relative order, identical `f64` weight bits. On top of that, the
-//! minimum-cost disjoint pair found by the reusable [`SearchArena`] over the
-//! engine must equal the allocating Suurballe over the scratch graph —
-//! same physical edges, same total-cost bits — which pins route identity
-//! (refinement is a deterministic function of the physical edge sets).
+//! engine's CSR searches must agree with each other (integer bucket path ≡
+//! f64 path on arc ids and cost bits) and with the allocating Suurballe
+//! over the scratch graph — same physical edges, same total-cost bits —
+//! which pins route identity (refinement is a deterministic function of
+//! the physical edge sets).
 //!
 //! Finally the persistent-context public entry points
 //! ([`find_two_paths_mincog_ctx`], [`find_two_paths_joint_ctx`]) are
@@ -20,7 +21,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wdm_core::aux_engine::{AuxEngine, RouterCtx};
-use wdm_core::aux_graph::{AuxGraph, AuxSpec};
+use wdm_core::aux_graph::{AuxArc, AuxGraph, AuxNode, AuxSpec};
 use wdm_core::conversion::ConversionTable;
 use wdm_core::joint::{find_two_paths_joint, find_two_paths_joint_ctx};
 use wdm_core::mincog::{find_two_paths_mincog, find_two_paths_mincog_ctx};
@@ -83,31 +84,26 @@ fn random_op(rng: &mut ChaCha8Rng, net: &WdmNetwork, st: &mut ResidualState) {
     }
 }
 
-/// Canonical form of an auxiliary arc: endpoint payloads + kind + weight
+/// Canonical form of an auxiliary arc: endpoint kinds + arc kind + weight
 /// bits. Node/edge ids differ between the skeleton and a scratch build, but
-/// the payloads (`OutNode(e)`, `InNode(e)`, `Source`, `Sink`, arc kinds)
+/// the kinds (`OutNode(e)`, `InNode(e)`, `Source`, `Sink`, arc kinds)
 /// identify arcs across both.
-fn canon_engine(eng: &AuxEngine) -> Vec<(String, u64)> {
-    eng.graph()
-        .edge_ids()
-        .filter(|&e| eng.enabled(e))
-        .map(|e| {
-            let d = eng.graph().edge(e);
-            let s = eng.graph().node(eng.graph().src(e));
-            let t = eng.graph().node(eng.graph().dst(e));
-            (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
-        })
+type Canon = Vec<(AuxNode, AuxNode, AuxArc, u64)>;
+
+fn canon_engine(eng: &AuxEngine) -> Canon {
+    eng.enabled_arcs()
+        .map(|(s, t, kind, w)| (s, t, kind, w.to_bits()))
         .collect()
 }
 
-fn canon_scratch(aux: &AuxGraph) -> Vec<(String, u64)> {
+fn canon_scratch(aux: &AuxGraph) -> Canon {
     aux.graph
         .edge_ids()
         .map(|e| {
             let d = aux.graph.edge(e);
-            let s = aux.graph.node(aux.graph.src(e));
-            let t = aux.graph.node(aux.graph.dst(e));
-            (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
+            let s = *aux.graph.node(aux.graph.src(e));
+            let t = *aux.graph.node(aux.graph.dst(e));
+            (s, t, d.kind, d.weight.to_bits())
         })
         .collect()
 }
@@ -130,8 +126,9 @@ fn assert_pair_bits(a: &Option<DisjointPair>, b: &Option<DisjointPair>, label: &
     }
 }
 
-/// Engine-refreshed graph == scratch build, and arena pair search over the
-/// engine == allocating pair search over the scratch graph.
+/// Engine-refreshed graph == scratch build, CSR integer search == CSR f64
+/// search, and CSR pair search == allocating pair search over the scratch
+/// graph.
 #[allow(clippy::too_many_arguments)]
 fn check_family(
     net: &WdmNetwork,
@@ -157,35 +154,25 @@ fn check_family(
         "{ctx_label}: enabled arcs / weight bits"
     );
 
-    // Tentpole invariant: both CSR flat searches — the f64 d-ary path and,
-    // whenever the dyadic certificate holds, the scaled bucket path — must
-    // be bit-identical to the pointer-chasing arena search over the same
-    // skeleton (same arc ids, same cost bits).
+    // Both CSR searches — the f64 d-ary path and, whenever the dyadic
+    // certificate holds, the scaled bucket path — must be bit-identical to
+    // each other over the same skeleton (same arc ids, same cost bits).
     let (aux_s, aux_t) = (eng.source(), eng.sink());
     let int_pair = {
         let (view, int, _pot) = eng.flat_parts();
         int.map(|iw| arena.edge_disjoint_pair_flat_int(&view, &iw, None, aux_s, aux_t, || {}))
     };
     let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, || {});
-
-    let eng_pair = {
-        let eng: &AuxEngine = eng;
-        arena.edge_disjoint_pair(
-            eng.graph(),
-            eng.source(),
-            eng.sink(),
-            |e| eng.weight(e),
-            |e| eng.enabled(e),
-        )
-    };
-    assert_pair_bits(
-        &eng_pair,
-        &flat_pair,
-        &format!("{ctx_label}: flat f64 vs pointer"),
-    );
     if let Some(ip) = &int_pair {
-        assert_pair_bits(&eng_pair, ip, &format!("{ctx_label}: flat int vs pointer"));
+        assert_pair_bits(
+            &flat_pair,
+            ip,
+            &format!("{ctx_label}: flat int vs flat f64"),
+        );
     }
+
+    // And the CSR pair must be the scratch oracle's pair: same physical
+    // edges per leg, same cost bits.
     let scratch_pair = edge_disjoint_pair_filtered(
         &scratch.graph,
         scratch.source,
@@ -193,7 +180,7 @@ fn check_family(
         |e| scratch.weight(e),
         |_| true,
     );
-    match (eng_pair, scratch_pair) {
+    match (flat_pair, scratch_pair) {
         (None, None) => {}
         (Some(a), Some(b)) => {
             assert_eq!(
@@ -277,7 +264,7 @@ fn engine_equals_scratch_under_random_mutation_sequences() {
 /// Quarter-integer link costs and free conversions make every aux weight a
 /// dyadic rational below the scale cap, so the engine's integer certificate
 /// must hold and the scaled bucket search must engage — and stay
-/// bit-identical to the scratch oracle and the pointer search.
+/// bit-identical to the f64 search and the scratch oracle.
 ///
 /// (Conversion costs must be 0 here: a conversion arc averages over all
 /// allowed pairs *including* free identity pairs, so `m·c / k` with `m < k`

@@ -354,24 +354,8 @@ impl SearchArena {
         g: &DiGraph<N, E>,
         s: NodeId,
         t: NodeId,
-        cost: impl FnMut(EdgeId) -> f64,
-        filter: impl FnMut(EdgeId) -> bool,
-    ) -> Option<crate::suurballe::DisjointPair> {
-        self.edge_disjoint_pair_staged(g, s, t, cost, filter, || {})
-    }
-
-    /// [`SearchArena::edge_disjoint_pair`] with a stage boundary hook:
-    /// `pass1_done` fires once after the pass-1 tree and P1 extraction,
-    /// immediately before the residual graph is built — the natural
-    /// observation point for per-pass timing. Results are identical.
-    pub fn edge_disjoint_pair_staged<N, E>(
-        &mut self,
-        g: &DiGraph<N, E>,
-        s: NodeId,
-        t: NodeId,
         mut cost: impl FnMut(EdgeId) -> f64,
         mut filter: impl FnMut(EdgeId) -> bool,
-        mut pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
         if s == t {
             return None;
@@ -394,7 +378,6 @@ impl SearchArena {
         for &e in &p1.edges {
             self.mask.set(e.index(), true);
         }
-        pass1_done();
 
         // Pass 2: residual graph with reduced costs.
         let n = g.node_count();
@@ -521,11 +504,13 @@ impl SearchArena {
         })
     }
 
-    /// [`SearchArena::edge_disjoint_pair_staged`] over a [`FlatView`]:
-    /// identical algorithm, identical tie-breaking, bit-identical results —
-    /// but every traversal runs over contiguous CSR arrays instead of
-    /// pointer-chased adjacency lists, and the Suurballe residual graph is
-    /// rebuilt by counting sort into flat arrays.
+    /// [`SearchArena::edge_disjoint_pair`] over a [`FlatView`]: identical
+    /// algorithm, identical tie-breaking, bit-identical results — but every
+    /// traversal runs over contiguous CSR arrays instead of pointer-chased
+    /// adjacency lists, and the Suurballe residual graph is an overlay on
+    /// the forward slots instead of a materialised graph. `pass1_done`
+    /// fires once after the pass-1 tree and P1 extraction, the observation
+    /// point for per-pass timing.
     pub fn edge_disjoint_pair_flat(
         &mut self,
         g: &FlatView<'_>,

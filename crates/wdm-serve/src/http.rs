@@ -1,8 +1,7 @@
 //! A dependency-free, hardened HTTP/1.1 listener core.
 //!
-//! Grown out of `wdm serve-metrics`' inline reader (PR 5), generalized so
-//! both that exporter and the `wdm serve` daemon speak through one
-//! implementation. The parser is deliberately small — request line,
+//! The `wdm serve` daemon speaks through this one implementation. The
+//! parser is deliberately small — request line,
 //! headers, optional `Content-Length` body, `Connection: close` responses
 //! — but strict about the ways real clients misbehave:
 //!

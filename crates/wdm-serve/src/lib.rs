@@ -9,8 +9,7 @@
 //!
 //! Module map:
 //!
-//! * [`http`] — the hardened dependency-free HTTP/1.1 listener core
-//!   (shared with `wdm serve-metrics`);
+//! * [`http`] — the hardened dependency-free HTTP/1.1 listener core;
 //! * [`admission`] — bounded work queue: shed-on-full, per-request
 //!   deadlines;
 //! * [`daemon`] — the serving loop: read-lock routing on warm contexts,

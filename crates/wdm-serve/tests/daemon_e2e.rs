@@ -103,6 +103,10 @@ fn thousand_mixed_requests_with_zero_lost_mutations() {
                 || metrics.contains("serve_provision_ok"),
             "prometheus exposes the serve counters:\n{metrics}"
         );
+        assert!(
+            metrics.contains("_bucket{le="),
+            "prometheus exposes cumulative histogram buckets:\n{metrics}"
+        );
 
         control.shutdown();
         let report = server.join().unwrap().expect("clean run");

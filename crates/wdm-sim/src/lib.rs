@@ -63,8 +63,7 @@ pub mod prelude {
         run_sim_recorded, BatchConfig, SimConfig, Simulator,
     };
     pub use crate::speculative::{
-        distinct_static_costs, link_local_revalidation_sound, provision_batch_speculative,
-        provision_batch_speculative_journaled, provision_batch_speculative_observed,
+        distinct_static_costs, link_local_revalidation_sound,
         provision_batch_speculative_scheduled, provision_batch_speculative_with_oracle,
         zero_conversion_costs, SpeculationStats,
     };

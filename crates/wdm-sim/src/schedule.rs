@@ -1,10 +1,10 @@
 //! Conflict-aware scheduling of speculative batch windows.
 //!
-//! The windowed engine of [`crate::speculative`] speculates on the next
-//! `K` demands in processing order and aborts the tail of the window at
-//! the first conflict — at `K = 64` nearly every window dies that way
-//! (88% aborts on the recorded bench). The scheduler in this module
-//! attacks the problem *before* routing: it predicts each pending
+//! Speculating on the next `K` demands in processing order and aborting
+//! the tail of the window at the first conflict collapses under
+//! contention: at `K = 64` nearly every window dies that way. The
+//! scheduler in this module attacks the problem *before* routing: it
+//! predicts each pending
 //! demand's [`RouteFootprint`](wdm_core::disjoint::RouteFootprint) with a
 //! [`FootprintOracle`] and greedily colors the lookahead into a
 //! **link-disjoint conflict group** — the subset that gets speculated —
@@ -49,10 +49,6 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// concurrently each round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ScheduleMode {
-    /// PR 3 semantics: speculate on the next `K` demands in processing
-    /// order; the first non-committable result aborts the rest of the
-    /// window. Simple, but collapses under contention at large `K`.
-    Windowed,
     /// Predict footprints, speculate only on a link-disjoint conflict
     /// group, route the predicted-conflicting remainder inline at its
     /// serial position, and recover mispredictions with a bounded
@@ -71,12 +67,10 @@ pub enum ScheduleMode {
 }
 
 impl ScheduleMode {
-    /// Parses the CLI spelling (`windowed` / `conflict-groups` /
-    /// `sharded`); `sharded` carries [`DEFAULT_SHARDS`] until the CLI's
-    /// `--shards` overrides it.
+    /// Parses the CLI spelling (`conflict-groups` / `sharded`); `sharded`
+    /// carries [`DEFAULT_SHARDS`] until the CLI's `--shards` overrides it.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "windowed" => Some(Self::Windowed),
             "conflict-groups" => Some(Self::ConflictGroups),
             "sharded" => Some(Self::Sharded {
                 shards: DEFAULT_SHARDS,
@@ -88,7 +82,6 @@ impl ScheduleMode {
     /// The CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
-            Self::Windowed => "windowed",
             Self::ConflictGroups => "conflict-groups",
             Self::Sharded { .. } => "sharded",
         }
@@ -276,7 +269,6 @@ mod tests {
     #[test]
     fn mode_parse_round_trips() {
         for mode in [
-            ScheduleMode::Windowed,
             ScheduleMode::ConflictGroups,
             ScheduleMode::Sharded {
                 shards: DEFAULT_SHARDS,
@@ -287,6 +279,7 @@ mod tests {
         // A non-default shard count keeps the spelling.
         assert_eq!(ScheduleMode::Sharded { shards: 7 }.name(), "sharded");
         assert_eq!(ScheduleMode::parse("bogus"), None);
+        assert_eq!(ScheduleMode::parse("windowed"), None);
         assert_eq!(ScheduleMode::default(), ScheduleMode::ConflictGroups);
     }
 }

@@ -15,15 +15,10 @@
 //! floating-point accumulation order) and residual state — is
 //! **bit-identical to the serial run**.
 //!
-//! Two [`ScheduleMode`]s decide *which* pending demands speculate each
+//! The [`ScheduleMode`] decides *which* pending demands speculate each
 //! round and what happens on a conflict:
 //!
-//! * [`ScheduleMode::Windowed`] (PR 3): speculate on the next `K` demands
-//!   wholesale; the first non-committable result aborts the rest of the
-//!   window (a later demand may have depended on the aborted one's
-//!   channels), and the tail re-speculates next round. Under contention
-//!   this collapses — at `K = 64` nearly every window aborts.
-//! * [`ScheduleMode::ConflictGroups`] (default): a
+//! * [`ScheduleMode::ConflictGroups`] (default, this module): a
 //!   [`ConflictPartitioner`] predicts per-demand footprints through a
 //!   [`FootprintOracle`] and selects a link-disjoint conflict group out
 //!   of a `2K` lookahead; only the group speculates. Demands the
@@ -37,6 +32,8 @@
 //!   reservation lock table: every committed route (speculated or inline)
 //!   stamps its links, and a speculated route commits only if its links
 //!   are unstamped since its snapshot.
+//! * [`ScheduleMode::Sharded`]: a static topology partition with
+//!   per-shard workers; see [`crate::sharded`].
 //!
 //! ## Commit rules
 //!
@@ -76,12 +73,9 @@
 //!    pair (or no route at all) on the frozen state has none on the live
 //!    state either. [`RoutingError::DegenerateRequest`] commits always
 //!    (it depends only on the endpoints). Load-dependent failures abort.
-//! 3. **Conflict recovery.** Windowed mode: the first non-committable
-//!    result aborts itself and every later demand of the window; they
-//!    re-speculate next round. Conflict-groups mode: the non-committable
-//!    result alone aborts and is re-routed inline at its serial position
-//!    (live = serial there, so the retry is exact); the rest of the round
-//!    proceeds.
+//! 3. **Conflict recovery.** A non-committable result alone aborts and is
+//!    re-routed inline at its serial position (live = serial there, so the
+//!    retry is exact); the rest of the round proceeds.
 //!
 //! With the rule-2 guard off (load-sensitive policy, non-distinct costs,
 //! or nonzero conversion cost — the PR 8 caveat the guard now enforces),
@@ -104,12 +98,12 @@ use crate::policy::{Policy, ProvisionedRoute};
 use crate::schedule::{ConflictPartitioner, GroupPlan, ScheduleMode};
 use wdm_core::aux_engine::RouterCtx;
 use wdm_core::error::RoutingError;
-use wdm_core::journal::{EventSink, NetEvent, NoopSink};
+use wdm_core::journal::{EventSink, NetEvent};
 use wdm_core::load::load_snapshot;
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::predict::{FootprintOracle, LocalityPredictor};
 use wdm_graph::{EdgeId, NodeId};
-use wdm_telemetry::{Counter, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer};
+use wdm_telemetry::{Counter, Hist, NoopRecorder, Phase, Recorder, Tracer};
 
 /// What the speculative engine did across one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -121,13 +115,12 @@ pub struct SpeculationStats {
     /// Speculated results aborted by the conflict rules.
     pub aborts: u64,
     /// Demands routed again after their speculation aborted — one per
-    /// abort (windowed: re-speculated next round; conflict-groups:
-    /// re-routed inline at their serial position).
+    /// abort, re-routed inline at their serial position.
     pub retries: u64,
     /// Demands the conflict-groups scheduler never speculated — skipped
     /// by the partitioner as predicted-conflicting and routed inline at
-    /// their serial position. Always zero in windowed mode. In sharded
-    /// mode these are the cross-shard demands.
+    /// their serial position. In sharded mode these are the cross-shard
+    /// demands.
     pub inline_routes: u64,
     /// Demands the sharded scheduler classified as cross-shard (their
     /// predicted footprint leaves one shard). Each one routes inline and
@@ -260,11 +253,12 @@ where
 }
 
 /// As [`crate::batch::provision_batch`], but routing up to `window`
-/// pending demands speculatively per round under the default
-/// [`ScheduleMode`] (see the module docs for the commit protocol). The
-/// returned [`BatchOutcome`] is bit-identical to the serial run's for
-/// every `window`; `window <= 1` degenerates to serial processing with a
-/// persistent router context.
+/// pending demands speculatively per round under `schedule` (see the
+/// module docs for the commit protocol) on up to `threads` worker threads
+/// (`0` means auto — the host's available parallelism). The returned
+/// [`BatchOutcome`] is bit-identical to the serial run's for every
+/// `window` and `threads`; `window <= 1` degenerates to serial processing
+/// with a persistent router context.
 ///
 /// `recorder` receives only the speculation counters
 /// ([`Counter::SpeculativeCommits`] / [`Counter::SpeculativeAborts`] /
@@ -273,92 +267,24 @@ where
 /// [`Hist::WindowOccupancy`] / [`Hist::ConflictGroupSize`] histograms;
 /// the routing calls themselves are unrecorded, matching the serial
 /// path's contract.
-pub fn provision_batch_speculative<R: Recorder>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-    window: usize,
-    recorder: R,
-) -> (BatchOutcome, SpeculationStats) {
-    provision_batch_speculative_journaled(
-        net, state, demands, policy, order, window, recorder, NoopSink,
-    )
-}
-
-/// As [`provision_batch_speculative`], additionally appending one
-/// [`NetEvent::Provision`] per committed route to `journal` (`id` = the
-/// demand's index in `demands`), in commit order — replaying them over
-/// `state` reproduces the outcome's final state. Event payloads are only
-/// built when [`EventSink::enabled`]; with [`NoopSink`] this is exactly
-/// the plain entry point.
-#[allow(clippy::too_many_arguments)] // the plain entry point minus journal is the common call
-pub fn provision_batch_speculative_journaled<R: Recorder, J: EventSink>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-    window: usize,
-    recorder: R,
-    journal: J,
-) -> (BatchOutcome, SpeculationStats) {
-    provision_batch_speculative_observed(
-        net,
-        state,
-        demands,
-        policy,
-        order,
-        window,
-        recorder,
-        journal,
-        &NoopTracer,
-    )
-}
-
-/// As [`provision_batch_speculative_journaled`], additionally recording
-/// spans on `tracer`. Each worker routes on a [`Tracer::fork_worker`]
-/// child; the children are folded back in worker order after every
+///
+/// `journal` receives one [`NetEvent::Provision`] per committed route
+/// (`id` = the demand's index in `demands`), in commit order — replaying
+/// them over `state` reproduces the outcome's final state. Event payloads
+/// are only built when [`EventSink::enabled`].
+///
+/// `tracer` records spans: each worker routes on a [`Tracer::fork_worker`]
+/// child, the children are folded back in worker order after every
 /// round's fan-out (contiguous chunk assignment makes that the serial
-/// record stream), and the commit loop then attaches [`Phase::Commit`] /
+/// record stream), and the commit sweep attaches [`Phase::Commit`] /
 /// [`Phase::Abort`] spans to the round's attempts via
-/// [`Tracer::record_earlier`]. A demand may own more than one span group
-/// — one per routing attempt (a windowed-mode abort re-speculates next
-/// round; a conflict-groups abort re-routes inline immediately) —
-/// attempts, not demands, are the unit the span stream counts.
-#[allow(clippy::too_many_arguments)]
-pub fn provision_batch_speculative_observed<R: Recorder, J: EventSink, T: Tracer + Send>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-    window: usize,
-    recorder: R,
-    journal: J,
-    tracer: &T,
-) -> (BatchOutcome, SpeculationStats) {
-    provision_batch_speculative_scheduled(
-        net,
-        state,
-        demands,
-        policy,
-        order,
-        window,
-        ScheduleMode::default(),
-        0,
-        recorder,
-        journal,
-        tracer,
-    )
-}
-
-/// The full entry point: as [`provision_batch_speculative_observed`] with
-/// an explicit [`ScheduleMode`] and worker-thread count (`threads == 0`
-/// means auto — the host's available parallelism). Conflict-groups and
-/// sharded modes predict footprints with a [`LocalityPredictor`] at its
-/// default radius; use [`provision_batch_speculative_with_oracle`] or
+/// [`Tracer::record_earlier`]. A demand may own more than one span group —
+/// one per routing attempt (an aborted speculation re-routes inline) —
+/// so attempts, not demands, are the unit the span stream counts.
+///
+/// Conflict-groups and sharded modes predict footprints with a
+/// [`LocalityPredictor`] at its default radius; use
+/// [`provision_batch_speculative_with_oracle`] or
 /// [`crate::sharded::provision_batch_sharded`] to supply another oracle.
 #[allow(clippy::too_many_arguments)]
 pub fn provision_batch_speculative_scheduled<R: Recorder, J: EventSink, T: Tracer + Send>(
@@ -375,9 +301,6 @@ pub fn provision_batch_speculative_scheduled<R: Recorder, J: EventSink, T: Trace
     tracer: &T,
 ) -> (BatchOutcome, SpeculationStats) {
     match schedule {
-        ScheduleMode::Windowed => run_windowed(
-            net, state, demands, policy, order, window, threads, recorder, journal, tracer,
-        ),
         ScheduleMode::ConflictGroups => {
             let mut oracle = LocalityPredictor::with_default_radius(net);
             run_conflict_groups(
@@ -438,175 +361,6 @@ pub fn provision_batch_speculative_with_oracle<
 ) -> (BatchOutcome, SpeculationStats) {
     run_conflict_groups(
         net, state, demands, policy, order, window, 0, recorder, journal, tracer, oracle,
-    )
-}
-
-/// The PR 3 windowed engine: speculate on the next `window` demands, abort
-/// the window tail at the first conflict.
-#[allow(clippy::too_many_arguments)]
-fn run_windowed<R: Recorder, J: EventSink, T: Tracer + Send>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-    window: usize,
-    threads: usize,
-    recorder: R,
-    mut journal: J,
-    tracer: &T,
-) -> (BatchOutcome, SpeculationStats) {
-    let window = window.max(1);
-    let mut st = state.clone();
-    let idx = processing_order(net, &st, demands, order);
-
-    let mut ctxs: Vec<RouterCtx<NoopRecorder, T>> = (0..worker_count(threads, window))
-        .map(|_| RouterCtx::with_recorder_and_tracer(NoopRecorder, tracer.fork_worker()))
-        .collect();
-    let tracing = tracer.enabled();
-
-    let guard = link_local_revalidation_sound(policy, net);
-    let mut touched = vec![false; net.link_count()];
-    let mut provisioned = Vec::new();
-    let mut rejected = Vec::new();
-    let mut total_cost = 0.0;
-    let mut stats = SpeculationStats::default();
-
-    let mut pos = 0;
-    while pos < idx.len() {
-        let chunk = &idx[pos..(pos + window).min(idx.len())];
-        stats.rounds += 1;
-        if recorder.enabled() {
-            recorder.observe(Hist::WindowOccupancy, chunk.len() as u64);
-        }
-
-        // The "frozen snapshot" of the commit protocol is the live state
-        // itself, borrowed immutably for the fan-out: routing never
-        // mutates, and commits happen strictly after the round's routing,
-        // so this is the same freeze the old O(m) per-round clone bought —
-        // now for free.
-        let frozen = &st;
-        let results = fan_out(&mut ctxs, chunk, |ctx, &i| {
-            let d = demands[i];
-            policy.route_ctx(ctx, net, frozen, d.src, d.dst)
-        });
-        if tracing {
-            // Fold worker spans back in worker order: chunks are
-            // contiguous and zipped with the workers in order, so this is
-            // the serial record stream for the round.
-            for ctx in &ctxs {
-                tracer.absorb_worker(ctx.tracer());
-            }
-        }
-
-        // In-order commit against the live state.
-        let n_round = chunk.len() as u64;
-        let mut committed_any = false;
-        touched.iter_mut().for_each(|t| *t = false);
-        let mut advanced = 0;
-        for (k, (i, res)) in chunk.iter().copied().zip(results).enumerate() {
-            // The k-th window member's routing spans sit `back` requests
-            // before the buffer tail after the fold above.
-            let back = n_round - 1 - k as u64;
-            // Rule 1: until a commit occupies channels, the live state
-            // still equals the snapshot and any result is serial-exact.
-            match res {
-                Ok(route) => {
-                    let fp = route.footprint();
-                    let ok =
-                        !committed_any || (guard && fp.links.iter().all(|e| !touched[e.index()]));
-                    if !ok {
-                        // With the guard on, the speculated route's links
-                        // were occupied since its snapshot; with it off,
-                        // serial equivalence is unprovable once anything
-                        // committed.
-                        if recorder.enabled() {
-                            recorder.add(
-                                if guard {
-                                    Counter::SpeculativeAbortConflict
-                                } else {
-                                    Counter::SpeculativeAbortOrdering
-                                },
-                                1,
-                            );
-                        }
-                        break; // rule 3: the rest of the window aborts too
-                    }
-                    let commit_t0 = tracer.now_ns();
-                    for e in &fp.links {
-                        touched[e.index()] = true;
-                    }
-                    route
-                        .occupy(net, &mut st)
-                        .expect("committed route's links are untouched since its snapshot");
-                    if journal.enabled() {
-                        journal.record(NetEvent::Provision {
-                            id: i as u64,
-                            channels: route.channels(),
-                        });
-                    }
-                    total_cost += route.total_cost();
-                    provisioned.push((i, route));
-                    committed_any = true;
-                    if tracing {
-                        tracer.record_earlier(back, Phase::Commit, commit_t0);
-                    }
-                }
-                Err(err) => {
-                    let ok = !committed_any
-                        || match err {
-                            RoutingError::DegenerateRequest => true,
-                            RoutingError::NoDisjointPair | RoutingError::Unreachable { .. } => {
-                                guard
-                            }
-                            _ => false,
-                        };
-                    if !ok {
-                        // A load-dependent failure observed on a snapshot
-                        // the committed routes have since shifted.
-                        if recorder.enabled() {
-                            recorder.add(Counter::SpeculativeAbortLoadShift, 1);
-                        }
-                        break; // rule 3
-                    }
-                    rejected.push(i);
-                }
-            }
-            advanced += 1;
-        }
-        if tracing {
-            // Mark every aborted attempt (the non-committable result and
-            // the window tail behind it); they re-speculate next round.
-            let abort_t0 = tracer.now_ns();
-            for k in advanced..chunk.len() {
-                tracer.record_earlier(n_round - 1 - k as u64, Phase::Abort, abort_t0);
-            }
-        }
-
-        let aborted = (chunk.len() - advanced) as u64;
-        stats.commits += advanced as u64;
-        stats.aborts += aborted;
-        stats.retries += aborted;
-        if recorder.enabled() {
-            recorder.add(Counter::SpeculativeCommits, advanced as u64);
-            if aborted > 0 {
-                recorder.add(Counter::SpeculativeAborts, aborted);
-                recorder.add(Counter::SpeculativeRetries, aborted);
-            }
-        }
-        pos += advanced;
-    }
-
-    let final_load = load_snapshot(net, &st);
-    (
-        BatchOutcome {
-            provisioned,
-            rejected,
-            total_cost,
-            final_load,
-            state: st,
-        },
-        stats,
     )
 }
 
@@ -791,7 +545,7 @@ pub(crate) fn run_conflict_groups<
             let back = (n_members - 1 - member_rank as u64) + appended;
             member_rank += 1;
             let committable = match &res {
-                // Rule 1 / rule 2, exactly as in windowed mode.
+                // Rule 1 / rule 2.
                 Ok(route) => {
                     !committed_any
                         || (guard && route.footprint().links.iter().all(|e| !touched[e.index()]))
@@ -902,9 +656,10 @@ pub(crate) fn run_conflict_groups<
 mod tests {
     use super::*;
     use crate::batch::{full_mesh_demands, provision_batch};
+    use wdm_core::journal::NoopSink;
     use wdm_core::network::NetworkBuilder;
     use wdm_core::predict::{AllConflictOracle, NoConflictOracle};
-    use wdm_telemetry::TelemetrySink;
+    use wdm_telemetry::{NoopTracer, TelemetrySink};
 
     fn nsfnet(w: usize) -> WdmNetwork {
         NetworkBuilder::nsfnet(w).build()
@@ -978,7 +733,6 @@ mod tests {
         let demands = full_mesh_demands(10, 1);
         let serial = provision_batch(&net, &st, &demands, Policy::CostOnly, BatchOrder::AsGiven);
         for schedule in [
-            ScheduleMode::Windowed,
             ScheduleMode::ConflictGroups,
             ScheduleMode::Sharded { shards: 3 },
         ] {
@@ -997,15 +751,7 @@ mod tests {
                     &NoopTracer,
                 );
                 assert_outcomes_identical(&serial, &spec);
-                match schedule {
-                    ScheduleMode::Windowed => {
-                        assert_eq!(stats.commits, demands.len() as u64, "window {window}");
-                        assert_eq!(stats.aborts, stats.retries);
-                    }
-                    ScheduleMode::ConflictGroups | ScheduleMode::Sharded { .. } => {
-                        assert_stats_accounted(&stats, demands.len());
-                    }
-                }
+                assert_stats_accounted(&stats, demands.len());
             }
         }
     }
@@ -1035,7 +781,6 @@ mod tests {
         let demands = full_mesh_demands(10, 1);
         let serial = provision_batch(&net, &st, &demands, Policy::CostOnly, BatchOrder::AsGiven);
         for schedule in [
-            ScheduleMode::Windowed,
             ScheduleMode::ConflictGroups,
             ScheduleMode::Sharded { shards: 3 },
         ] {
@@ -1054,59 +799,40 @@ mod tests {
                     &NoopTracer,
                 );
                 assert_outcomes_identical(&serial, &spec);
-                match schedule {
-                    ScheduleMode::Windowed => {
-                        assert_eq!(stats.commits, demands.len() as u64, "window {window}");
-                        assert_eq!(stats.inline_routes, 0);
-                        assert_eq!(stats.aborts, stats.retries);
-                    }
-                    ScheduleMode::ConflictGroups | ScheduleMode::Sharded { .. } => {
-                        assert_stats_accounted(&stats, demands.len());
-                    }
-                }
+                assert_stats_accounted(&stats, demands.len());
             }
         }
     }
 
     #[test]
     fn speculative_matches_serial_without_rule_two() {
-        // NSFNET + a load-sensitive policy: the guard is off. Windowed
-        // mode commits by rule 1 only; conflict-groups mode degenerates
-        // to one demand per round. Correctness must not depend on rule 2
-        // either way.
+        // NSFNET + a load-sensitive policy: the guard is off, so
+        // conflict-groups mode degenerates to one demand per round.
+        // Correctness must not depend on rule 2.
         let net = nsfnet(8);
         let st = ResidualState::fresh(&net);
         let demands = full_mesh_demands(14, 1);
         let policy = Policy::Joint { a: 2.0 };
         let serial = provision_batch(&net, &st, &demands, policy, BatchOrder::LongestFirst);
-        for schedule in [ScheduleMode::Windowed, ScheduleMode::ConflictGroups] {
-            let (spec, stats) = provision_batch_speculative_scheduled(
-                &net,
-                &st,
-                &demands,
-                policy,
-                BatchOrder::LongestFirst,
-                8,
-                schedule,
-                0,
-                NoopRecorder,
-                NoopSink,
-                &NoopTracer,
-            );
-            assert_outcomes_identical(&serial, &spec);
-            // Every demand commits exactly once; each abort costs one retry.
-            assert_eq!(stats.commits, demands.len() as u64);
-            assert_eq!(
-                stats.commits + stats.aborts,
-                demands.len() as u64 + stats.retries
-            );
-            if schedule == ScheduleMode::ConflictGroups {
-                // Guard off: one rule-1 commit per round, nothing wasted.
-                assert_eq!(stats.aborts, 0);
-                assert_eq!(stats.inline_routes, 0);
-                assert_eq!(stats.rounds, demands.len() as u64);
-            }
-        }
+        let (spec, stats) = provision_batch_speculative_scheduled(
+            &net,
+            &st,
+            &demands,
+            policy,
+            BatchOrder::LongestFirst,
+            8,
+            ScheduleMode::ConflictGroups,
+            0,
+            NoopRecorder,
+            NoopSink,
+            &NoopTracer,
+        );
+        assert_outcomes_identical(&serial, &spec);
+        // Guard off: one rule-1 commit per round, nothing wasted.
+        assert_eq!(stats.commits, demands.len() as u64);
+        assert_eq!(stats.aborts, 0);
+        assert_eq!(stats.inline_routes, 0);
+        assert_eq!(stats.rounds, demands.len() as u64);
     }
 
     #[test]
@@ -1166,40 +892,36 @@ mod tests {
         let net = distinct_net(4);
         let st = ResidualState::fresh(&net);
         let demands = full_mesh_demands(10, 1);
-        for schedule in [ScheduleMode::Windowed, ScheduleMode::ConflictGroups] {
-            let sink = TelemetrySink::new();
-            let (_, stats) = provision_batch_speculative_scheduled(
-                &net,
-                &st,
-                &demands,
-                Policy::CostOnly,
-                BatchOrder::AsGiven,
-                8,
-                schedule,
-                0,
-                &sink,
-                NoopSink,
-                &NoopTracer,
-            );
-            let snap = sink.snapshot();
-            assert_eq!(snap.counters["speculative_commits"], stats.commits);
-            assert_eq!(snap.counters["speculative_aborts"], stats.aborts);
-            assert_eq!(snap.counters["speculative_retries"], stats.retries);
-            assert_eq!(
-                snap.counters["speculative_inline_routes"],
-                stats.inline_routes
-            );
-            let occ = &snap.histograms["window_occupancy"];
-            assert_eq!(occ.count, stats.rounds);
-            if schedule == ScheduleMode::ConflictGroups {
-                let grp = &snap.histograms["conflict_group_size"];
-                assert_eq!(grp.count, stats.rounds);
-                // Group size never exceeds the window.
-                assert!(grp.max <= 8);
-            }
-            // No routing telemetry leaks from the speculated calls.
-            assert_eq!(snap.counters["suurballe_searches"], 0);
-        }
+        let sink = TelemetrySink::new();
+        let (_, stats) = provision_batch_speculative_scheduled(
+            &net,
+            &st,
+            &demands,
+            Policy::CostOnly,
+            BatchOrder::AsGiven,
+            8,
+            ScheduleMode::ConflictGroups,
+            0,
+            &sink,
+            NoopSink,
+            &NoopTracer,
+        );
+        let snap = sink.snapshot();
+        assert_eq!(snap.counters["speculative_commits"], stats.commits);
+        assert_eq!(snap.counters["speculative_aborts"], stats.aborts);
+        assert_eq!(snap.counters["speculative_retries"], stats.retries);
+        assert_eq!(
+            snap.counters["speculative_inline_routes"],
+            stats.inline_routes
+        );
+        let occ = &snap.histograms["window_occupancy"];
+        assert_eq!(occ.count, stats.rounds);
+        let grp = &snap.histograms["conflict_group_size"];
+        assert_eq!(grp.count, stats.rounds);
+        // Group size never exceeds the window.
+        assert!(grp.max <= 8);
+        // No routing telemetry leaks from the speculated calls.
+        assert_eq!(snap.counters["suurballe_searches"], 0);
     }
 
     #[test]
@@ -1211,71 +933,24 @@ mod tests {
         demands.push(Demand::new(5, 5));
         let serial = provision_batch(&net, &st, &demands, Policy::CostOnly, BatchOrder::AsGiven);
         assert!(!serial.rejected.is_empty());
-        for schedule in [ScheduleMode::Windowed, ScheduleMode::ConflictGroups] {
-            let (spec, _) = provision_batch_speculative_scheduled(
-                &net,
-                &st,
-                &demands,
-                Policy::CostOnly,
-                BatchOrder::AsGiven,
-                16,
-                schedule,
-                0,
-                NoopRecorder,
-                NoopSink,
-                &NoopTracer,
-            );
-            assert_outcomes_identical(&serial, &spec);
-        }
-    }
-
-    #[test]
-    fn observed_speculation_attaches_spans_to_attempts() {
-        use wdm_core::journal::NoopSink;
-        use wdm_telemetry::SpanBuffer;
-
-        // NSFNET + a load-sensitive policy under *windowed* scheduling:
-        // the guard is off, so windows genuinely abort and re-speculate.
-        let net = nsfnet(8);
-        let st = ResidualState::fresh(&net);
-        let demands = full_mesh_demands(14, 1);
-        let tracer = SpanBuffer::new();
-        let sink = TelemetrySink::new();
-        let (out, stats) = provision_batch_speculative_scheduled(
+        let (spec, _) = provision_batch_speculative_scheduled(
             &net,
             &st,
             &demands,
-            Policy::Joint { a: 2.0 },
-            BatchOrder::LongestFirst,
-            8,
-            ScheduleMode::Windowed,
+            Policy::CostOnly,
+            BatchOrder::AsGiven,
+            16,
+            ScheduleMode::ConflictGroups,
             0,
-            &sink,
+            NoopRecorder,
             NoopSink,
-            &tracer,
+            &NoopTracer,
         );
-        // One request ordinal per speculation *attempt*, not per demand.
-        assert_eq!(tracer.requests_begun(), stats.commits + stats.aborts);
-        let recs = tracer.records();
-        let commits = recs.iter().filter(|r| r.phase == Phase::Commit).count();
-        assert_eq!(commits, out.provisioned.len());
-        let aborts = recs.iter().filter(|r| r.phase == Phase::Abort).count() as u64;
-        assert_eq!(aborts, stats.aborts);
-        assert!(stats.aborts > 0, "load-sensitive batch should abort some");
-        // Cause counters fire once per aborted round (the first
-        // non-committable result; the tail aborts with it).
-        let snap = sink.snapshot();
-        let causes = snap.counters["speculative_abort_conflict"]
-            + snap.counters["speculative_abort_ordering"]
-            + snap.counters["speculative_abort_load_shift"];
-        assert!(causes >= 1 && causes <= stats.aborts);
-        // The guard is off on NSFNET, so no conflict-rule aborts exist.
-        assert_eq!(snap.counters["speculative_abort_conflict"], 0);
+        assert_outcomes_identical(&serial, &spec);
     }
 
     #[test]
     fn observed_conflict_groups_attach_spans_to_every_attempt() {
-        use wdm_core::journal::NoopSink;
         use wdm_telemetry::SpanBuffer;
 
         // Dense mesh on a distinct-cost net: the partitioner both skips
@@ -1314,24 +989,22 @@ mod tests {
 
     #[test]
     fn empty_batch_runs_no_rounds() {
-        for schedule in [ScheduleMode::Windowed, ScheduleMode::ConflictGroups] {
-            let net = distinct_net(4);
-            let st = ResidualState::fresh(&net);
-            let (out, stats) = provision_batch_speculative_scheduled(
-                &net,
-                &st,
-                &[],
-                Policy::CostOnly,
-                BatchOrder::AsGiven,
-                8,
-                schedule,
-                0,
-                NoopRecorder,
-                NoopSink,
-                &NoopTracer,
-            );
-            assert!(out.provisioned.is_empty() && out.rejected.is_empty());
-            assert_eq!(stats, SpeculationStats::default());
-        }
+        let net = distinct_net(4);
+        let st = ResidualState::fresh(&net);
+        let (out, stats) = provision_batch_speculative_scheduled(
+            &net,
+            &st,
+            &[],
+            Policy::CostOnly,
+            BatchOrder::AsGiven,
+            8,
+            ScheduleMode::ConflictGroups,
+            0,
+            NoopRecorder,
+            NoopSink,
+            &NoopTracer,
+        );
+        assert!(out.provisioned.is_empty() && out.rejected.is_empty());
+        assert_eq!(stats, SpeculationStats::default());
     }
 }

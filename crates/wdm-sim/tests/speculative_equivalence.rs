@@ -99,8 +99,7 @@ const ORDERS: [BatchOrder; 3] = [
     BatchOrder::LongestFirst,
 ];
 
-const SCHEDULES: [ScheduleMode; 3] = [
-    ScheduleMode::Windowed,
+const SCHEDULES: [ScheduleMode; 2] = [
     ScheduleMode::ConflictGroups,
     ScheduleMode::Sharded { shards: 3 },
 ];
@@ -133,22 +132,13 @@ fn check_all_windows(
                 prop_assert_eq!(snap.counters["speculative_commits"], 0);
             } else {
                 // Every abort is retried, and every demand commits exactly
-                // once — windowed retries re-speculate and land back in
-                // `commits`; conflict-groups retries and skips commit
-                // inline, so the three paths partition the demand set.
+                // once — retries and skips commit inline, so the three
+                // paths partition the demand set.
                 prop_assert_eq!(stats.aborts, stats.retries);
-                match schedule {
-                    ScheduleMode::Windowed => {
-                        prop_assert_eq!(stats.inline_routes, 0);
-                        prop_assert_eq!(stats.commits, demands.len() as u64);
-                    }
-                    ScheduleMode::ConflictGroups | ScheduleMode::Sharded { .. } => {
-                        prop_assert_eq!(
-                            stats.commits + stats.retries + stats.inline_routes,
-                            demands.len() as u64
-                        );
-                    }
-                }
+                prop_assert_eq!(
+                    stats.commits + stats.retries + stats.inline_routes,
+                    demands.len() as u64
+                );
                 if let ScheduleMode::Sharded { .. } = schedule {
                     // Cross-shard demands are a subset of the inline path,
                     // and the counter mirrors the stat.
