@@ -5,7 +5,7 @@
 //! cargo run --release -p wdm-bench --bin exp_state_fork -- --quick # smoke
 //! ```
 //!
-//! A speculative window, a MinCog probe, or a reconfiguration sweep needs
+//! A tentative commit, a MinCog probe, or a reconfiguration sweep needs
 //! a throwaway fork of the [`ResidualState`] it can mutate and discard.
 //! Two ways to get one:
 //!

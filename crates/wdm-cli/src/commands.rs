@@ -13,13 +13,11 @@ use wdm_sim::batch::{full_mesh_demands, BatchOrder};
 use wdm_sim::metrics::mean_std;
 use wdm_sim::parallel::{replication_seeds, run_replications, run_replications_telemetry};
 use wdm_sim::policy::{Policy, ProvisionedRoute};
-use wdm_sim::prelude::NoopRecorder;
-use wdm_sim::schedule::{ScheduleMode, DEFAULT_SHARDS};
-use wdm_sim::sim::{run_batch_recorded, BatchConfig, SimConfig, Simulator};
+use wdm_sim::sim::{run_batch, BatchConfig, SimConfig, Simulator};
 use wdm_sim::traffic::TrafficModel;
 use wdm_telemetry::{
-    FlightDump, FlightRecorder, Phase, SpanBuffer, TelemetrySink, DEFAULT_ANOMALY_THRESHOLD,
-    DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
+    FlightDump, FlightRecorder, NoopRecorder, Phase, SpanBuffer, TelemetrySink,
+    DEFAULT_ANOMALY_THRESHOLD, DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
 };
 
 /// On-disk format of `wdm simulate --journal` / `wdm replay`: the network
@@ -648,35 +646,9 @@ pub fn batch(args: &Args) -> Result<(), String> {
         "longest-first" => BatchOrder::LongestFirst,
         other => return Err(format!("unknown order '{other}'")),
     };
-    let window: usize = args.get_or("parallel-window", 1)?;
-    if window == 0 {
-        return Err("--parallel-window wants a positive window size".into());
-    }
-    let mut schedule = match args.get("schedule") {
-        None => ScheduleMode::default(),
-        Some(s) => ScheduleMode::parse(s).ok_or_else(|| {
-            format!("unknown schedule '{s}' (expected 'conflict-groups' or 'sharded')")
-        })?,
-    };
-    if let ScheduleMode::Sharded { shards } = &mut schedule {
-        *shards = args.get_or("shards", DEFAULT_SHARDS)?;
-        if *shards == 0 {
-            return Err("--shards wants a positive shard count".into());
-        }
-    } else if args.get("shards").is_some() {
-        return Err("--shards only applies to --schedule sharded".into());
-    }
-    let threads: usize = args.get_or("threads", 0)?;
     let state = ResidualState::fresh(&net);
     let demands = full_mesh_demands(net.node_count(), mesh);
-    let cfg = BatchConfig {
-        policy,
-        order,
-        parallel_window: window,
-        schedule,
-        threads,
-    };
-    let (out, stats) = run_batch_recorded(&net, &state, &demands, cfg, NoopRecorder);
+    let out = run_batch(&net, &state, &demands, BatchConfig { policy, order });
     let snap = load_snapshot(&net, &out.state);
     println!(
         "accepted   {}/{} ({:.1}%)",
@@ -689,31 +661,6 @@ pub fn batch(args: &Args) -> Result<(), String> {
         "final load max {:.3}, p90 {:.3}, mean {:.3}",
         snap.max, snap.p90, snap.mean
     );
-    if window > 1 {
-        println!(
-            "speculation [{}] rounds {}, commits {}, aborts {} ({:.1}% abort rate), \
-             retries {}, inline {}",
-            schedule.name(),
-            stats.rounds,
-            stats.commits,
-            stats.aborts,
-            stats.abort_rate() * 100.0,
-            stats.retries,
-            stats.inline_routes
-        );
-        if let ScheduleMode::Sharded { shards } = schedule {
-            println!(
-                "sharding   {} shards, cut demands {} ({:.1}% of batch)",
-                shards,
-                stats.cut_demands,
-                if demands.is_empty() {
-                    0.0
-                } else {
-                    stats.cut_demands as f64 / demands.len() as f64 * 100.0
-                }
-            );
-        }
-    }
     Ok(())
 }
 
@@ -1081,8 +1028,8 @@ pub fn telemetry(args: &Args) -> Result<(), String> {
 /// Complements `telemetry diff`'s relative gate: where diff compares a
 /// candidate against a baseline, assert checks a single dotted-path metric
 /// against fixed bounds (`--min` and/or `--max`), exiting non-zero on
-/// violation. The CI batch-scheduling leg uses it to pin abort rates and
-/// speedup ratios to absolute budgets no re-baselining can erode.
+/// violation. CI uses it to pin ratios such as trace attribution to
+/// absolute budgets no re-baselining can erode.
 fn telemetry_assert(args: &Args) -> Result<(), String> {
     let path = args.positional(1).ok_or("missing telemetry file")?;
     let metric = args.require("metric")?;

@@ -103,14 +103,6 @@ COMMANDS:
   batch     --net FILE --mesh K
       --policy P        as above (default cost-only)
       --order O         as-given | shortest-first | longest-first
-      --parallel-window K   speculate K demands per round (default 1 =
-                        serial; results are bit-identical for every K)
-      --schedule S      conflict-groups (default) | sharded:
-                        how the speculative engine picks each round's
-                        demands
-      --shards S        shard count for --schedule sharded (default 4)
-      --threads N       worker threads for speculative routing (default
-                        0 = all available cores)
 
   telemetry diff <BASELINE.json> <CANDIDATE.json>
       --metrics SUBSTR  only compare metrics whose dotted path contains SUBSTR

@@ -89,6 +89,54 @@ fn topology_info_route_pipeline() {
 }
 
 #[test]
+fn batch_full_mesh_is_deterministic() {
+    let net_path = tmp("batch.wdm");
+    let out = wdm()
+        .args([
+            "topology",
+            "nsfnet",
+            "--out",
+            net_path.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let run = || {
+        let out = wdm()
+            .args([
+                "batch",
+                "--net",
+                net_path.to_str().expect("utf8"),
+                "--mesh",
+                "1",
+            ])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = |prefix: &str| {
+            text.lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no '{prefix}' line in:\n{text}"))
+                .to_string()
+        };
+        (line("accepted"), line("total cost"))
+    };
+    let first = run();
+    assert!(first.0.contains("/182 "), "14 x 13 demands: {}", first.0);
+    assert_eq!(first, run());
+}
+
+#[test]
 fn route_json_output_is_parseable() {
     let net_path = tmp("json_route.wdm");
     assert!(wdm()

@@ -957,23 +957,6 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         }
     }
 
-    /// A cheap clone for a speculative worker: engines and arena buffers are
-    /// carried over (skeletons stay warm), but every engine is invalidated
-    /// so the first sync against the worker's snapshot re-weights from that
-    /// state instead of trusting the parent's change clocks, and warm-start
-    /// memory tied to the parent's lineage is dropped. A live span buffer
-    /// clones *empty* (sharing the clock domain), so the worker records its
-    /// own spans from ordinal zero.
-    pub fn fork(&self) -> Self
-    where
-        R: Clone,
-        T: Clone,
-    {
-        let mut ctx = self.clone();
-        ctx.invalidate();
-        ctx
-    }
-
     /// The attached recorder.
     pub fn recorder(&self) -> &R {
         &self.recorder

@@ -38,30 +38,16 @@ pub struct DisjointDiagnostics {
     pub aux_paths: [Vec<EdgeId>; 2],
 }
 
-/// The residual-state *dependency footprint* of one routing decision: what
-/// the computation read, reported so an optimistic scheduler
-/// (`wdm-sim`'s speculative batch engine) can decide whether a result
-/// speculated against a snapshot is still valid after later commits.
-///
-/// Link granularity is deliberate. The auxiliary-graph weight and the
-/// enablement of a link, and the Lemma 2 wavelength DP along a leg, all read
-/// the link's whole availability set — so *any* channel change on a route's
-/// link can flip the decision, and channel-disjointness alone is not enough
-/// for bit-equality with a serial run.
+/// The physical links a routing decision reserved channels on (sorted,
+/// deduplicated) — what flight records report as a request's footprint.
 #[derive(Debug, Clone, Default)]
 pub struct RouteFootprint {
-    /// Physical links whose availability the decision read (sorted,
-    /// deduplicated).
+    /// Links the route traverses.
     pub links: Vec<EdgeId>,
-    /// The accepted §4.1 threshold, for decisions that came out of a
-    /// MinCog/joint load search. `Some` marks the decision as *globally*
-    /// load-dependent — the threshold ladder's bounds read every link's
-    /// load, so no link-disjointness argument can revalidate it.
-    pub threshold: Option<f64>,
 }
 
 impl RouteFootprint {
-    /// Footprint of a cost-only §3.3 route: the links it traverses.
+    /// Footprint of a §3.3 route pair: the links either leg traverses.
     pub fn of_route(route: &RobustRoute) -> Self {
         Self::of_links(route.primary.edges().chain(route.backup.edges()))
     }
@@ -76,23 +62,7 @@ impl RouteFootprint {
         let mut links: Vec<EdgeId> = links.into_iter().collect();
         links.sort_unstable_by_key(|e| e.index());
         links.dedup();
-        Self {
-            links,
-            threshold: None,
-        }
-    }
-
-    /// Whether the decision depends on link `e`.
-    pub fn depends_on(&self, e: EdgeId) -> bool {
-        self.links
-            .binary_search_by_key(&e.index(), |x| x.index())
-            .is_ok()
-    }
-
-    /// Whether the decision can be revalidated by link-disjointness at all
-    /// (`false` for load-search results, whose threshold read every link).
-    pub fn is_link_local(&self) -> bool {
-        self.threshold.is_none()
+        Self { links }
     }
 }
 

@@ -15,7 +15,7 @@
 //! * [`EventSink`] — the `Recorder`-style zero-cost hook: call sites guard
 //!   payload construction on [`EventSink::enabled`], so the disabled
 //!   [`NoopSink`] compiles to nothing;
-//! * [`Txn`] — a speculative fork of a `ResidualState` that records an undo
+//! * [`Txn`] — a transactional fork of a `ResidualState` that records an undo
 //!   entry per successful mutation and rolls back in O(links touched)
 //!   instead of cloning the whole state, restoring the change clocks
 //!   exactly (each mutator ticks the clock once, so the reverse walk
@@ -305,7 +305,7 @@ enum Undo {
 /// restores the state **bit-identically** — payload, per-link clock stamps
 /// and the global clock (each mutator ticks it exactly once, so the walk
 /// retracts one tick per entry). Cost is O(links touched), which is what
-/// lets speculative windows and threshold probes fork without cloning the
+/// lets tentative commits and threshold probes fork without cloning the
 /// O(m) `used`/`link_clock` vectors.
 ///
 /// Note for warm [`RouterCtx`] holders: a rollback moves the clock

@@ -46,8 +46,6 @@ pub mod multi;
 pub mod network;
 pub mod node_disjoint;
 pub mod optimal_slp;
-pub mod partition;
-pub mod predict;
 pub mod semilightpath;
 pub mod wavelength;
 
@@ -66,10 +64,6 @@ pub mod prelude {
     pub use crate::network::{NetworkBuilder, ResidualState, WdmNetwork};
     pub use crate::node_disjoint::find_node_disjoint;
     pub use crate::optimal_slp::{assign_wavelengths_on_path, optimal_semilightpath};
-    pub use crate::partition::{DemandClass, ShardMap, TopologyPartition};
-    pub use crate::predict::{
-        AllConflictOracle, FootprintOracle, LocalityPredictor, NoConflictOracle,
-    };
     pub use crate::semilightpath::{Hop, RobustRoute, Semilightpath};
     pub use crate::wavelength::{Wavelength, WavelengthSet};
     pub use wdm_telemetry::{

@@ -53,18 +53,6 @@ pub struct MinCogOutcome {
     pub probes: usize,
 }
 
-impl MinCogOutcome {
-    /// The decision's dependency footprint: its links, plus the accepted
-    /// threshold marking it globally load-dependent (the ladder bounds read
-    /// every link's load — see
-    /// [`RouteFootprint::is_link_local`](crate::disjoint::RouteFootprint::is_link_local)).
-    pub fn dependency_footprint(&self) -> crate::disjoint::RouteFootprint {
-        let mut fp = crate::disjoint::RouteFootprint::of_route(&self.route);
-        fp.threshold = Some(self.threshold);
-        fp
-    }
-}
-
 /// Tries one threshold spec end-to-end: Suurballe on the thresholded `G_c`
 /// *plus* the Liang–Shen refinement. Under restricted conversion tables an
 /// auxiliary pair may have no feasible wavelength assignment — such probes

@@ -7,13 +7,21 @@
 //! static RWA, since early routes constrain later ones. The
 //! `exp_static_batch` binary measures how much the order and the policy
 //! matter.
+//!
+//! Every demand is routed by one Suurballe-based search on the residual
+//! state its predecessors left (§3.3, §4), so a batch is a serial fold.
+//! The fold holds one [`RouterCtx`] for the whole batch: the auxiliary
+//! graphs are built on the first demand, and each later demand re-weights
+//! only the links earlier reservations changed.
 
 use crate::policy::{Policy, ProvisionedRoute};
+use wdm_core::aux_engine::RouterCtx;
 use wdm_core::journal::{EventSink, NetEvent, NoopSink};
 use wdm_core::load::{load_snapshot, LoadSnapshot};
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::optimal_slp::optimal_semilightpath;
 use wdm_graph::NodeId;
+use wdm_telemetry::{NoopRecorder, Recorder};
 
 /// One demand of a static traffic matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -85,30 +93,37 @@ pub fn provision_batch(
     policy: Policy,
     order: BatchOrder,
 ) -> BatchOutcome {
-    provision_batch_journaled(net, state, demands, policy, order, NoopSink)
+    provision_batch_journaled(net, state, demands, policy, order, NoopRecorder, NoopSink)
 }
 
-/// As [`provision_batch`], additionally appending one
-/// [`NetEvent::Provision`] per provisioned route to `journal` (`id` = the
-/// demand's index in `demands`), in processing order — replaying them over
-/// `state` reproduces the outcome's final state.
-pub fn provision_batch_journaled<J: EventSink>(
+/// As [`provision_batch`], recording every routing call through
+/// `recorder` and appending one [`NetEvent::Provision`] per provisioned
+/// route to `journal` (`id` = the demand's index in `demands`), in
+/// processing order — replaying them over `state` reproduces the outcome's
+/// final state.
+///
+/// This is the one batch path. Routes go through [`Policy::route_ctx`] on
+/// one warm [`RouterCtx`] (carrying `recorder`), and the outcome is
+/// bit-identical to routing each demand with a cold [`Policy::route`].
+pub fn provision_batch_journaled<R: Recorder, J: EventSink>(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],
     policy: Policy,
     order: BatchOrder,
+    recorder: R,
     mut journal: J,
 ) -> BatchOutcome {
     let mut st = state.clone();
     let idx = processing_order(net, &st, demands, order);
+    let mut ctx = RouterCtx::with_recorder(recorder);
 
     let mut provisioned = Vec::new();
     let mut rejected = Vec::new();
     let mut total_cost = 0.0;
     for i in idx {
         let d = demands[i];
-        match policy.route(net, &st, d.src, d.dst) {
+        match policy.route_ctx(&mut ctx, net, &st, d.src, d.dst) {
             Ok(route) => {
                 route
                     .occupy(net, &mut st)
@@ -137,9 +152,8 @@ pub fn provision_batch_journaled<J: EventSink>(
 
 /// The demand indices in batch-processing order. Sort keys use the
 /// unprotected optimal route cost on the *initial* state (a static
-/// estimate). Shared with the speculative engine so both process the exact
-/// same sequence.
-pub(crate) fn processing_order(
+/// estimate).
+fn processing_order(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],

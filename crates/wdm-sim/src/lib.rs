@@ -19,13 +19,8 @@
 //!   reconfiguration counts, load distributions;
 //! * [`parallel`] — rayon-powered replication sweeps (one immutable network
 //!   shared across threads, one residual state per replication);
-//! * [`speculative`] — optimistic parallel batch provisioning: windows of
-//!   demands routed concurrently against a frozen snapshot, committed in
-//!   demand order with conflict detection, bit-identical to the serial run;
-//! * [`sharded`] — shard-parallel batch provisioning: a static topology
-//!   partition gives each shard a worker with a long-lived state mirror;
-//!   intra-shard demands route concurrently with no inter-shard
-//!   synchronisation, cross-shard demands inline at their serial slot.
+//! * [`batch`] — static provisioning of a whole demand set: a serial fold
+//!   on one warm router context.
 //!
 //! Determinism: every run is a pure function of its [`sim::SimConfig`]
 //! (including the seed); the parallel driver returns results in seed order.
@@ -36,11 +31,8 @@ pub mod metrics;
 pub mod parallel;
 pub mod policy;
 pub mod provisioner;
-pub mod schedule;
-pub mod sharded;
 pub mod shared;
 pub mod sim;
-pub mod speculative;
 pub mod traffic;
 
 /// One-stop imports.
@@ -55,23 +47,13 @@ pub mod prelude {
     };
     pub use crate::policy::{Policy, ProvisionedRoute};
     pub use crate::provisioner::{Connection, NetProvisioner, Provisioner};
-    pub use crate::schedule::{ConflictPartitioner, GroupPlan, ScheduleMode, DEFAULT_SHARDS};
-    pub use crate::sharded::provision_batch_sharded;
     pub use crate::shared::{SharedBackupPool, SharedConnection, SharedProvisioner};
     pub use crate::sim::{
-        run_batch, run_batch_journaled, run_batch_recorded, run_sim, run_sim_journaled,
-        run_sim_recorded, BatchConfig, SimConfig, Simulator,
-    };
-    pub use crate::speculative::{
-        distinct_static_costs, link_local_revalidation_sound,
-        provision_batch_speculative_scheduled, provision_batch_speculative_with_oracle,
-        zero_conversion_costs, SpeculationStats,
+        run_batch, run_batch_journaled, run_sim, run_sim_journaled, run_sim_recorded, BatchConfig,
+        SimConfig, Simulator,
     };
     pub use crate::traffic::{HoldingDist, PairSelection, TrafficModel};
     pub use wdm_core::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal, Txn};
-    pub use wdm_core::predict::{
-        AllConflictOracle, FootprintOracle, LocalityPredictor, NoConflictOracle,
-    };
     pub use wdm_telemetry::{
         FlightAnnotation, FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, ManualClock,
         MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder, SpanBuffer, SpanRecord,

@@ -65,10 +65,7 @@ impl ProvisionedRoute {
         }
     }
 
-    /// The link-level dependency footprint of the decision that produced
-    /// this route: the links it traverses. (Whether the decision *also*
-    /// read every link's load is a property of the policy, not the route —
-    /// see [`Policy::is_load_sensitive`].)
+    /// The links this route reserves channels on.
     pub fn footprint(&self) -> RouteFootprint {
         match self {
             ProvisionedRoute::Protected(r) => RouteFootprint::of_route(r),
@@ -128,66 +125,6 @@ impl Policy {
             Policy::NodeDisjoint => "node-disjoint",
             Policy::PrimaryOnly => "primary-only",
         }
-    }
-
-    /// Whether the policy's route choice reads link *loads* (the `G_c` /
-    /// `G_rc` congestion weights and the §4.1 threshold ladder) rather than
-    /// only static costs and channel availability. A load-sensitive
-    /// decision depends on every link's occupancy, so the speculative batch
-    /// engine can never revalidate it by link-disjointness alone.
-    pub fn is_load_sensitive(&self) -> bool {
-        matches!(
-            self,
-            Policy::LoadOnly { .. } | Policy::Joint { .. } | Policy::JointAsPrinted { .. }
-        )
-    }
-
-    /// Whether the policy's *entire* decision — the physical paths **and**
-    /// the wavelength assignment — is a function of only the traversed
-    /// links' channel availability, given pairwise-distinct uniform static
-    /// link costs. Only such decisions can the speculative batch engine
-    /// revalidate by checking that a route's links were untouched (commit
-    /// rule 2).
-    ///
-    /// True for the §3.3 pipeline and its variants: the auxiliary-graph
-    /// pair is the (almost surely unique) static-cost optimum, and the
-    /// per-leg wavelength choice ([`assign_wavelengths_on_path`]'s DP, or
-    /// `Unrefined`'s greedy first-fit) reads nothing but the leg's own
-    /// edges. False for:
-    ///
-    /// * the load-aware policies ([`Policy::is_load_sensitive`]) — the
-    ///   congestion weights and threshold ladder read every link's load;
-    /// * `TwoStep` and `PrimaryOnly` — [`optimal_semilightpath`] is a
-    ///   Dijkstra over `(link, λ)` states, and with uniform per-link costs
-    ///   the same physical path ties at equal cost on several wavelengths;
-    ///   which tie is settled first depends on heap order, which is shaped
-    ///   by the availability of *other* explored links;
-    /// * `Ksp` — Yen's candidate list shifts whenever any network link
-    ///   exhausts, so the scanned pair set depends on non-route links.
-    ///
-    /// Caveat on the §3.3 pipeline: its `G'` conversion-arc weight is the
-    /// *average* allowed `λ_a → λ_b` pair cost, and same-λ pairs cost 0 —
-    /// with a nonzero conversion cost that average moves as occupancy
-    /// reshapes the two adjacent links' availability sets, so the
-    /// Suurballe argmin can flip between pairs whose own links are
-    /// untouched. The flip needs the availability shift (≤ cost/2 per
-    /// conversion arc) to outweigh the static-cost gap between competing
-    /// pairs, so it is unobservable when link-cost gaps dominate the
-    /// conversion cost, and impossible when conversion is free (every
-    /// average is exactly 0). This caveat is *enforced* by
-    /// `wdm_sim::speculative::link_local_revalidation_sound`, the
-    /// predicate every speculative engine gates rule 2 on: it requires
-    /// zero-cost conversion (`zero_conversion_costs`) on top of this
-    /// method and `distinct_static_costs`, so link-local revalidation is
-    /// never consulted where the G′ averages can move.
-    ///
-    /// [`assign_wavelengths_on_path`]: wdm_core::optimal_slp::assign_wavelengths_on_path
-    /// [`optimal_semilightpath`]: wdm_core::optimal_slp::optimal_semilightpath
-    pub fn has_link_local_decisions(&self) -> bool {
-        matches!(
-            self,
-            Policy::CostOnly | Policy::Unrefined | Policy::NodeDisjoint
-        )
     }
 
     /// Computes a route for `(s, t)` without mutating `state`.

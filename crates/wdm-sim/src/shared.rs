@@ -29,9 +29,7 @@ use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::semilightpath::{Hop, Semilightpath};
 use wdm_core::wavelength::{Wavelength, WavelengthSet};
 use wdm_graph::{EdgeId, NodeId};
-use wdm_telemetry::{
-    Counter, FlightRecorder, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer,
-};
+use wdm_telemetry::{Counter, FlightRecorder, NoopRecorder, NoopTracer, Phase, Recorder, Tracer};
 
 /// One shared backup channel: the connections using it and the union of
 /// the primary links it protects.
@@ -319,9 +317,7 @@ impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
 
     /// The pure *find* stage of [`SharedProvisioner::provision`]: the §3.3
     /// route pair on `routing_view` plus the sharing-aware backup
-    /// assignment against the current pool, with no mutation. Split out so
-    /// the speculative batch path can run it against a frozen view on
-    /// worker contexts.
+    /// assignment against the current pool, with no mutation.
     fn find_on<R2: Recorder, T2: Tracer>(
         &self,
         routing_view: &ResidualState,
@@ -404,90 +400,6 @@ impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
         };
         self.next_id += 1;
         Ok(conn)
-    }
-
-    /// Provisions a request sequence with speculative find-stage
-    /// parallelism: each round snapshots the routing view once, runs the
-    /// expensive find stage for a window of up to `window` pending requests
-    /// on worker contexts, then commits results **in request order**.
-    /// Because every successful commit changes both the routing view (the
-    /// primary occupies channels) and the sharing pool (the backup
-    /// reserves), a speculated result is serial-exact only while no commit
-    /// has happened since its snapshot (rule 1 of
-    /// [`crate::speculative`]'s protocol; degenerate requests commit
-    /// unconditionally). Later window members abort and re-speculate next
-    /// round, so the returned connections, pool and working state are
-    /// identical to calling [`SharedProvisioner::provision`] sequentially.
-    ///
-    /// The speculated find calls are unrecorded (matching the batch
-    /// engine's contract); `self.recorder` receives the commit-stage
-    /// sharing counters plus the speculation counters and the
-    /// per-round [`Hist::WindowOccupancy`] histogram.
-    pub fn provision_batch_speculative(
-        &mut self,
-        reqs: &[(NodeId, NodeId)],
-        window: usize,
-    ) -> Vec<Result<SharedConnection, RoutingError>>
-    where
-        R: Sync,
-        J: Sync,
-    {
-        let window = window.max(1);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let base: RouterCtx = RouterCtx::with_recorder(NoopRecorder);
-        let mut ctxs: Vec<RouterCtx> = (0..cores.min(window)).map(|_| base.fork()).collect();
-
-        let mut out: Vec<Option<Result<SharedConnection, RoutingError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        let mut pos = 0;
-        while pos < reqs.len() {
-            let chunk = &reqs[pos..(pos + window).min(reqs.len())];
-            if self.recorder.enabled() {
-                self.recorder
-                    .observe(Hist::WindowOccupancy, chunk.len() as u64);
-            }
-            // Each round's view is an independent clone (working + pool
-            // overlay), so the workers' change-clock caches must not trust
-            // the previous round's clocks.
-            for ctx in &mut ctxs {
-                ctx.invalidate();
-            }
-            let view = self.routing_state();
-            let this = &*self;
-            let results = crate::speculative::fan_out(&mut ctxs, chunk, |ctx, &(s, t)| {
-                this.find_on(&view, ctx, s, t)
-            });
-
-            let mut committed_any = false;
-            let mut advanced = 0;
-            for (k, res) in results.into_iter().enumerate() {
-                let commit = !committed_any || matches!(res, Err(RoutingError::DegenerateRequest));
-                if !commit {
-                    break;
-                }
-                out[pos + k] = Some(match res {
-                    Ok(found) => {
-                        committed_any = true;
-                        self.commit_found(found)
-                    }
-                    Err(e) => Err(e),
-                });
-                advanced += 1;
-            }
-            let aborted = (chunk.len() - advanced) as u64;
-            if self.recorder.enabled() {
-                self.recorder
-                    .add(Counter::SpeculativeCommits, advanced as u64);
-                if aborted > 0 {
-                    self.recorder.add(Counter::SpeculativeAborts, aborted);
-                    self.recorder.add(Counter::SpeculativeRetries, aborted);
-                }
-            }
-            pos += advanced;
-        }
-        out.into_iter()
-            .map(|o| o.expect("every request resolves"))
-            .collect()
     }
 
     /// Sharing-aware wavelength DP along the backup's edges: minimise
@@ -907,61 +819,6 @@ mod tests {
             let e = EdgeId::from(ei);
             assert_eq!(a.link_change_clock(e), b.link_change_clock(e), "{e:?}");
         }
-    }
-
-    #[test]
-    fn speculative_batch_matches_sequential_provision() {
-        let net = net();
-        let mut reqs: Vec<(NodeId, NodeId)> = [
-            (0u32, 13u32),
-            (1, 12),
-            (2, 11),
-            (3, 3), // degenerate: commits under any rule
-            (3, 9),
-            (5, 10),
-            (6, 8),
-            (7, 0),
-            (13, 1),
-            (0, 13),
-            (12, 2),
-        ]
-        .iter()
-        .map(|&(s, t)| (NodeId(s), NodeId(t)))
-        .collect();
-        reqs.extend(reqs.clone()); // repeat: later requests meet a loaded pool
-
-        let mut serial = SharedProvisioner::new(&net);
-        let expected: Vec<Result<SharedConnection, RoutingError>> =
-            reqs.iter().map(|&(s, t)| serial.provision(s, t)).collect();
-
-        for window in [1, 4, 64] {
-            let mut spec = SharedProvisioner::new(&net);
-            let got = spec.provision_batch_speculative(&reqs, window);
-            assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(&expected) {
-                match (g, e) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.id, b.id);
-                        assert_eq!(a.primary, b.primary);
-                        assert_eq!(a.backup, b.backup);
-                        assert_eq!(a.shared_hops, b.shared_hops);
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    _ => panic!("outcome mismatch (window {window}): {g:?} vs {e:?}"),
-                }
-            }
-            assert_eq!(spec.working, serial.working);
-            assert_eq!(
-                spec.pool.reserved_channels(),
-                serial.pool.reserved_channels()
-            );
-            assert_eq!(
-                spec.pool.total_backup_hops(),
-                serial.pool.total_backup_hops()
-            );
-            spec.validate().unwrap();
-        }
-        serial.validate().unwrap();
     }
 
     #[test]

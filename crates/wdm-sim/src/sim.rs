@@ -2,13 +2,11 @@
 //! failures with active/passive recovery, and threshold-triggered network
 //! reconfiguration.
 
-use crate::batch::{provision_batch_journaled, BatchOrder, BatchOutcome, Demand};
+use crate::batch::{provision_batch, provision_batch_journaled, BatchOrder, BatchOutcome, Demand};
 use crate::events::{Event, EventQueue};
 use crate::metrics::Metrics;
 use crate::policy::{Policy, ProvisionedRoute};
 use crate::provisioner::{NetProvisioner, Provisioner};
-use crate::schedule::ScheduleMode;
-use crate::speculative::{provision_batch_speculative_scheduled, SpeculationStats};
 use crate::traffic::{sample_exp, TrafficModel};
 use rand::Rng;
 use rand::SeedableRng;
@@ -653,26 +651,13 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
 }
 
 /// Configuration of one batch-provisioning run: the policy/order knobs of
-/// [`crate::batch::provision_batch`] plus the speculative engine's window.
+/// [`crate::batch::provision_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchConfig {
     /// Provisioning policy.
     pub policy: Policy,
     /// Demand processing order.
     pub order: BatchOrder,
-    /// Speculation window `K` (`--parallel-window`); `<= 1` provisions
-    /// serially. Any value yields a bit-identical [`BatchOutcome`] (see
-    /// [`crate::speculative`]).
-    pub parallel_window: usize,
-    /// How the speculative engine schedules each round (`--schedule`);
-    /// irrelevant when `parallel_window <= 1`. Every mode yields a
-    /// bit-identical [`BatchOutcome`]; they differ in wasted work under
-    /// contention.
-    pub schedule: ScheduleMode,
-    /// Worker threads for the speculative engines (`--threads`); `0`
-    /// means auto (the host's available parallelism). Worker count never
-    /// changes the outcome, only wall-clock time.
-    pub threads: usize,
 }
 
 impl BatchConfig {
@@ -681,43 +666,24 @@ impl BatchConfig {
         Self {
             policy,
             order: BatchOrder::AsGiven,
-            parallel_window: 1,
-            schedule: ScheduleMode::default(),
-            threads: 0,
         }
     }
 }
 
-/// Unified batch entry point: provisions `demands` serially or through the
-/// speculative engine according to `cfg.parallel_window`. The outcome is
-/// the same either way; only wall-clock time differs.
+/// Batch entry point: [`crate::batch::provision_batch`] under `cfg`.
 pub fn run_batch(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],
     cfg: BatchConfig,
 ) -> BatchOutcome {
-    run_batch_recorded(net, state, demands, cfg, NoopRecorder).0
+    provision_batch(net, state, demands, cfg.policy, cfg.order)
 }
 
-/// As [`run_batch`], threading `recorder` through the speculative engine
-/// (commit/abort/retry counters, window-occupancy histogram) and returning
-/// its [`SpeculationStats`] (all-zero for serial runs — the serial path is
-/// unrecorded by contract).
-pub fn run_batch_recorded<R: Recorder>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    cfg: BatchConfig,
-    recorder: R,
-) -> (BatchOutcome, SpeculationStats) {
-    run_batch_journaled(net, state, demands, cfg, recorder, NoopSink)
-}
-
-/// As [`run_batch_recorded`], additionally appending one
-/// [`NetEvent::Provision`] per provisioned route to `journal` in commit
-/// order — the journal replayed over `state` reproduces the outcome's
-/// final state regardless of `cfg.parallel_window`.
+/// As [`run_batch`], recording every routing call through `recorder` and
+/// appending one [`NetEvent::Provision`] per provisioned route to
+/// `journal` (see [`crate::batch::provision_batch_journaled`]). The outcome
+/// comes first in a pair; the second element carries nothing.
 pub fn run_batch_journaled<R: Recorder, J: EventSink>(
     net: &WdmNetwork,
     state: &ResidualState,
@@ -725,25 +691,11 @@ pub fn run_batch_journaled<R: Recorder, J: EventSink>(
     cfg: BatchConfig,
     recorder: R,
     journal: J,
-) -> (BatchOutcome, SpeculationStats) {
-    if cfg.parallel_window <= 1 {
-        let out = provision_batch_journaled(net, state, demands, cfg.policy, cfg.order, journal);
-        (out, SpeculationStats::default())
-    } else {
-        provision_batch_speculative_scheduled(
-            net,
-            state,
-            demands,
-            cfg.policy,
-            cfg.order,
-            cfg.parallel_window,
-            cfg.schedule,
-            cfg.threads,
-            recorder,
-            journal,
-            &wdm_telemetry::NoopTracer,
-        )
-    }
+) -> (BatchOutcome, ()) {
+    let out = provision_batch_journaled(
+        net, state, demands, cfg.policy, cfg.order, recorder, journal,
+    );
+    (out, ())
 }
 
 /// Convenience: run one configuration to completion.

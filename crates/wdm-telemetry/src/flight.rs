@@ -16,8 +16,8 @@
 //!
 //! Unlike [`SpanBuffer`] (single-owner, `RefCell`), the recorder is a
 //! shared sink (`Mutex`, `Send + Sync`): one instance can receive records
-//! from the serial simulator and annotations from provisioners whose
-//! find stage fans out across worker threads. Pushes are rare (one per
+//! from the serial simulator, the daemon's worker threads and the
+//! shared-backup provisioner's annotations. Pushes are rare (one per
 //! request) so the uncontended lock is noise.
 //!
 //! [`Phase`]: crate::Phase
@@ -50,8 +50,10 @@ pub struct FlightRecord {
     pub phase_ns: Vec<u64>,
     /// Total request latency (the root span).
     pub total_ns: u64,
-    /// Speculative abort cause (`"conflict"`, `"ordering"`,
-    /// `"load-shift"`) when the outcome is an abort.
+    /// Why the request was aborted, when the outcome is an abort. The
+    /// daemon and the simulator never abort (they roll back and re-route),
+    /// so they leave it `None`; `wdm trace analyze` tallies it for trace
+    /// files that carry one.
     pub abort_cause: Option<String>,
 }
 

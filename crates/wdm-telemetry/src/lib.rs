@@ -77,75 +77,40 @@ pub enum Counter {
     SharedBackupChannelsFresh = 15,
     /// Search-arena buffer growth events (allocations on the hot path).
     ArenaAllocEvents = 16,
-    /// Speculative batch routes committed straight from their snapshot
-    /// results (no serial re-route needed).
-    SpeculativeCommits = 17,
-    /// Speculative batch routes discarded by conflict validation.
-    SpeculativeAborts = 18,
-    /// Re-speculation attempts issued for aborted routes (one per abort).
-    SpeculativeRetries = 19,
     /// Shared-backup pool channel reservations (outside journal coverage).
-    PoolReserve = 20,
+    PoolReserve = 17,
     /// Shared-backup pool channel releases (outside journal coverage).
-    PoolRelease = 21,
-    /// Speculative aborts caused by a footprint conflict with an earlier
-    /// commit in the same window.
-    SpeculativeAbortConflict = 22,
-    /// Speculative aborts forced by the strict-ordering rule (any earlier
-    /// commit invalidates later snapshot results under this policy).
-    SpeculativeAbortOrdering = 23,
-    /// Speculative aborts where the route failed outright against the
-    /// shifted load after earlier commits landed.
-    SpeculativeAbortLoadShift = 24,
-    /// Demands the conflict-aware scheduler routed inline at their serial
-    /// commit point (skipped by group selection, never speculated).
-    SpeculativeInlineRoutes = 25,
-    /// Demands the sharded engine classified cross-shard (endpoints in
-    /// different shards or predicted footprint touching the cut) and
-    /// routed inline at their serial slot.
-    ShardedCutDemands = 26,
-    /// Sharded speculation results discarded because an earlier member of
-    /// the same shard aborted in the same round (the shard mirror's
-    /// lineage diverged from the serial state).
-    ShardedLineageAborts = 27,
-    /// Sharded aborts whose speculated route escaped its own shard — the
-    /// real route left the region its footprint prediction stayed inside.
-    ShardedEscapeAborts = 28,
-    /// Sharded speculations that failed the link-level owner-stamp check
-    /// but stayed channel-feasible on the live state: occupancy within a
-    /// batch is monotone, so the mirror's argmin is still the serial
-    /// argmin and the route commits without a retry or poisoning.
-    ShardedVerifiedCommits = 29,
+    PoolRelease = 18,
     /// Daemon: provision requests that were accepted and committed.
-    ServeProvisionOk = 30,
+    ServeProvisionOk = 19,
     /// Daemon: provision requests refused by the routing policy.
-    ServeProvisionBlocked = 31,
+    ServeProvisionBlocked = 20,
     /// Daemon: teardown requests that released a live connection.
-    ServeTeardownOk = 32,
+    ServeTeardownOk = 21,
     /// Daemon: teardown requests naming an unknown connection id.
-    ServeTeardownMiss = 33,
+    ServeTeardownMiss = 22,
     /// Daemon: fail-link requests applied.
-    ServeFailLink = 34,
+    ServeFailLink = 23,
     /// Daemon: repair-link requests applied.
-    ServeRepairLink = 35,
+    ServeRepairLink = 24,
     /// Daemon: state-query requests served.
-    ServeQuery = 36,
+    ServeQuery = 25,
     /// Daemon: requests shed by admission control (bounded queue full,
     /// answered 503 + Retry-After).
-    ServeShed = 37,
+    ServeShed = 26,
     /// Daemon: requests dropped because their deadline expired while
     /// queued (answered 503).
-    ServeDeadlineDrop = 38,
+    ServeDeadlineDrop = 27,
     /// Daemon: malformed HTTP requests rejected by the listener.
-    ServeBadRequest = 39,
+    ServeBadRequest = 28,
     /// Daemon: optimistic commits that conflicted with a concurrent
     /// mutation and re-routed under the write lock.
-    ServeConflictRetries = 40,
+    ServeConflictRetries = 29,
 }
 
 impl Counter {
     /// Number of counter slots.
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 30;
 
     /// Every variant, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -166,19 +131,8 @@ impl Counter {
         Counter::SharedBackupChannelsShared,
         Counter::SharedBackupChannelsFresh,
         Counter::ArenaAllocEvents,
-        Counter::SpeculativeCommits,
-        Counter::SpeculativeAborts,
-        Counter::SpeculativeRetries,
         Counter::PoolReserve,
         Counter::PoolRelease,
-        Counter::SpeculativeAbortConflict,
-        Counter::SpeculativeAbortOrdering,
-        Counter::SpeculativeAbortLoadShift,
-        Counter::SpeculativeInlineRoutes,
-        Counter::ShardedCutDemands,
-        Counter::ShardedLineageAborts,
-        Counter::ShardedEscapeAborts,
-        Counter::ShardedVerifiedCommits,
         Counter::ServeProvisionOk,
         Counter::ServeProvisionBlocked,
         Counter::ServeTeardownOk,
@@ -212,19 +166,8 @@ impl Counter {
             Counter::SharedBackupChannelsShared => "shared_backup_channels_shared",
             Counter::SharedBackupChannelsFresh => "shared_backup_channels_fresh",
             Counter::ArenaAllocEvents => "arena_alloc_events",
-            Counter::SpeculativeCommits => "speculative_commits",
-            Counter::SpeculativeAborts => "speculative_aborts",
-            Counter::SpeculativeRetries => "speculative_retries",
             Counter::PoolReserve => "pool_reserve",
             Counter::PoolRelease => "pool_release",
-            Counter::SpeculativeAbortConflict => "speculative_abort_conflict",
-            Counter::SpeculativeAbortOrdering => "speculative_abort_ordering",
-            Counter::SpeculativeAbortLoadShift => "speculative_abort_load_shift",
-            Counter::SpeculativeInlineRoutes => "speculative_inline_routes",
-            Counter::ShardedCutDemands => "sharded_cut_demands",
-            Counter::ShardedLineageAborts => "sharded_lineage_aborts",
-            Counter::ShardedEscapeAborts => "sharded_escape_aborts",
-            Counter::ShardedVerifiedCommits => "sharded_verified_commits",
             Counter::ServeProvisionOk => "serve_provision_ok",
             Counter::ServeProvisionBlocked => "serve_provision_blocked",
             Counter::ServeTeardownOk => "serve_teardown_ok",
@@ -259,19 +202,8 @@ impl Counter {
             Counter::SharedBackupChannelsShared => "Backup channels reused from another backup",
             Counter::SharedBackupChannelsFresh => "Backup channels reserved fresh",
             Counter::ArenaAllocEvents => "Search-arena buffer growth events",
-            Counter::SpeculativeCommits => "Speculative routes committed from their snapshot",
-            Counter::SpeculativeAborts => "Speculative routes discarded by validation",
-            Counter::SpeculativeRetries => "Re-speculation attempts for aborted routes",
             Counter::PoolReserve => "Shared-backup pool channel reservations",
             Counter::PoolRelease => "Shared-backup pool channel releases",
-            Counter::SpeculativeAbortConflict => "Speculative aborts from footprint conflicts",
-            Counter::SpeculativeAbortOrdering => "Speculative aborts from strict ordering",
-            Counter::SpeculativeAbortLoadShift => "Speculative aborts from shifted load",
-            Counter::SpeculativeInlineRoutes => "Demands routed inline at their serial slot",
-            Counter::ShardedCutDemands => "Demands classified cross-shard and routed inline",
-            Counter::ShardedLineageAborts => "Sharded aborts from a diverged shard lineage",
-            Counter::ShardedEscapeAborts => "Sharded aborts whose route escaped its shard",
-            Counter::ShardedVerifiedCommits => "Sharded commits verified against the live state",
             Counter::ServeProvisionOk => "Daemon provision requests accepted and committed",
             Counter::ServeProvisionBlocked => "Daemon provision requests refused by routing",
             Counter::ServeTeardownOk => "Daemon teardowns that released a connection",
@@ -307,42 +239,30 @@ pub enum Hist {
     PrimaryHops = 4,
     /// Backup-path hop count (deterministic).
     BackupHops = 5,
-    /// Demands per speculative batch window (deterministic).
-    WindowOccupancy = 6,
-    /// Link-disjoint conflict-group size per scheduling round — how many
-    /// demands the conflict-aware scheduler speculated together
-    /// (deterministic).
-    ConflictGroupSize = 7,
-    /// Demands queued per active shard per sharded-engine round — the
-    /// shard workers' load balance (deterministic).
-    ShardOccupancy = 8,
-    /// Speculation aborts per active shard per sharded-engine round,
-    /// zeros included — per-shard abort pressure (deterministic).
-    ShardAborts = 9,
     /// Daemon: end-to-end request latency from accept to response write,
     /// nanoseconds (nondeterministic).
-    ServeLatencyNanos = 10,
+    ServeLatencyNanos = 6,
     /// Daemon: time a request spent in the admission queue before a
     /// worker picked it up, nanoseconds (nondeterministic).
-    ServeQueueNanos = 11,
+    ServeQueueNanos = 7,
     /// Daemon: WAL append + flush per journal event, nanoseconds
     /// (nondeterministic).
-    WalFsyncNanos = 12,
+    WalFsyncNanos = 8,
     /// Daemon: time waiting to acquire the shared provisioner lock per
     /// provision (read + write acquisition), nanoseconds
     /// (nondeterministic).
-    ServeLockNanos = 13,
+    ServeLockNanos = 9,
     /// Daemon: routing-search time under the read lock per provision,
     /// nanoseconds (nondeterministic).
-    ServeRouteNanos = 14,
+    ServeRouteNanos = 10,
     /// Daemon: commit time under the write lock per provision, excluding
     /// the WAL flush, nanoseconds (nondeterministic).
-    ServeCommitNanos = 15,
+    ServeCommitNanos = 11,
 }
 
 impl Hist {
     /// Number of histogram slots.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 12;
 
     /// Every variant, in index order.
     pub const ALL: [Hist; Hist::COUNT] = [
@@ -352,10 +272,6 @@ impl Hist {
         Hist::ThresholdProbes,
         Hist::PrimaryHops,
         Hist::BackupHops,
-        Hist::WindowOccupancy,
-        Hist::ConflictGroupSize,
-        Hist::ShardOccupancy,
-        Hist::ShardAborts,
         Hist::ServeLatencyNanos,
         Hist::ServeQueueNanos,
         Hist::WalFsyncNanos,
@@ -373,10 +289,6 @@ impl Hist {
             Hist::ThresholdProbes => "threshold_probes",
             Hist::PrimaryHops => "primary_hops",
             Hist::BackupHops => "backup_hops",
-            Hist::WindowOccupancy => "window_occupancy",
-            Hist::ConflictGroupSize => "conflict_group_size",
-            Hist::ShardOccupancy => "shard_occupancy",
-            Hist::ShardAborts => "shard_aborts",
             Hist::ServeLatencyNanos => "serve_latency_ns",
             Hist::ServeQueueNanos => "serve_queue_ns",
             Hist::WalFsyncNanos => "wal_fsync_ns",
@@ -395,10 +307,6 @@ impl Hist {
             Hist::ThresholdProbes => "Threshold-search probes per request",
             Hist::PrimaryHops => "Primary-path hop count",
             Hist::BackupHops => "Backup-path hop count",
-            Hist::WindowOccupancy => "Demands per speculative batch window",
-            Hist::ConflictGroupSize => "Link-disjoint conflict-group size per round",
-            Hist::ShardOccupancy => "Demands queued per active shard per round",
-            Hist::ShardAborts => "Speculation aborts per active shard per round",
             Hist::ServeLatencyNanos => {
                 "Daemon request latency from accept to response in nanoseconds"
             }

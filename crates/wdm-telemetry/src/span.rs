@@ -21,11 +21,8 @@
 //!
 //! Concurrency model: a `SpanBuffer` is owned by one worker (interior
 //! `RefCell`, `Send` but not `Sync` — no atomics on the record path).
-//! `Clone` produces an *empty* buffer sharing the clock domain — the
-//! worker-fork semantics `RouterCtx::fork` relies on — and
-//! [`SpanBuffer::absorb`] folds a worker's records back in, renumbering
-//! request ordinals so absorbing worker buffers in worker order reproduces
-//! the serial record stream.
+//! Workers that must share a time axis each build their own buffer on one
+//! shared clock.
 //!
 //! [`Recorder`]: crate::Recorder
 
@@ -57,7 +54,9 @@ pub enum Phase {
     Refine,
     /// Committing the route (occupy + journal append).
     Commit,
-    /// Speculative abort: a window result discarded by the commit rules.
+    /// A routed result discarded before commit. Nothing in the workspace
+    /// records it today; the slot keeps the `phase_ns` index layout of
+    /// existing trace files.
     Abort,
     /// Daemon: reading and validating the request off the socket — the
     /// admission decision for this request's routing work.
@@ -138,7 +137,7 @@ pub trait Clock {
 }
 
 /// The production clock: nanoseconds since an `Instant` origin captured at
-/// construction. `Copy`, so forked buffers share one time domain.
+/// construction. `Copy`, so buffers built on copies share one time domain.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotonicClock {
     origin: Instant,
@@ -160,7 +159,7 @@ impl Clock for MonotonicClock {
 }
 
 /// A hand-driven test clock. Clones share the underlying cell, so a test
-/// can advance time while a buffer (or a forked worker's buffer) reads it.
+/// can advance time while one or more buffers read it.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock(Arc<AtomicU64>);
 
@@ -187,7 +186,7 @@ impl Clock for ManualClock {
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SpanRecord {
     /// Request ordinal within the recording buffer (0-based, assigned by
-    /// [`Tracer::begin_request`]; renumbered on [`SpanBuffer::absorb`]).
+    /// [`Tracer::begin_request`]).
     pub request: u64,
     /// The phase this span times.
     pub phase: Phase,
@@ -228,12 +227,6 @@ pub trait Tracer {
     /// until now.
     fn record(&self, phase: Phase, start_ns: u64);
 
-    /// Closes a span for an earlier request: `back = 0` is the latest begun
-    /// request, `back = 1` the one before it, and so on. The speculative
-    /// commit loop uses this to attribute commit/abort spans to window
-    /// members after their routing spans were absorbed.
-    fn record_earlier(&self, back: u64, phase: Phase, start_ns: u64);
-
     /// Closes a span for the current request with both endpoints supplied
     /// by the caller (clamped so `end_ns >= start_ns`). The daemon uses
     /// this to carve non-overlapping intervals out of one measured stretch
@@ -247,20 +240,6 @@ pub trait Tracer {
     /// the latest request's records are still the buffer tail (the serial
     /// simulator's case).
     fn last_request_phases(&self) -> [u64; Phase::COUNT];
-
-    /// An empty child tracer for a fan-out worker, on the same clock
-    /// domain; fold the child's spans back with
-    /// [`Tracer::absorb_worker`]. Noop tracers fork noops.
-    fn fork_worker(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Drains `child`'s spans into `self`, renumbering the child's
-    /// request ordinals to follow `self`'s. Absorbing contiguous-chunk
-    /// workers in worker order reproduces the serial record stream.
-    fn absorb_worker(&self, child: &Self)
-    where
-        Self: Sized;
 }
 
 /// The zero-cost default: every method is an empty `#[inline(always)]`
@@ -287,23 +266,12 @@ impl Tracer for NoopTracer {
     fn record(&self, _phase: Phase, _start_ns: u64) {}
 
     #[inline(always)]
-    fn record_earlier(&self, _back: u64, _phase: Phase, _start_ns: u64) {}
-
-    #[inline(always)]
     fn record_span(&self, _phase: Phase, _start_ns: u64, _end_ns: u64) {}
 
     #[inline(always)]
     fn last_request_phases(&self) -> [u64; Phase::COUNT] {
         [0; Phase::COUNT]
     }
-
-    #[inline(always)]
-    fn fork_worker(&self) -> Self {
-        NoopTracer
-    }
-
-    #[inline(always)]
-    fn absorb_worker(&self, _child: &Self) {}
 }
 
 /// Shared references trace through the underlying tracer, mirroring the
@@ -330,11 +298,6 @@ impl<T: Tracer + ?Sized> Tracer for &T {
     }
 
     #[inline]
-    fn record_earlier(&self, back: u64, phase: Phase, start_ns: u64) {
-        (**self).record_earlier(back, phase, start_ns);
-    }
-
-    #[inline]
     fn record_span(&self, phase: Phase, start_ns: u64, end_ns: u64) {
         (**self).record_span(phase, start_ns, end_ns);
     }
@@ -343,18 +306,6 @@ impl<T: Tracer + ?Sized> Tracer for &T {
     fn last_request_phases(&self) -> [u64; Phase::COUNT] {
         (**self).last_request_phases()
     }
-
-    /// Forks by *sharing* the underlying tracer: spans land directly on
-    /// it, so [`Tracer::absorb_worker`] has nothing to fold back. Sound
-    /// only where sharing is — `&SpanBuffer` is not `Send`, so threaded
-    /// fan-outs reject a shared buffer at compile time.
-    #[inline]
-    fn fork_worker(&self) -> Self {
-        self
-    }
-
-    #[inline]
-    fn absorb_worker(&self, _child: &Self) {}
 }
 
 #[derive(Debug, Default)]
@@ -368,9 +319,8 @@ struct SpanInner {
 ///
 /// Interior mutability is a `RefCell` — recording is a bounds check and a
 /// `Vec` push, no atomics — so the buffer is `Send` (a worker can own it)
-/// but not `Sync` (two threads cannot share one; give each worker a
-/// [`Clone`], which starts empty, and [`SpanBuffer::absorb`] the workers
-/// back in worker order).
+/// but not `Sync` (two threads cannot share one; give each worker its own
+/// buffer on a shared clock).
 #[derive(Debug)]
 pub struct SpanBuffer<C: Clock = MonotonicClock> {
     clock: C,
@@ -387,17 +337,6 @@ impl SpanBuffer<MonotonicClock> {
 impl Default for SpanBuffer<MonotonicClock> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Worker-fork semantics: a clone shares the clock domain but starts with
-/// an empty buffer and a fresh request ordinal space.
-impl<C: Clock + Clone> Clone for SpanBuffer<C> {
-    fn clone(&self) -> Self {
-        SpanBuffer {
-            clock: self.clock.clone(),
-            inner: RefCell::new(SpanInner::default()),
-        }
     }
 }
 
@@ -432,27 +371,6 @@ impl<C: Clock> SpanBuffer<C> {
         b.begun = 0;
         std::mem::take(&mut b.records)
     }
-
-    /// Folds `other`'s records into `self`, renumbering `other`'s request
-    /// ordinals to follow `self`'s, and drains `other`. Absorbing worker
-    /// buffers in worker order (with contiguous chunk assignment, as
-    /// `fan_out` does) therefore yields the same record stream as running
-    /// the workers' requests serially on `self`.
-    pub fn absorb(&self, other: &Self) {
-        let (theirs, begun) = {
-            let mut o = other.inner.borrow_mut();
-            let begun = o.begun;
-            o.begun = 0;
-            (std::mem::take(&mut o.records), begun)
-        };
-        let mut b = self.inner.borrow_mut();
-        let offset = b.begun;
-        b.records.extend(theirs.into_iter().map(|mut r| {
-            r.request += offset;
-            r
-        }));
-        b.begun += begun;
-    }
 }
 
 impl<C: Clock + Clone> Tracer for SpanBuffer<C> {
@@ -461,26 +379,14 @@ impl<C: Clock + Clone> Tracer for SpanBuffer<C> {
         self.clock.now_ns()
     }
 
-    fn fork_worker(&self) -> Self {
-        self.clone()
-    }
-
-    fn absorb_worker(&self, child: &Self) {
-        self.absorb(child);
-    }
-
     fn begin_request(&self) {
         self.inner.borrow_mut().begun += 1;
     }
 
     fn record(&self, phase: Phase, start_ns: u64) {
-        self.record_earlier(0, phase, start_ns);
-    }
-
-    fn record_earlier(&self, back: u64, phase: Phase, start_ns: u64) {
         let end_ns = self.clock.now_ns().max(start_ns);
         let mut b = self.inner.borrow_mut();
-        let Some(request) = b.begun.checked_sub(1 + back) else {
+        let Some(request) = b.begun.checked_sub(1) else {
             return; // span outside any begun request: dropped
         };
         b.records.push(SpanRecord {
@@ -573,29 +479,10 @@ mod tests {
     }
 
     #[test]
-    fn record_earlier_targets_prior_ordinals() {
-        let clock = ManualClock::new();
-        let buf = SpanBuffer::with_clock(clock.clone());
-        buf.begin_request();
-        buf.begin_request();
-        buf.begin_request();
-        let t = buf.now_ns();
-        clock.advance(3);
-        buf.record_earlier(2, Phase::Commit, t);
-        buf.record_earlier(0, Phase::Abort, t);
-        // A `back` beyond the begun count is dropped, not wrapped.
-        buf.record_earlier(9, Phase::Commit, t);
-        let recs = buf.records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!((recs[0].request, recs[0].phase), (0, Phase::Commit));
-        assert_eq!((recs[1].request, recs[1].phase), (2, Phase::Abort));
-    }
-
-    #[test]
     fn record_span_takes_explicit_intervals() {
         let clock = ManualClock::new();
         let buf = SpanBuffer::with_clock(clock.clone());
-        // Outside any request: dropped, like record_earlier.
+        // Outside any request: dropped, like record.
         buf.record_span(Phase::QueueWait, 0, 10);
         assert!(buf.records().is_empty());
 
@@ -649,32 +536,6 @@ mod tests {
         assert_eq!(sub_sum, expected_sub);
         assert_eq!(total, expected_sub + sub.len() as u64); // + the gaps
         assert_eq!(sub_sum + sub.len() as u64, total, "sub + residual = root");
-    }
-
-    #[test]
-    fn clone_is_empty_and_absorb_renumbers() {
-        let clock = ManualClock::new();
-        let parent = SpanBuffer::with_clock(clock.clone());
-        parent.begin_request();
-        parent.record(Phase::Request, 0);
-
-        let worker = parent.clone();
-        assert_eq!(worker.requests_begun(), 0);
-        assert!(worker.records().is_empty());
-
-        worker.begin_request();
-        clock.advance(4);
-        worker.record(Phase::Request, 0);
-        worker.begin_request();
-        worker.record(Phase::Refine, 2);
-
-        parent.absorb(&worker);
-        assert_eq!(worker.requests_begun(), 0);
-        assert!(worker.records().is_empty());
-        assert_eq!(parent.requests_begun(), 3);
-        let recs = parent.records();
-        let ordinals: Vec<u64> = recs.iter().map(|r| r.request).collect();
-        assert_eq!(ordinals, vec![0, 1, 2]);
     }
 
     #[test]
