@@ -673,13 +673,22 @@ pub fn trace(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `wdm trace analyze` — per-phase latency attribution, slowest requests
-/// and abort causes from a `wdm simulate --trace` dump.
+/// `wdm trace analyze` — per-phase latency attribution and the slowest
+/// requests from a `wdm simulate --trace` or `wdm serve --trace` dump.
 fn trace_analyze(args: &Args) -> Result<(), String> {
     let path = args.positional(1).ok_or("missing trace file")?;
     let top_k: usize = args.get_or("top", 5)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc: TraceFile = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    // Records index `phase_ns` by this build's `Phase` layout; a trace
+    // written under another layout would be read into the wrong phases.
+    let expected: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+    if doc.phases != expected {
+        return Err(format!(
+            "{path} uses phase layout {:?}; this build reads {expected:?}",
+            doc.phases
+        ));
+    }
 
     let records = &doc.flight.records;
     if records.is_empty() {
@@ -688,13 +697,12 @@ fn trace_analyze(args: &Args) -> Result<(), String> {
 
     // Aggregate: total request time, per-phase attribution, the residual
     // the sub-phases do not cover (queueing between spans, bookkeeping),
-    // outcome and abort-cause counts.
+    // outcome counts.
     let root = Phase::Request.name();
     let mut total_ns = 0u64;
     let mut attributed_ns = 0u64;
     let mut phase_sums: BTreeMap<String, u64> = BTreeMap::new();
     let mut outcomes: BTreeMap<String, u64> = BTreeMap::new();
-    let mut abort_causes: BTreeMap<String, u64> = BTreeMap::new();
     for r in records {
         total_ns += r.total_ns;
         for (name, ns) in r.named_phases() {
@@ -702,9 +710,6 @@ fn trace_analyze(args: &Args) -> Result<(), String> {
             *phase_sums.entry(name.to_string()).or_default() += ns;
         }
         *outcomes.entry(r.outcome.clone()).or_default() += 1;
-        if let Some(cause) = &r.abort_cause {
-            *abort_causes.entry(cause.clone()).or_default() += 1;
-        }
     }
     let attributed_fraction = if total_ns > 0 {
         attributed_ns as f64 / total_ns as f64
@@ -756,10 +761,6 @@ fn trace_analyze(args: &Args) -> Result<(), String> {
                 serde_json::to_value(&doc.flight.dropped),
             ),
             ("outcomes".to_string(), serde_json::to_value(&outcomes)),
-            (
-                "abort_causes".to_string(),
-                serde_json::to_value(&abort_causes),
-            ),
             ("total_ns".to_string(), serde_json::to_value(&total_ns)),
             (
                 "attributed_ns".to_string(),
@@ -794,12 +795,6 @@ fn trace_analyze(args: &Args) -> Result<(), String> {
     );
     for (outcome, n) in &outcomes {
         println!("  {outcome:<12} {n}");
-    }
-    if !abort_causes.is_empty() {
-        println!("abort causes");
-        for (cause, n) in &abort_causes {
-            println!("  {cause:<12} {n}");
-        }
     }
     println!(
         "latency       total {:.3} ms across {} requests ({} mean us/request)",

@@ -534,6 +534,55 @@ fn trace_record_and_analyze() {
     }
 }
 
+/// A trace written under the earlier 16-phase layout (with `abort`,
+/// `epoch_check` and `rollback` slots) is rejected rather than read into
+/// the wrong phases.
+#[test]
+fn trace_analyze_rejects_another_phase_layout() {
+    let old_layout = [
+        "request",
+        "aux_refresh",
+        "suurballe_p1",
+        "suurballe_p2",
+        "map_back",
+        "refine",
+        "commit",
+        "abort",
+        "admission",
+        "queue_wait",
+        "lock_acquire",
+        "epoch_check",
+        "wal_fsync",
+        "rollback",
+        "respond",
+        "telemetry",
+    ];
+    let phases: Vec<String> = old_layout.iter().map(|p| format!("{p:?}")).collect();
+    let record = "{\"request\":0,\"src\":0,\"dst\":13,\"policy\":\"cost-only\",\
+        \"outcome\":\"routed\",\"journal_seq\":0,\"footprint_links\":6,\
+        \"phase_ns\":[900,0,0,0,0,0,100,0,150,300,50,10,200,0,80,10],\
+        \"total_ns\":900,\"abort_cause\":null}";
+    let trace = format!(
+        "{{\"policy\":\"cost-only\",\"seed\":0,\"phases\":[{}],\"offered\":1,\
+         \"flight\":{{\"records\":[{record}],\"annotations\":[],\"anomaly\":null,\
+         \"total_requests\":1,\"dropped\":0}}}}",
+        phases.join(",")
+    );
+    let path = tmp("old_layout_trace.json");
+    std::fs::write(&path, trace).expect("write trace");
+    let out = wdm()
+        .args(["trace", "analyze", path.to_str().expect("utf8")])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "old layout accepted: {err}");
+    assert!(err.contains("phase layout"), "{err}");
+    assert!(
+        err.contains("\"epoch_check\"") && err.contains("\"reroute\""),
+        "the error prints both layouts: {err}"
+    );
+}
+
 #[test]
 fn replay_telemetry_matches_live() {
     let net_path = tmp("replay_telemetry.wdm");

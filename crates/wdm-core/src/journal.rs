@@ -305,8 +305,8 @@ enum Undo {
 /// restores the state **bit-identically** — payload, per-link clock stamps
 /// and the global clock (each mutator ticks it exactly once, so the walk
 /// retracts one tick per entry). Cost is O(links touched), which is what
-/// lets tentative commits and threshold probes fork without cloning the
-/// O(m) `used`/`link_clock` vectors.
+/// lets the reconfiguration sweep's probes fork without cloning the O(m)
+/// `used`/`link_clock` vectors.
 ///
 /// Note for warm [`RouterCtx`] holders: a rollback moves the clock
 /// *backwards*, and interleaved later mutations can re-advance it past a

@@ -459,17 +459,29 @@ impl ResidualState {
         self.avail(net, e).contains(l)
     }
 
+    /// Why [`occupy`](Self::occupy) would refuse `λ` on `e`, without
+    /// touching anything (clocks included).
+    pub fn check_occupy(
+        &self,
+        net: &WdmNetwork,
+        e: EdgeId,
+        l: Wavelength,
+    ) -> Result<(), StateError> {
+        if self.failed[e.index()] {
+            Err(StateError::LinkFailed)
+        } else if !net.lambda(e).contains(l) {
+            Err(StateError::NotInstalled)
+        } else if self.used[e.index()].contains(l) {
+            Err(StateError::AlreadyUsed)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Marks `λ` as in use on `e`.
     pub fn occupy(&mut self, net: &WdmNetwork, e: EdgeId, l: Wavelength) -> Result<(), StateError> {
-        if self.failed[e.index()] {
-            return Err(StateError::LinkFailed);
-        }
-        if !net.lambda(e).contains(l) {
-            return Err(StateError::NotInstalled);
-        }
-        if !self.used[e.index()].insert(l) {
-            return Err(StateError::AlreadyUsed);
-        }
+        self.check_occupy(net, e, l)?;
+        self.used[e.index()].insert(l);
         self.touch(e);
         Ok(())
     }

@@ -21,16 +21,13 @@
 //! (the expensive part) runs concurrently; the **write** lock serializes
 //! only the commit, which is O(route length). A commit can conflict with
 //! a mutation that landed after the route was computed — then
-//! [`NetProvisioner::try_commit`] rolls the state back atomically and the
-//! worker re-routes *under the write lock*, where the state cannot move.
+//! [`NetProvisioner::try_commit`] refuses it before touching anything and
+//! the worker re-routes *under the write lock*, where the state cannot
+//! move.
 //!
-//! Rollbacks regress the state's change clocks, which silently breaks
-//! every warm context that already synced past them. The daemon handles
-//! this with an **epoch counter**: bumped under the write lock on every
-//! rollback; each worker re-checks it after acquiring the read lock and
-//! invalidates its context on a mismatch. Fail/repair/teardown only move
-//! clocks forward, so they need no epoch bump — the dirty-link sync
-//! catches them.
+//! Every mutation moves the state's change clocks forward and a refused
+//! commit moves nothing, so each warm context catches up through the
+//! ordinary dirty-link sync; no context is ever dropped.
 //!
 //! Durability: every journal event is flushed to the [`WalSink`] before
 //! the request is answered, so an answered mutation is never lost — a
@@ -46,15 +43,15 @@
 //! every provision lands a WAL-seq-correlated record in the [`Diag`]
 //! flight ring (`/debug/flight`). With `--trace`, each worker additionally
 //! owns a live [`SpanBuffer`] on a shared clock domain and times the full
-//! request lifecycle — queue wait, admission, lock acquires, epoch check,
-//! the route phases, commit, WAL fsync, rollback — draining closed spans
-//! into the [`Diag`] span ring (`/debug/trace?n=K`, Chrome `trace_event`
-//! format) after every request. At clean shutdown the flight dump is
-//! written as a `wdm trace analyze`-compatible trace file.
+//! request lifecycle — queue wait, admission, lock acquires, the route
+//! phases, commit, WAL fsync, the re-route after a conflict — draining
+//! closed spans into the [`Diag`] span ring (`/debug/trace?n=K`, Chrome
+//! `trace_event` format) after every request. At clean shutdown the
+//! flight dump is written as a `wdm trace analyze`-compatible trace file.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -303,7 +300,6 @@ pub fn run(
         RouterCtx::new(),
         wal,
     ));
-    let epoch = AtomicU64::new(0);
     let sink = TelemetrySink::new();
     let queue: WorkQueue<TcpStream> = WorkQueue::new(cfg.queue_capacity);
     let tracing = cfg.trace_path.is_some();
@@ -317,21 +313,17 @@ pub fn run(
     control.publish_addr(listener.local_addr().map_err(WalError::Io)?);
 
     std::thread::scope(|s| {
-        let (prov, epoch, sink, queue, diag) = (&prov, &epoch, &sink, &queue, &diag);
+        let (prov, sink, queue, diag) = (&prov, &sink, &queue, &diag);
         for _ in 0..cfg.threads.max(1) {
             // Monomorphise the worker per mode: the untraced daemon runs
             // the NoopTracer instantiation, where every span call is an
             // empty inlined body.
             if tracing {
                 let tracer = SpanBuffer::with_clock(clock);
-                s.spawn(move || {
-                    worker_loop(net, cfg, control, prov, epoch, sink, queue, diag, tracer)
-                });
+                s.spawn(move || worker_loop(net, cfg, control, prov, sink, queue, diag, tracer));
             } else {
                 s.spawn(move || {
-                    worker_loop(
-                        net, cfg, control, prov, epoch, sink, queue, diag, NoopTracer,
-                    )
+                    worker_loop(net, cfg, control, prov, sink, queue, diag, NoopTracer)
                 });
             }
         }
@@ -405,7 +397,6 @@ fn worker_loop<R, W, T, WT>(
     cfg: &ServeConfig,
     control: &Control,
     prov: &RwLock<NetProvisioner<'_, R, W, T>>,
-    epoch: &AtomicU64,
     sink: &TelemetrySink,
     queue: &WorkQueue<TcpStream>,
     diag: &Diag,
@@ -417,7 +408,6 @@ fn worker_loop<R, W, T, WT>(
     WT: WorkerTracer,
 {
     let mut ctx = RouterCtx::with_recorder_and_tracer(sink, &tracer);
-    let mut last_epoch = epoch.load(Ordering::Acquire);
     loop {
         if control.crashed() {
             return; // Abandon everything, like a kill would.
@@ -458,14 +448,12 @@ fn worker_loop<R, W, T, WT>(
                     net,
                     cfg,
                     prov,
-                    epoch,
                     sink,
                     queue,
                     diag,
                     &req,
                     &mut stream,
                     &mut ctx,
-                    &mut last_epoch,
                     &tracer,
                     &timing,
                 );
@@ -488,14 +476,12 @@ fn dispatch<R, W, T, CR, WT>(
     net: &WdmNetwork,
     cfg: &ServeConfig,
     prov: &RwLock<NetProvisioner<'_, R, W, T>>,
-    epoch: &AtomicU64,
     sink: &TelemetrySink,
     queue: &WorkQueue<TcpStream>,
     diag: &Diag,
     req: &Request,
     stream: &mut TcpStream,
     ctx: &mut RouterCtx<CR, &WT>,
-    last_epoch: &mut u64,
     tracer: &WT,
     timing: &ReqTiming,
 ) where
@@ -527,21 +513,11 @@ fn dispatch<R, W, T, CR, WT>(
             let (s, t) = (NodeId(body.src), NodeId(body.dst));
 
             // Route under the read lock with this worker's warm context.
-            // The epoch check must happen *inside* the lock: rollbacks
-            // only occur under the write lock, so a stable epoch here
-            // guarantees the clocks this context syncs against are
-            // monotone.
             let lock_wall = Instant::now();
             let t_rl0 = tracer.now_ns();
             let guard = prov.read().unwrap();
             let t_rl1 = tracer.now_ns();
             let read_lock_ns = lock_wall.elapsed().as_nanos() as u64;
-            let now_epoch = epoch.load(Ordering::Acquire);
-            if now_epoch != *last_epoch {
-                ctx.invalidate();
-                *last_epoch = now_epoch;
-            }
-            let t_ec1 = tracer.now_ns();
             let route_wall = Instant::now();
             let routed = cfg.policy.route_ctx(ctx, net, guard.state(), s, t);
             sink.observe(
@@ -557,7 +533,6 @@ fn dispatch<R, W, T, CR, WT>(
             tracer.record_span(Phase::QueueWait, timing.queue_start, timing.read_start);
             tracer.record_span(Phase::Admission, timing.read_start, t_rl0);
             tracer.record_span(Phase::LockAcquire, t_rl0, t_rl1);
-            tracer.record_span(Phase::EpochCheck, t_rl1, t_ec1);
 
             let route = match routed {
                 Ok(route) => route,
@@ -582,9 +557,10 @@ fn dispatch<R, W, T, CR, WT>(
             let footprint_links = route.footprint().links.len() as u32;
 
             // Commit under the write lock. The state may have moved since
-            // the route was computed; try_commit detects the conflict and
-            // rolls back atomically, after which we re-route and commit
-            // in place — the write lock guarantees no further movement.
+            // the route was computed; try_commit refuses a conflicting
+            // route without touching the state, after which we re-route
+            // and commit in place — the write lock guarantees no further
+            // movement.
             // The acquire span opens as soon as the route is in hand
             // (`t_route1`), so the read-unlock and footprint bookkeeping
             // above tile into it rather than into an attribution gap.
@@ -605,23 +581,19 @@ fn dispatch<R, W, T, CR, WT>(
                     Some(id)
                 }
                 Err(_conflict) => {
-                    // try_commit already invalidated the provisioner's
-                    // own context; the rollback regressed clocks, so
-                    // every worker context must resync too.
-                    epoch.fetch_add(1, Ordering::AcqRel);
                     sink.add(Counter::ServeConflictRetries, 1);
                     match guard.route(s, t) {
                         Ok(route) => {
-                            // The failed occupy, its rollback and the
-                            // re-route are all conflict fallout.
-                            let t_rb1 = tracer.now_ns();
-                            tracer.record_span(Phase::Rollback, t_c0, t_rb1);
+                            // The refused commit and the re-route are
+                            // both conflict fallout.
+                            let t_rr1 = tracer.now_ns();
+                            tracer.record_span(Phase::Reroute, t_c0, t_rr1);
                             let id = guard.commit(s, t, route);
-                            close_commit_spans(sink, tracer, guard.journal_mut(), t_rb1);
+                            close_commit_spans(sink, tracer, guard.journal_mut(), t_rr1);
                             Some(id)
                         }
                         Err(_) => {
-                            tracer.record_span(Phase::Rollback, t_c0, tracer.now_ns());
+                            tracer.record_span(Phase::Reroute, t_c0, tracer.now_ns());
                             None
                         }
                     }
@@ -769,7 +741,7 @@ fn dispatch<R, W, T, CR, WT>(
             sink.add(Counter::ServeQuery, 1);
             let body = format!(
                 "{{\"uptime_secs\":{},\"tracing\":{},\"workers\":{},\"queue_depth\":{},\
-                 \"queue_capacity\":{},\"epoch\":{},\"connections\":{connections},\
+                 \"queue_capacity\":{},\"connections\":{connections},\
                  \"wal_seq\":{wal_seq},\"wal_checkpoint_seq\":{},\"flight_requests\":{},\
                  \"flight_anomaly_fired\":{}}}\n",
                 diag.uptime_secs(),
@@ -777,7 +749,6 @@ fn dispatch<R, W, T, CR, WT>(
                 cfg.threads.max(1),
                 queue.depth(),
                 queue.capacity(),
-                epoch.load(Ordering::Acquire),
                 diag.checkpoint_seq(),
                 diag.flight.total_requests(),
                 diag.flight.anomaly_fired(),
@@ -814,7 +785,6 @@ fn dispatch<R, W, T, CR, WT>(
             let mut snap = sink.snapshot();
             snap.set_gauge("serve_queue_depth", queue.depth() as u64);
             snap.set_gauge("serve_queue_capacity", queue.capacity() as u64);
-            snap.set_gauge("serve_epoch", epoch.load(Ordering::Acquire));
             snap.set_gauge("serve_workers", cfg.threads.max(1) as u64);
             {
                 let guard = prov.read().unwrap();
@@ -903,7 +873,6 @@ fn finish_flight<T: Tracer>(
         footprint_links,
         phase_ns: phases.to_vec(),
         total_ns,
-        abort_cause: None,
     });
 }
 

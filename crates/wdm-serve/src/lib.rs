@@ -13,8 +13,8 @@
 //! * [`admission`] — bounded work queue: shed-on-full, per-request
 //!   deadlines;
 //! * [`daemon`] — the serving loop: read-lock routing on warm contexts,
-//!   write-lock commits with optimistic conflict retry, epoch-based
-//!   context invalidation;
+//!   write-lock commits that re-route in place when a stale route is
+//!   refused;
 //! * [`diag`] — live diagnostics shared across threads: the flight ring
 //!   behind `/debug/flight`, the span ring behind `/debug/trace`, the
 //!   checkpoint gauge (DESIGN.md §5j);

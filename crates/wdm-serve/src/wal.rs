@@ -1,11 +1,12 @@
 //! The daemon's write-ahead log: a line-oriented JSON journal on disk.
 //!
-//! The in-memory [`StateJournal`] keeps the whole event log and serializes
-//! once at the end of a run — fine for a simulation, useless for a daemon
-//! that must survive being killed mid-load. [`WalSink`] is the streaming
-//! counterpart: an [`EventSink`] whose every [`record`](EventSink::record)
-//! appends one JSON line to the log file and flushes it, so the log on
-//! disk is never more than the in-flight event behind the live state.
+//! The in-memory [`StateJournal`](wdm_core::journal::StateJournal) keeps
+//! the whole event log and serializes once at the end of a run — fine for
+//! a simulation, useless for a daemon that must survive being killed
+//! mid-load. [`WalSink`] is the streaming counterpart: an [`EventSink`]
+//! whose every [`record`](EventSink::record) appends one JSON line to the
+//! log file and flushes it, so the log on disk is never more than the
+//! in-flight event behind the live state.
 //!
 //! # File format (JSONL)
 //!

@@ -153,8 +153,8 @@ impl Policy {
     /// that compiles away. When `ctx` carries a live [`Tracer`], every call
     /// opens a new span ordinal (`Tracer::begin_request`) and the pipeline
     /// records its phase spans into it; the *caller* owning the surrounding
-    /// commit records the root `Phase::Request` span and any commit/abort
-    /// spans, since routing alone can't see the decision's fate.
+    /// commit records the root `Phase::Request` span and the commit spans,
+    /// since routing alone can't see the decision's fate.
     pub fn route_ctx<R: Recorder, T: Tracer>(
         &self,
         ctx: &mut RouterCtx<R, T>,
@@ -171,7 +171,7 @@ impl Policy {
         ctx.tracer().begin_request();
         let start = enabled.then(std::time::Instant::now);
         // Recorder/tracer reset costs belong to Telemetry, not to a gap
-        // between the daemon's epoch check and the first routing span.
+        // between the daemon's read-lock acquire and the first routing span.
         let t_pro1 = ctx.tracer().now_ns();
         ctx.tracer().record_span(Phase::Telemetry, t_pro0, t_pro1);
         let result = self.dispatch(ctx, net, state, s, t);

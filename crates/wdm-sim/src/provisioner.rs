@@ -7,10 +7,14 @@
 //! request arrives or departs. The [`Provisioner`] trait is the service
 //! contract: route computation ([`Provisioner::route`]) is separated from
 //! the commit ([`Provisioner::commit`]) so callers can time, account or
-//! reject between the two, and [`NetProvisioner::try_commit`] adds the
-//! optimistic variant the daemon needs — a [`Txn`]-guarded occupy that
-//! rolls back atomically when a concurrently committed mutation stole a
-//! channel, instead of panicking like the single-threaded contract does.
+//! reject between the two. Both commits go through
+//! [`NetProvisioner::try_commit`], which checks every hop before it
+//! touches the state: a route made stale by a mutation committed since it
+//! was computed (the daemon routes and commits under different locks) is
+//! refused with nothing changed, change clocks included, so every warm
+//! [`RouterCtx`] that synced against the state stays valid. The
+//! single-threaded [`Provisioner::commit`] is the same call plus an
+//! `expect`.
 //!
 //! Every successful mutation is appended to the generic [`EventSink`]
 //! journal in the same order the state saw it, so a journal replayed over
@@ -24,9 +28,8 @@ use crate::policy::{Policy, ProvisionedRoute};
 use std::collections::HashMap;
 use wdm_core::aux_engine::RouterCtx;
 use wdm_core::error::RoutingError;
-use wdm_core::journal::{EventSink, NetEvent, NoopSink, Txn};
+use wdm_core::journal::{EventSink, NetEvent, NoopSink};
 use wdm_core::network::{ResidualState, StateError, WdmNetwork};
-use wdm_core::semilightpath::Hop;
 use wdm_graph::{EdgeId, NodeId};
 use wdm_telemetry::{NoopRecorder, NoopTracer, Recorder, Tracer};
 
@@ -182,8 +185,9 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         &mut self.ctx
     }
 
-    /// Drops all warm engine state (required after any clock regression a
-    /// caller performed on the state behind this context's back).
+    /// Drops all warm engine state, so the next route runs cold. Nothing
+    /// here regresses the change clocks, so provisioning never needs this;
+    /// it is for callers that time cold routes.
     pub fn invalidate_ctx(&mut self) {
         self.ctx.invalidate();
     }
@@ -236,15 +240,12 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         self.journal.record(event);
     }
 
-    /// Optimistic commit for concurrent callers: occupies the route's
-    /// channels inside a [`Txn`], so a conflict with a mutation that
-    /// landed since the route was computed rolls the state back exactly
-    /// and returns the error instead of panicking.
-    ///
-    /// On `Err` the rollback has regressed the change clocks; this
-    /// context is invalidated here, but any *other* warm context that
-    /// observed the state (daemon worker pools) must be invalidated by
-    /// the caller before it routes again.
+    /// Commits a route that may have been computed against an earlier
+    /// state: checks every hop first, then occupies the channels, journals
+    /// the provision and registers the connection. A conflict with a
+    /// mutation that landed since the route was computed returns the
+    /// error with the state (change clocks included), the journal and the
+    /// connection table untouched, so warm contexts stay valid.
     pub fn try_commit(
         &mut self,
         s: NodeId,
@@ -252,18 +253,14 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         route: ProvisionedRoute,
     ) -> Result<u64, StateError> {
         let hops = route.channels();
-        let mut txn = Txn::begin(&mut self.state);
-        if let Err(err) = txn.occupy_hops(self.net, &hops) {
-            txn.rollback();
-            self.ctx.invalidate();
-            return Err(err);
+        for h in &hops {
+            self.state.check_occupy(self.net, h.edge, h.wavelength)?;
         }
-        txn.commit();
-        Ok(self.register(s, t, route, hops))
-    }
-
-    /// Registers an already-occupied route: journal + connection table.
-    fn register(&mut self, s: NodeId, t: NodeId, route: ProvisionedRoute, hops: Vec<Hop>) -> u64 {
+        for h in &hops {
+            self.state
+                .occupy(self.net, h.edge, h.wavelength)
+                .expect("a route holds each channel once and every hop was checked");
+        }
         let id = self.next_conn;
         self.next_conn += 1;
         if self.journal.enabled() {
@@ -277,7 +274,7 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
                 route,
             },
         );
-        id
+        Ok(id)
     }
 }
 
@@ -288,15 +285,8 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Provisioner for NetProvisioner<'a
     }
 
     fn commit(&mut self, s: NodeId, t: NodeId, route: ProvisionedRoute) -> u64 {
-        route
-            .occupy(self.net, &mut self.state)
-            .expect("route computed against current state must occupy");
-        let hops = if self.journal.enabled() {
-            route.channels()
-        } else {
-            Vec::new()
-        };
-        self.register(s, t, route, hops)
+        self.try_commit(s, t, route)
+            .expect("route computed against current state must occupy")
     }
 
     fn teardown(&mut self, id: u64) -> Option<ProvisionedRoute> {
@@ -395,28 +385,64 @@ mod tests {
         assert_eq!(replayed.semantic_hash(), final_hash);
     }
 
+    /// Everything a refused commit must leave alone: the payload, the
+    /// global and per-link change clocks, the journal and the table.
+    fn untouched(
+        p: &NetProvisioner<'_, NoopRecorder, &mut StateJournal, NoopTracer>,
+    ) -> (ResidualState, u64, Vec<u64>, u64, usize) {
+        let st = p.state();
+        let links = (0..p.net().link_count())
+            .map(|i| st.link_change_clock(EdgeId::from(i)))
+            .collect();
+        (
+            st.clone(),
+            st.change_clock(),
+            links,
+            p.journal_seq(),
+            p.active_connections(),
+        )
+    }
+
     #[test]
-    fn try_commit_rejects_conflicts_and_rolls_back() {
+    fn try_commit_conflicts_change_nothing() {
         let net = nsfnet();
-        let mut p = NetProvisioner::new(&net, Policy::CostOnly);
+        let mut journal = StateJournal::new(ResidualState::fresh(&net));
+        let mut p = NetProvisioner::with_parts(
+            &net,
+            Policy::CostOnly,
+            ResidualState::fresh(&net),
+            RouterCtx::new(),
+            &mut journal,
+        );
+        p.provision(NodeId(3), NodeId(11)).expect("routable");
         let route = p.route(NodeId(0), NodeId(9)).expect("routable");
-        // Steal one of the route's channels behind the router's back.
-        let hop = route.channels()[0];
+        // Conflicts on the route's last hop: an occupy that went forward
+        // and released on the way back would have ticked every hop before.
+        let last = *route.channels().last().expect("route has hops");
+
+        // The last channel is stolen behind the router's back.
         p.state_mut()
-            .occupy(&net, hop.edge, hop.wavelength)
+            .occupy(&net, last.edge, last.wavelength)
             .unwrap();
-        let before = p.state().clone();
-        let err = p
-            .try_commit(NodeId(0), NodeId(9), route.clone())
-            .expect_err("stolen channel must conflict");
-        assert_eq!(err, StateError::AlreadyUsed);
-        assert_eq!(p.state(), &before, "conflict rolled back exactly");
-        assert_eq!(p.active_connections(), 0);
-        // Releasing the stolen channel makes the same route commit.
-        p.state_mut().release(hop.edge, hop.wavelength).unwrap();
+        let before = untouched(&p);
+        let err = p.try_commit(NodeId(0), NodeId(9), route.clone());
+        assert_eq!(err, Err(StateError::AlreadyUsed));
+        assert_eq!(untouched(&p), before, "a taken channel changed something");
+        p.state_mut().release(last.edge, last.wavelength).unwrap();
+
+        // The last hop's link has failed.
+        assert!(p.fail_link(last.edge));
+        let before = untouched(&p);
+        let err = p.try_commit(NodeId(0), NodeId(9), route.clone());
+        assert_eq!(err, Err(StateError::LinkFailed));
+        assert_eq!(untouched(&p), before, "a failed link changed something");
+        assert!(p.repair_link(last.edge));
+
+        // With both conflicts gone the same route commits.
         let id = p
             .try_commit(NodeId(0), NodeId(9), route)
             .expect("now conflict-free");
         assert_eq!(p.connection(id).map(|c| c.src), Some(NodeId(0)));
+        assert_eq!(p.active_connections(), 2);
     }
 }

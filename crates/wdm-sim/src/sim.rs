@@ -317,7 +317,6 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
                 footprint_links,
                 phase_ns: phase_ns.to_vec(),
                 total_ns: phase_ns[Phase::Request as usize],
-                abort_cause: None,
             });
         }
         // Load sample + optional reconfiguration.

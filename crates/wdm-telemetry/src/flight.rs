@@ -1,18 +1,18 @@
 //! Flight recorder: a bounded ring of per-request records.
 //!
-//! Aggregate counters say *how often* requests block or abort; the flight
-//! recorder says *which* request, *what it asked for*, *where the time
-//! went* (per-[`Phase`] breakdown from the span layer), and — crucially —
-//! the **journal sequence number** current when the request was decided, so
+//! Aggregate counters say *how often* requests block; the flight recorder
+//! says *which* request, *what it asked for*, *where the time went*
+//! (per-[`Phase`] breakdown from the span layer), and — crucially — the
+//! **journal sequence number** current when the request was decided, so
 //! `wdm replay` can reconstruct the exact working state the request saw.
 //!
 //! The ring keeps the last `capacity` requests (oldest dropped first, same
 //! unroll discipline as the trace ring). On top of it sits a one-shot
 //! **anomaly trigger**: a sliding window over the most recent requests'
-//! blocked/aborted flags; when the count in the window crosses the
-//! threshold, the recorder clones the ring *at that moment* into
-//! [`FlightAnomaly`], so the pathological neighbourhood survives even if
-//! the simulation runs on and the ring wraps past it.
+//! blocked flags; when the count in the window crosses the threshold, the
+//! recorder clones the ring *at that moment* into [`FlightAnomaly`], so
+//! the pathological neighbourhood survives even if the simulation runs on
+//! and the ring wraps past it.
 //!
 //! Unlike [`SpanBuffer`] (single-owner, `RefCell`), the recorder is a
 //! shared sink (`Mutex`, `Send + Sync`): one instance can receive records
@@ -37,7 +37,7 @@ pub struct FlightRecord {
     pub dst: u32,
     /// Policy name in force for this request.
     pub policy: String,
-    /// Outcome: `"routed"`, `"blocked"`, `"aborted"`, ...
+    /// Outcome: `"routed"` or `"blocked"`.
     pub outcome: String,
     /// Journal sequence number current when the request was decided: the
     /// number of events appended *before* this request's own. Replaying
@@ -50,15 +50,10 @@ pub struct FlightRecord {
     pub phase_ns: Vec<u64>,
     /// Total request latency (the root span).
     pub total_ns: u64,
-    /// Why the request was aborted, when the outcome is an abort. The
-    /// daemon and the simulator never abort (they roll back and re-route),
-    /// so they leave it `None`; `wdm trace analyze` tallies it for trace
-    /// files that carry one.
-    pub abort_cause: Option<String>,
 }
 
 impl FlightRecord {
-    /// Whether this request failed to provision (blocked or aborted).
+    /// Whether this request failed to provision.
     pub fn is_negative(&self) -> bool {
         self.outcome != "routed"
     }
@@ -268,7 +263,6 @@ mod tests {
             footprint_links: if outcome == "routed" { 4 } else { 0 },
             phase_ns: vec![100, 10, 20, 30, 5, 15, 5, 0],
             total_ns: 100,
-            abort_cause: (outcome == "aborted").then(|| "conflict".into()),
         }
     }
 
@@ -322,12 +316,11 @@ mod tests {
     fn dump_round_trips_through_json() {
         let fr = FlightRecorder::with_config(2, 2, 1);
         fr.push(record(0, "routed"));
-        fr.push(record(1, "aborted"));
+        fr.push(record(1, "blocked"));
         let dump = fr.dump();
         let text = serde_json::to_string(&dump).unwrap();
         let back: FlightDump = serde_json::from_str(&text).unwrap();
         assert_eq!(back, dump);
-        assert_eq!(back.records[1].abort_cause.as_deref(), Some("conflict"));
         assert!(back.anomaly.is_some());
     }
 

@@ -108,7 +108,7 @@ pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram totals by [`Hist::name`]; empty histograms are skipped.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Point-in-time gauges (queue depth, epoch, WAL sequence, …) set by
+    /// Point-in-time gauges (queue depth, WAL sequence, …) set by
     /// the embedding process via [`TelemetrySnapshot::set_gauge`]. Unlike
     /// counters these are instantaneous readings, not monotonic totals.
     pub gauges: BTreeMap<String, u64>,
@@ -259,7 +259,6 @@ fn gauge_help(name: &str) -> &'static str {
     match name {
         "serve_queue_depth" => "Requests waiting in the daemon admission queue",
         "serve_queue_capacity" => "Bounded capacity of the daemon admission queue",
-        "serve_epoch" => "Provisioner epoch (bumped on every commit conflict)",
         "serve_workers" => "Worker threads in the daemon routing pool",
         "wal_seq" => "Highest journal sequence number appended to the WAL",
         "wal_checkpoint_seq" => "Journal sequence of the last durable checkpoint",
@@ -351,7 +350,7 @@ mod tests {
     fn gauges_round_trip_and_merge_keeps_the_larger_reading() {
         let mut a = sample_sink(&[4]).snapshot();
         a.set_gauge("wal_seq", 10);
-        a.set_gauge("serve_epoch", 2);
+        a.set_gauge("serve_queue_depth", 2);
         let text = serde_json::to_string(&a).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, a);
@@ -360,7 +359,7 @@ mod tests {
         b.set_gauge("wal_seq", 25);
         a.merge(&b);
         assert_eq!(a.gauges["wal_seq"], 25);
-        assert_eq!(a.gauges["serve_epoch"], 2);
+        assert_eq!(a.gauges["serve_queue_depth"], 2);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ([`Phase::Request`], recorded by the driving loop) plus non-overlapping
 //! *sub-phase* spans recorded inside it by the pipeline (auxiliary-graph
 //! refresh, the two Suurballe passes, physical map-back, Lemma 2
-//! refinement, commit/abort). Because sub-phases nest inside the root and
+//! refinement, commit). Because sub-phases nest inside the root and
 //! never overlap each other, their durations sum to at most the root's, and
 //! the residual `root − Σ sub` is the pipeline's unattributed overhead —
 //! `wdm trace analyze` reports exactly this decomposition.
@@ -54,10 +54,6 @@ pub enum Phase {
     Refine,
     /// Committing the route (occupy + journal append).
     Commit,
-    /// A routed result discarded before commit. Nothing in the workspace
-    /// records it today; the slot keeps the `phase_ns` index layout of
-    /// existing trace files.
-    Abort,
     /// Daemon: reading and validating the request off the socket — the
     /// admission decision for this request's routing work.
     Admission,
@@ -67,14 +63,11 @@ pub enum Phase {
     /// Daemon: waiting to acquire the shared provisioner lock (read lock
     /// before routing plus write lock before commit).
     LockAcquire,
-    /// Daemon: the warm-context epoch check under the read lock (and the
-    /// context invalidation it forces after a rollback).
-    EpochCheck,
     /// Daemon: appending the journal event to the WAL and flushing it.
     WalFsync,
-    /// Daemon: a conflicted optimistic commit — atomic rollback plus the
-    /// re-route and re-commit under the write lock.
-    Rollback,
+    /// Daemon: a commit refused because the route went stale, plus the
+    /// re-route under the write lock (the re-commit is [`Phase::Commit`]).
+    Reroute,
     /// Daemon: serialising the response and writing it to the socket.
     Respond,
     /// Recorder bookkeeping on the request's own thread: structured route
@@ -84,7 +77,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 14;
 
     /// Every variant, in index order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -95,13 +88,11 @@ impl Phase {
         Phase::MapBack,
         Phase::Refine,
         Phase::Commit,
-        Phase::Abort,
         Phase::Admission,
         Phase::QueueWait,
         Phase::LockAcquire,
-        Phase::EpochCheck,
         Phase::WalFsync,
-        Phase::Rollback,
+        Phase::Reroute,
         Phase::Respond,
         Phase::Telemetry,
     ];
@@ -116,13 +107,11 @@ impl Phase {
             Phase::MapBack => "map_back",
             Phase::Refine => "refine",
             Phase::Commit => "commit",
-            Phase::Abort => "abort",
             Phase::Admission => "admission",
             Phase::QueueWait => "queue_wait",
             Phase::LockAcquire => "lock_acquire",
-            Phase::EpochCheck => "epoch_check",
             Phase::WalFsync => "wal_fsync",
-            Phase::Rollback => "rollback",
+            Phase::Reroute => "reroute",
             Phase::Respond => "respond",
             Phase::Telemetry => "telemetry",
         }
