@@ -554,17 +554,7 @@ impl AuxEngine {
     /// depend on it.
     fn refresh_admission(&mut self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) {
         let ei = e.index();
-        let adm = if state.avail(net, e).is_empty() {
-            false
-        } else {
-            match (self.spec.threshold, self.spec.basis) {
-                (None, _) => true,
-                (Some(th), ThresholdBasis::CurrentLoad) => state.load(net, e) < th - 1e-12,
-                (Some(th), ThresholdBasis::ProspectiveLoad) => {
-                    state.prospective_load(net, e) <= th + 1e-12
-                }
-            }
-        };
+        let adm = self.spec.admits(net, state, e);
         self.admitted[ei] = adm;
         // The traversal arc of link `e` is arc `e`.
         if self.warm && adm && !self.enabled[ei] {

@@ -31,6 +31,7 @@
 //!   [`AuxSpec::g_rc_as_printed`] for the ablation experiment.
 
 use crate::network::{ResidualState, WdmNetwork};
+use wdm_graph::traverse::edge_connectivity_filtered;
 use wdm_graph::{DiGraph, EdgeId, NodeId};
 
 /// What an auxiliary-graph node stands for.
@@ -166,6 +167,42 @@ impl AuxSpec {
             basis: ThresholdBasis::CurrentLoad,
         }
     }
+
+    /// Whether physical link `e` is admitted under `state`: it has an
+    /// available wavelength and, if thresholded, passes the load threshold
+    /// on this spec's basis. The one admission rule of every auxiliary
+    /// graph, scratch or incremental, and of the threshold flow check.
+    pub fn admits(&self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) -> bool {
+        if state.avail(net, e).is_empty() {
+            return false;
+        }
+        match (self.threshold, self.basis) {
+            (None, _) => true,
+            (Some(th), ThresholdBasis::CurrentLoad) => state.load(net, e) < th - 1e-12,
+            (Some(th), ThresholdBasis::ProspectiveLoad) => {
+                state.prospective_load(net, e) <= th + 1e-12
+            }
+        }
+    }
+
+    /// Whether the admitted links carry two edge-disjoint `s → t` paths: a
+    /// unit-capacity flow capped at 2, `O(n + m)` per augmentation.
+    ///
+    /// Necessary for an auxiliary pair under any conversion tables: the
+    /// two legs of a pair cross disjoint admitted links. Under full
+    /// conversion it is also sufficient, because every admitted link has a
+    /// free wavelength, so every consecutive pair of admitted links has a
+    /// conversion arc and two disjoint physical paths map to two disjoint
+    /// auxiliary ones.
+    pub fn admits_disjoint_pair(
+        &self,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        s: NodeId,
+        t: NodeId,
+    ) -> bool {
+        edge_connectivity_filtered(net.graph(), s, t, 2, |e| self.admits(net, state, e)) == 2
+    }
 }
 
 /// An auxiliary graph together with the mappings back to the physical
@@ -201,24 +238,10 @@ impl AuxGraph {
         let mut out_node: Vec<Option<NodeId>> = vec![None; m];
         let mut in_node: Vec<Option<NodeId>> = vec![None; m];
 
-        // Admission: availability plus optional load threshold.
-        let admitted = |e: EdgeId| -> bool {
-            if state.avail(net, e).is_empty() {
-                return false;
-            }
-            match (spec.threshold, spec.basis) {
-                (None, _) => true,
-                (Some(th), ThresholdBasis::CurrentLoad) => state.load(net, e) < th - 1e-12,
-                (Some(th), ThresholdBasis::ProspectiveLoad) => {
-                    state.prospective_load(net, e) <= th + 1e-12
-                }
-            }
-        };
-
         // Edge-nodes and traversal links.
         for ei in 0..m {
             let e = EdgeId::from(ei);
-            if !admitted(e) {
+            if !spec.admits(net, state, e) {
                 continue;
             }
             let uo = graph.add_node(AuxNode::OutNode(e));

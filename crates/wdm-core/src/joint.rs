@@ -1,12 +1,20 @@
 //! §4.2: optimising the network load *and* the routing cost together.
 //!
 //! Two phases:
-//! 1. run [`find_two_paths_mincog`](crate::mincog::find_two_paths_mincog)
-//!    to obtain the smallest feasible load threshold `ϑ`;
+//! 1. climb the threshold ladder of
+//!    [`find_two_paths_mincog`](crate::mincog::find_two_paths_mincog) to
+//!    the smallest feasible load threshold `ϑ`;
 //! 2. rebuild the thresholded auxiliary graph as `G_rc(ϑ)` — same admitted
-//!    links, but **cost** weights (average traversal over `N(e)`, average
-//!    conversion) — run Suurballe on it, and refine each path with the
-//!    Liang–Shen algorithm.
+//!    links, but **cost** weights (average traversal over `|Λ_avail(e)|`,
+//!    average conversion) — run Suurballe on it, and refine each path with
+//!    the Liang–Shen algorithm.
+//!
+//! Phase 1 needs only the threshold, never MinCog's route. Its rungs are
+//! decided by a two-path flow check on the admitted links (see
+//! [`crate::mincog`]), so under full conversion it builds and searches no
+//! `G_c` at all, and a request costs one Suurballe search, on `G_rc`. Under
+//! restricted conversion each flow-feasible rung still searches `G_c` and
+//! refines, because refinement can fail there.
 //!
 //! The result honours the load budget discovered in phase 1 while choosing
 //! the cheapest pair among routes that fit it — the paper's headline
@@ -16,7 +24,7 @@ use crate::aux_engine::RouterCtx;
 use crate::aux_graph::AuxSpec;
 use crate::disjoint::refine_leg;
 use crate::error::RoutingError;
-use crate::mincog::{find_two_paths_mincog_ctx, route_bottleneck_load};
+use crate::mincog::{route_bottleneck_load, threshold_ladder};
 use crate::network::{ResidualState, WdmNetwork};
 use crate::semilightpath::RobustRoute;
 use wdm_graph::NodeId;
@@ -31,7 +39,7 @@ pub struct JointOutcome {
     pub route: RobustRoute,
     /// Bottleneck prospective load over the final route's links.
     pub bottleneck_load: f64,
-    /// Phase-1 probes (G_c constructions).
+    /// Phase-1 threshold probes (ladder rungs decided).
     pub phase1_probes: usize,
 }
 
@@ -46,9 +54,10 @@ pub fn find_two_paths_joint(
     find_two_paths_joint_with(&mut RouterCtx::new(), net, state, s, t, a, false)
 }
 
-/// [`find_two_paths_joint`] over a caller-owned [`RouterCtx`]: both phases
-/// run on incrementally maintained auxiliary-graph engines (`G_c` for the
-/// threshold search, `G_rc` for the cost pass) that persist across requests.
+/// [`find_two_paths_joint`] over a caller-owned [`RouterCtx`]: the cost
+/// pass (and, under restricted conversion, the threshold search) runs on
+/// incrementally maintained auxiliary-graph engines that persist across
+/// requests, and the context carries MinCog's warm start.
 pub fn find_two_paths_joint_ctx<R: Recorder, T: Tracer>(
     ctx: &mut RouterCtx<R, T>,
     net: &WdmNetwork,
@@ -94,31 +103,37 @@ fn find_two_paths_joint_with<R: Recorder, T: Tracer>(
     a: f64,
     as_printed: bool,
 ) -> Result<JointOutcome, RoutingError> {
-    // Phase 1: minimal feasible threshold.
-    let phase1 = find_two_paths_mincog_ctx(ctx, net, state, s, t, a)?;
+    // Phase 1: the minimal feasible threshold, from MinCog's ladder.
+    let rung = threshold_ladder(ctx, net, state, s, t, a)?;
+    let (threshold, phase1_probes) = (rung.threshold, rung.probes);
 
     // Phase 2: cheapest pair within the threshold (G_rc weights).
     let spec = if as_printed {
-        AuxSpec::g_rc_as_printed(phase1.threshold)
+        AuxSpec::g_rc_as_printed(threshold)
     } else {
-        AuxSpec::g_rc(phase1.threshold)
+        AuxSpec::g_rc(threshold)
     };
-    // Phase 1 proved feasibility at this threshold, so the pair search
-    // cannot fail; defensive fallback keeps the phase-1 route.
+    // G_rc admits exactly the links and conversion arcs G_c admitted at
+    // this rung, which phase 1 proved carry a pair, so the pair search
+    // cannot fail; the defensive fallback keeps the rung's G_c route.
     let route = match ctx.disjoint_pair(net, state, s, t, spec) {
         Some((_, [phys_a, phys_b])) => {
             let leg_a = refine_leg(net, state, s, t, &phys_a)?;
             let leg_b = refine_leg(net, state, s, t, &phys_b)?;
             RobustRoute::ordered(leg_a, leg_b)
         }
-        None => phase1.route,
+        None => {
+            rung.into_pair(ctx, net, state, s, t, a)
+                .ok_or(RoutingError::LoadSearchExhausted)?
+                .0
+        }
     };
     let bottleneck_load = route_bottleneck_load(net, state, &route);
     Ok(JointOutcome {
-        threshold: phase1.threshold,
+        threshold,
         route,
         bottleneck_load,
-        phase1_probes: phase1.probes,
+        phase1_probes,
     })
 }
 

@@ -26,6 +26,17 @@
 //! `O(log 1/Δ)` probe count. [`exact_min_load_threshold`] additionally
 //! provides the true optimum by binary search over the *discrete* candidate
 //! set `{(U(e)+1)/N(e)}`, used by the T3 experiment as the baseline.
+//!
+//! **Rungs are decided by flow.** A rung is feasible when `G_c` has a pair
+//! that refines. Whether it has a pair at all is a unit-capacity flow
+//! question on the physical links the rung admits
+//! ([`AuxSpec::admits_disjoint_pair`]): two `O(n + m)` augmentations
+//! instead of two Suurballe passes over the `2 + 2m`-node `G_c`. Under full
+//! conversion the flow check decides the rung exactly, so the ladder
+//! searches nothing; MinCog then runs one `G_c` search at the accepted
+//! rung, and the §4.2 joint policy none (its phase 2 searches `G_rc`).
+//! Under restricted conversion a rung that passes the flow check still
+//! needs the `G_c` search and both refinements.
 
 use crate::aux_engine::RouterCtx;
 use crate::aux_graph::AuxSpec;
@@ -34,7 +45,7 @@ use crate::error::RoutingError;
 use crate::network::{ResidualState, WdmNetwork};
 use crate::semilightpath::RobustRoute;
 use wdm_graph::{EdgeId, NodeId};
-use wdm_telemetry::{Counter, Hist, Recorder, Tracer};
+use wdm_telemetry::{Counter, Hist, Phase, Recorder, Tracer};
 
 /// Default exponential base `a` for the congestion weights. The paper only
 /// requires `a > 1`; the experiments sweep `a ∈ {2, e, 10}`.
@@ -49,7 +60,7 @@ pub struct MinCogOutcome {
     pub aux_paths: [Vec<EdgeId>; 2],
     /// The refined semilightpath pair.
     pub route: RobustRoute,
-    /// Number of `G_c` constructions (threshold probes) performed.
+    /// Number of threshold probes (ladder rungs decided).
     pub probes: usize,
 }
 
@@ -59,10 +70,11 @@ pub struct MinCogOutcome {
 /// count as infeasible so the search escalates instead of failing (with
 /// full conversion, the paper's assumption (i), refinement never fails).
 ///
-/// Consecutive probes reuse the context's `G_c` engine: only the admission
-/// mask changes between thresholds, so each probe after the first is an
-/// `O(m)` re-mask plus the searches — no graph construction, no `O(W²)`
-/// conversion sums.
+/// The ladder calls this only where the flow check cannot decide alone: at
+/// each flow-feasible rung under restricted conversion, and once at the
+/// accepted rung under full conversion. Calls reuse the context's `G_c`
+/// engine, whose threshold changes cost an `O(m)` re-mask — no graph
+/// construction, no `O(W²)` conversion sums.
 pub(crate) fn probe_route<R: Recorder, T: Tracer>(
     ctx: &mut RouterCtx<R, T>,
     net: &WdmNetwork,
@@ -109,7 +121,7 @@ pub fn threshold_bounds(net: &WdmNetwork, state: &ResidualState) -> (f64, f64) {
 /// (see the module docs): probes `ϑ_min, 2ϑ_min, 4ϑ_min, …` capped at
 /// `ϑ_max`, accepting the first feasible threshold. Guarantees
 /// `ϑ ≤ 2·ϑ*` (stronger than Theorem 3's 3×) in `O(log(ϑ_max/ϑ_min))`
-/// Suurballe probes. `a` is the exponential congestion base of `G_c`.
+/// probes. `a` is the exponential congestion base of `G_c`.
 ///
 /// A threshold `ϑ` admits links with `ρ(e) < ϑ`; because a routed pair
 /// occupies one extra channel per chosen link, the *resulting* network load
@@ -136,10 +148,11 @@ fn ladder_rung(theta_min: f64, theta_max: f64, i: u32) -> f64 {
     theta
 }
 
-/// [`find_two_paths_mincog`] over a caller-owned [`RouterCtx`]: every probe
-/// of the threshold search shares one incrementally maintained `G_c` engine
-/// (probes after the first only re-mask admission), and a long-lived
-/// context additionally amortises across requests.
+/// [`find_two_paths_mincog`] over a caller-owned [`RouterCtx`]: the
+/// threshold ladder decides its rungs by flow checks (see the module docs)
+/// and, under full conversion, the `G_c` engine searches once, at the
+/// accepted rung; a long-lived context amortises that engine across
+/// requests.
 ///
 /// **Warm start.** The context remembers the accepted ladder rung of the
 /// previous search together with the residual-state change clock it was
@@ -162,6 +175,73 @@ pub fn find_two_paths_mincog_ctx<R: Recorder, T: Tracer>(
     t: NodeId,
     a: f64,
 ) -> Result<MinCogOutcome, RoutingError> {
+    let rung = threshold_ladder(ctx, net, state, s, t, a)?;
+    let (threshold, probes) = (rung.threshold, rung.probes);
+    let (route, aux_paths) = rung
+        .into_pair(ctx, net, state, s, t, a)
+        .ok_or(RoutingError::LoadSearchExhausted)?;
+    Ok(MinCogOutcome {
+        threshold,
+        aux_paths,
+        route,
+        probes,
+    })
+}
+
+/// A refined `G_c` pair: the route and both legs' physical edges.
+type Pair = (RobustRoute, [Vec<EdgeId>; 2]);
+
+/// The accepted rung of the threshold ladder.
+pub(crate) struct Rung {
+    /// The rung's admission threshold (`ϑ` plus the hair).
+    pub(crate) threshold: f64,
+    /// Rungs decided, the accepted one included.
+    pub(crate) probes: usize,
+    /// The rung's `G_c` pair, if deciding the rung searched for it
+    /// (restricted conversion only).
+    pair: Option<Pair>,
+}
+
+impl Rung {
+    /// The rung's `G_c` pair, searched for now if the flow check alone
+    /// decided the rung. Under full conversion that search cannot fail:
+    /// the rung's two disjoint admitted paths are a `G_c` pair, and every
+    /// admitted link has a wavelength to refine onto.
+    pub(crate) fn into_pair<R: Recorder, T: Tracer>(
+        self,
+        ctx: &mut RouterCtx<R, T>,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        s: NodeId,
+        t: NodeId,
+        a: f64,
+    ) -> Option<Pair> {
+        let threshold = self.threshold;
+        self.pair
+            .or_else(|| probe_route(ctx, net, state, s, t, AuxSpec::g_c(a, threshold)))
+    }
+}
+
+/// MinCog's threshold ladder, shared by §4.1 and §4.2: the smallest rung
+/// of `ϑ_min, 2ϑ_min, 4ϑ_min, …` (capped at `ϑ_max`) that is feasible,
+/// with the warm start described at [`find_two_paths_mincog_ctx`].
+///
+/// A rung is feasible when the links it admits carry two edge-disjoint
+/// `s → t` paths ([`AuxSpec::admits_disjoint_pair`]) and, under restricted
+/// conversion only, its `G_c` pair also refines ([`probe_route`]). The flow
+/// check is exact either way: no physical pair means no auxiliary pair,
+/// and refinement can fail only under restricted conversion. So under full
+/// conversion the ladder runs no Suurballe search at all, and each rung
+/// costs `O(n + m)` per augmentation instead of two Suurballe passes over
+/// the `2 + 2m`-node `G_c` and two refinements.
+pub(crate) fn threshold_ladder<R: Recorder, T: Tracer>(
+    ctx: &mut RouterCtx<R, T>,
+    net: &WdmNetwork,
+    state: &ResidualState,
+    s: NodeId,
+    t: NodeId,
+    a: f64,
+) -> Result<Rung, RoutingError> {
     if s == t {
         return Err(RoutingError::DegenerateRequest);
     }
@@ -169,8 +249,9 @@ pub fn find_two_paths_mincog_ctx<R: Recorder, T: Tracer>(
     if theta_max <= 0.0 {
         return Err(RoutingError::LoadSearchExhausted);
     }
+    let full = net.full_conversion();
     let epoch = state.change_clock();
-    let warm_rung = if net.full_conversion() {
+    let warm_rung = if full {
         ctx.mincog_warm
             .filter(|&(ep, _)| ep == epoch)
             .map(|(_, i)| i)
@@ -182,9 +263,22 @@ pub fn find_two_paths_mincog_ctx<R: Recorder, T: Tracer>(
     // ϑ is an *exclusive* upper bound on current load; to admit links whose
     // prospective load equals the probe value we add a hair.
     let bump = 1e-9;
-    let mut probe = |probes: &mut usize, theta: f64| {
+    // `Some(_)` when the rung is feasible, holding its `G_c` pair only if
+    // deciding it needed the search (restricted conversion). The flow check
+    // is timed as aux refresh: it walks the rung's admission mask.
+    let mut probe = |probes: &mut usize, theta: f64| -> Option<Option<Pair>> {
         *probes += 1;
-        probe_route(ctx, net, state, s, t, AuxSpec::g_c(a, theta + bump))
+        let spec = AuxSpec::g_c(a, theta + bump);
+        let t0 = ctx.tracer().now_ns();
+        let carries = spec.admits_disjoint_pair(net, state, s, t);
+        if ctx.tracer().enabled() {
+            ctx.tracer().record(Phase::AuxRefresh, t0);
+        }
+        match (carries, full) {
+            (false, _) => None,
+            (true, true) => Some(None),
+            (true, false) => probe_route(ctx, net, state, s, t, spec).map(Some),
+        }
     };
 
     let accepted = if let Some(start) = warm_rung {
@@ -237,15 +331,14 @@ pub fn find_two_paths_mincog_ctx<R: Recorder, T: Tracer>(
     };
     record_probes(ctx, probes);
     match accepted {
-        Some((rung, theta, (route, aux_paths))) => {
-            if net.full_conversion() {
+        Some((rung, theta, pair)) => {
+            if full {
                 ctx.mincog_warm = Some((epoch, rung));
             }
-            Ok(MinCogOutcome {
+            Ok(Rung {
                 threshold: theta + bump,
-                aux_paths,
-                route,
                 probes,
+                pair,
             })
         }
         // ϑ exceeded the max bound without a pair: drop the request.

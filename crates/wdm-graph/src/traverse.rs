@@ -1,10 +1,10 @@
 //! Graph traversal utilities: BFS, DFS, reachability, strongly connected
-//! components (Tarjan), topological sort, and a 2-edge-connectivity probe
-//! used to check that generated WAN topologies can support robust routing
-//! between all node pairs.
+//! components (Tarjan), topological sort, and local edge connectivity by
+//! BFS augmentation — the 2-edge-connectivity probe that checks generated
+//! WAN topologies support robust routing between all node pairs, and the
+//! two-path check that decides MinCog's threshold rungs.
 
-use crate::mincostflow::MinCostFlow;
-use crate::{DiGraph, NodeId};
+use crate::{DiGraph, EdgeId, NodeId};
 
 /// Nodes reachable from `source` (including it), by BFS.
 pub fn reachable_from<N, E>(g: &DiGraph<N, E>, source: NodeId) -> Vec<bool> {
@@ -137,29 +137,88 @@ pub fn topological_sort<N, E>(g: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
     (order.len() == n).then_some(order)
 }
 
-/// Max number of edge-disjoint `s -> t` paths (local edge connectivity),
-/// computed by unit-capacity max-flow. `robust routing between (s, t)` is
-/// feasible iff this is ≥ 2.
+/// Max number of edge-disjoint `s -> t` paths (local edge connectivity).
+/// `robust routing between (s, t)` is feasible iff this is ≥ 2.
 pub fn edge_connectivity<N, E>(g: &DiGraph<N, E>, s: NodeId, t: NodeId) -> usize {
+    edge_connectivity_filtered(g, s, t, usize::MAX, |_| true)
+}
+
+/// Number of edge-disjoint `s -> t` paths over the edges `filter` accepts,
+/// capped at `cap`: a unit-capacity max-flow by at most `cap` BFS
+/// augmentations, each `O(n + m)`. Parallel edges count separately. An
+/// edge carrying flow is crossed backwards regardless of `filter`, so
+/// `filter` is asked only about unused edges, lazily as the searches reach
+/// them (possibly more than once per edge, so it must be pure).
+pub fn edge_connectivity_filtered<N, E>(
+    g: &DiGraph<N, E>,
+    s: NodeId,
+    t: NodeId,
+    cap: usize,
+    mut filter: impl FnMut(EdgeId) -> bool,
+) -> usize {
+    const UNSEEN: u32 = u32::MAX;
     if s == t {
         return 0;
     }
-    let mut mcf = MinCostFlow::new(g.node_count());
-    for e in g.edge_ids() {
-        let (u, v) = g.endpoints(e);
-        mcf.add_arc(u, v, 1, 0.0, Some(e));
+    let mut used = vec![false; g.edge_count()];
+    // Per node: the edge the current search reached it by.
+    let mut via = vec![UNSEEN; g.node_count()];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(g.node_count());
+    let mut flow = 0;
+    while flow < cap {
+        via.fill(UNSEEN);
+        // `s` is marked seen with a value no edge id reaches as a sentinel.
+        via[s.index()] = UNSEEN - 1;
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        'bfs: while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &e in g.out_edges(u) {
+                let v = g.dst(e);
+                if via[v.index()] == UNSEEN && !used[e.index()] && filter(e) {
+                    via[v.index()] = e.0;
+                    if v == t {
+                        break 'bfs;
+                    }
+                    queue.push(v);
+                }
+            }
+            for &e in g.in_edges(u) {
+                let v = g.src(e);
+                if via[v.index()] == UNSEEN && used[e.index()] {
+                    via[v.index()] = e.0;
+                    queue.push(v);
+                }
+            }
+        }
+        if via[t.index()] == UNSEEN {
+            break;
+        }
+        // Walk the augmenting path back from `t`: an unused edge was
+        // crossed forwards and now carries flow; a used one was crossed
+        // backwards and is freed.
+        let mut v = t;
+        while v != s {
+            let e = EdgeId(via[v.index()]);
+            used[e.index()] = !used[e.index()];
+            v = if used[e.index()] { g.src(e) } else { g.dst(e) };
+        }
+        flow += 1;
     }
-    mcf.solve(s, t, i64::MAX >> 1).flow as usize
+    flow
 }
 
 /// Whether every ordered pair of distinct nodes admits ≥ 2 edge-disjoint
 /// paths (the precondition for robust routing to always be feasible).
-/// O(n² · maxflow); intended for topology validation, not hot paths.
+/// O(n² · (n + m)); intended for topology validation, not hot paths.
 pub fn is_two_edge_connected<N, E>(g: &DiGraph<N, E>) -> bool {
     let n = g.node_count();
     for s in 0..n {
         for t in 0..n {
-            if s != t && edge_connectivity(g, NodeId::from(s), NodeId::from(t)) < 2 {
+            let (s, t) = (NodeId::from(s), NodeId::from(t));
+            if s != t && edge_connectivity_filtered(g, s, t, 2, |_| true) < 2 {
                 return false;
             }
         }
@@ -170,7 +229,12 @@ pub fn is_two_edge_connected<N, E>(g: &DiGraph<N, E>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mincostflow::MinCostFlow;
+    use crate::suurballe::edge_disjoint_pair_filtered;
     use crate::DiGraph;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn reachability_and_bfs() {
@@ -253,5 +317,126 @@ mod tests {
         assert!(is_two_edge_connected(&ring));
         let chain = DiGraph::weighted(2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         assert!(!is_two_edge_connected(&chain));
+    }
+
+    /// The unit-capacity `MinCostFlow` value over the edges `keep` accepts:
+    /// the independent oracle for the BFS augmentation.
+    fn mcf_connectivity(g: &DiGraph<(), f64>, s: NodeId, t: NodeId, keep: &[bool]) -> usize {
+        let mut mcf = MinCostFlow::new(g.node_count());
+        for e in g.edge_ids().filter(|e| keep[e.index()]) {
+            let (u, v) = g.endpoints(e);
+            mcf.add_arc(u, v, 1, 0.0, Some(e));
+        }
+        mcf.solve(s, t, i64::MAX >> 1).flow as usize
+    }
+
+    /// Asserts both oracles agree with the capped BFS flow on `(g, keep)`.
+    fn check_two_path_oracles(g: &DiGraph<(), f64>, s: NodeId, t: NodeId, keep: &[bool]) {
+        let k = edge_connectivity_filtered(g, s, t, 2, |e| keep[e.index()]);
+        assert!(k <= 2);
+        assert_eq!(k, mcf_connectivity(g, s, t, keep).min(2), "MinCostFlow");
+        let pair = edge_disjoint_pair_filtered(g, s, t, |e| g.weight(e), |e| keep[e.index()]);
+        assert_eq!(k == 2, pair.is_some(), "Suurballe");
+        let uncapped = edge_connectivity_filtered(g, s, t, usize::MAX, |e| keep[e.index()]);
+        assert_eq!(uncapped, mcf_connectivity(g, s, t, keep), "uncapped");
+    }
+
+    #[test]
+    fn two_path_check_handles_arcs_at_the_terminals() {
+        // Walks may re-enter `s` (`1 -> 0`, `t -> s`) or leave `t`
+        // (`3 -> 2`), and both terminals carry self-loops; none of that adds
+        // a path: every route into `t` crosses the one `1 -> 3` arc.
+        let arcs = [
+            (0, 1, 1.0),
+            (1, 3, 1.0),
+            (3, 0, 1.0),
+            (1, 0, 1.0),
+            (3, 2, 1.0),
+            (0, 0, 1.0),
+            (3, 3, 1.0),
+            (0, 2, 1.0),
+            (2, 1, 1.0),
+        ];
+        let g = DiGraph::weighted(4, &arcs);
+        let (s, t) = (NodeId(0), NodeId(3));
+        assert_eq!(edge_connectivity_filtered(&g, s, t, 2, |_| true), 1);
+        check_two_path_oracles(&g, s, t, &vec![true; g.edge_count()]);
+        // A parallel `1 -> 3` arc makes the pair 0-1-3 / 0-2-1-3.
+        let mut arcs2 = arcs.to_vec();
+        arcs2.push((1, 3, 1.0));
+        let g2 = DiGraph::weighted(4, &arcs2);
+        assert_eq!(edge_connectivity_filtered(&g2, s, t, 2, |_| true), 2);
+        check_two_path_oracles(&g2, s, t, &vec![true; g2.edge_count()]);
+        // Filtering the parallel arc out drops it back to one path.
+        let mut keep = vec![true; g2.edge_count()];
+        keep[g2.edge_count() - 1] = false;
+        assert_eq!(
+            edge_connectivity_filtered(&g2, s, t, 2, |e| keep[e.index()]),
+            1
+        );
+        check_two_path_oracles(&g2, s, t, &keep);
+    }
+
+    #[test]
+    fn second_augmentation_cancels_flow_on_a_shared_edge() {
+        // BFS's first path 0-1-2-3 uses the shortcut 1 -> 2, which both
+        // disjoint routes 0-1-4-3 / 0-5-2-3 avoid: the second augmentation
+        // must cross it backwards (0-5-2, back to 1, then 1-4-3).
+        let g = DiGraph::weighted(
+            6,
+            &[
+                (0, 1, 1.0),
+                (0, 5, 1.0),
+                (1, 2, 1.0),
+                (1, 4, 1.0),
+                (2, 3, 1.0),
+                (4, 3, 1.0),
+                (5, 2, 1.0),
+            ],
+        );
+        let (s, t) = (NodeId(0), NodeId(3));
+        let mut keep = vec![true; g.edge_count()];
+        assert_eq!(edge_connectivity_filtered(&g, s, t, 1, |_| true), 1);
+        assert_eq!(edge_connectivity_filtered(&g, s, t, 2, |_| true), 2);
+        check_two_path_oracles(&g, s, t, &keep);
+        keep[3] = false; // 1 -> 4
+        assert_eq!(
+            edge_connectivity_filtered(&g, s, t, 2, |e| keep[e.index()]),
+            1
+        );
+        check_two_path_oracles(&g, s, t, &keep);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random multigraphs (parallel and antiparallel arcs, loops,
+        /// arcs into `s` and out of `t`) under random link filters, the
+        /// capped BFS flow equals the unit `MinCostFlow` value capped at 2
+        /// and Suurballe's pair/no-pair verdict.
+        #[test]
+        fn capped_flow_matches_min_cost_flow_and_suurballe(seed in 0u64..1_000_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(2..9u32);
+            let mut arcs = Vec::new();
+            for _ in 0..rng.gen_range(0..4 * n) {
+                arcs.push((rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..9) as f64));
+            }
+            // Duplicate a few arcs so parallel edges are common.
+            for i in 0..arcs.len().min(3) {
+                if rng.gen_bool(0.5) {
+                    arcs.push(arcs[i]);
+                }
+            }
+            let g = DiGraph::weighted(n as usize, &arcs);
+            let keep: Vec<bool> = (0..g.edge_count()).map(|_| rng.gen_bool(0.8)).collect();
+            let s = NodeId(rng.gen_range(0..n));
+            let t = NodeId(rng.gen_range(0..n));
+            if s == t {
+                prop_assert_eq!(edge_connectivity_filtered(&g, s, t, 2, |_| true), 0);
+            } else {
+                check_two_path_oracles(&g, s, t, &keep);
+            }
+        }
     }
 }

@@ -42,7 +42,8 @@ use std::time::Instant;
 pub enum Phase {
     /// Root span: the whole request, routing plus commit.
     Request,
-    /// Auxiliary-graph engine sync (skeleton build / dirty refresh).
+    /// Auxiliary-graph engine sync (skeleton build / dirty refresh), and
+    /// the threshold ladder's per-rung flow checks over the admission rule.
     AuxRefresh,
     /// Suurballe pass 1: shortest path on the enabled skeleton.
     SuurballeP1,
