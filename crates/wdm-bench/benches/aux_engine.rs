@@ -91,7 +91,7 @@ fn bench_hot_path(c: &mut Criterion) {
     });
 
     // The engine, searched through its CSR arrays with the integer bucket
-    // queue and warm Johnson potentials. Runs on a dyadic
+    // queue, as production routes. Runs on a dyadic
     // (quarter-integer cost, free conversion) instance of the same shape so
     // the integer certificate holds on every request.
     group.bench_function(BenchmarkId::new("engine_csr", "n100_d4_w8"), |b| {
@@ -103,7 +103,6 @@ fn bench_hot_path(c: &mut Criterion) {
         let mut st = ResidualState::fresh(&net);
         let mut churn = Churn::new(&net, 256, 13);
         let mut eng = AuxEngine::new(&net, AuxSpec::g_prime());
-        eng.set_warm_potentials(true);
         let mut arena = SearchArena::new();
         let mut k = 0usize;
         b.iter(|| {
@@ -111,13 +110,9 @@ fn bench_hot_path(c: &mut Criterion) {
             let (s, t) = reqs[k % reqs.len()];
             k += 1;
             eng.sync(&net, &st, s, t);
-            eng.warm_prepare(&net);
-            let (aux_s, aux_t) = (eng.source(), eng.sink());
-            let (view, int, pot) = eng.flat_parts();
-            let pair = match int {
-                Some(iw) => {
-                    arena.edge_disjoint_pair_flat_int(&view, &iw, Some(pot), aux_s, aux_t, || {})
-                }
+            let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
+            let pair = match eng.int_weights() {
+                Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, || {}),
                 None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, || {}),
             };
             black_box(pair.map(|p| p.total_cost))

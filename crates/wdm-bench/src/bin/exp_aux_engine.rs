@@ -10,10 +10,13 @@
 //!
 //! * **scratch** — the oracle pipeline: `AuxGraph::build` over the
 //!   residual state, then the allocating Suurballe (`edge_disjoint_pair`);
-//! * **csr**     — a persistent [`AuxEngine`] synced per request (only
-//!   dirty links refreshed) and searched through its CSR arrays by a
-//!   reusable [`SearchArena`]: integer-scaled bucket-heap Dijkstra with
-//!   warm Johnson potentials carried across requests.
+//! * **csr**     — the production path: a persistent [`AuxEngine`] synced
+//!   per request (only dirty links refreshed) and searched through its CSR
+//!   arrays by a reusable [`SearchArena`], with integer-scaled bucket-queue
+//!   Dijkstra.
+//!
+//! Every pass asserts that both pipelines return the same total-cost bits
+//! (or the same failure) for every request.
 //!
 //! Instances use quarter-integer link costs and free conversions so the
 //! integer certificate holds on every request (same topology distribution
@@ -99,54 +102,51 @@ fn requests(net: &WdmNetwork, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> 
         .collect()
 }
 
-/// One scratch-pipeline pass over the stream: (routes found, seconds).
-fn scratch_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (usize, f64) {
+/// One scratch-pipeline pass over the stream: (per-request total-cost
+/// bits, `None` where no pair exists; seconds).
+fn scratch_pass(
+    net: &WdmNetwork,
+    stream: &[(NodeId, NodeId)],
+    seed: u64,
+) -> (Vec<Option<u64>>, f64) {
     let mut st = ResidualState::fresh(net);
     let mut churn = Churn::new(net, 256, seed ^ 2);
-    let mut found = 0usize;
+    let mut totals = Vec::with_capacity(stream.len());
     let (_, secs) = timed(|| {
         for &(s, t) in stream {
             churn.step(net, &mut st);
             let aux = AuxGraph::build(net, &st, s, t, AuxSpec::g_prime());
-            if edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e)).is_some() {
-                found += 1;
-            }
+            let pair = edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e));
+            totals.push(pair.map(|p| p.total_cost.to_bits()));
         }
     });
-    (found, secs)
+    (totals, secs)
 }
 
 /// One CSR-pipeline pass over the identical stream: a fresh engine (so the
 /// skeleton build is charged to the pass, as in production start-up)
 /// synced per request and searched through its CSR arrays — integer
-/// bucket-heap Dijkstra with warm Johnson potentials when the dyadic
-/// certificate holds (always, on these instances), f64 fallback otherwise.
-fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (usize, f64) {
+/// bucket-queue Dijkstra when the dyadic certificate holds (always, on
+/// these instances), f64 fallback otherwise.
+fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (Vec<Option<u64>>, f64) {
     let mut st = ResidualState::fresh(net);
     let mut churn = Churn::new(net, 256, seed ^ 2);
     let mut eng = AuxEngine::new(net, AuxSpec::g_prime());
-    eng.set_warm_potentials(true);
     let mut arena = SearchArena::new();
-    let mut found = 0usize;
+    let mut totals = Vec::with_capacity(stream.len());
     let (_, secs) = timed(|| {
         for &(s, t) in stream {
             churn.step(net, &mut st);
             eng.sync(net, &st, s, t);
-            eng.warm_prepare(net);
-            let (aux_s, aux_t) = (eng.source(), eng.sink());
-            let (view, int, pot) = eng.flat_parts();
-            let pair = match int {
-                Some(iw) => {
-                    arena.edge_disjoint_pair_flat_int(&view, &iw, Some(pot), aux_s, aux_t, || {})
-                }
+            let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
+            let pair = match eng.int_weights() {
+                Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, || {}),
                 None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, || {}),
             };
-            if pair.is_some() {
-                found += 1;
-            }
+            totals.push(pair.map(|p| p.total_cost.to_bits()));
         }
     });
-    (found, secs)
+    (totals, secs)
 }
 
 fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) -> SizeResult {
@@ -161,11 +161,11 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
     let mut scratch_secs = f64::INFINITY;
     let mut csr_secs = f64::INFINITY;
     for _ in 0..passes {
-        let (found_scratch, ss) = scratch_pass(&net, &stream, seed);
-        let (found_csr, cs) = csr_pass(&net, &stream, seed);
+        let (scratch_totals, ss) = scratch_pass(&net, &stream, seed);
+        let (csr_totals, cs) = csr_pass(&net, &stream, seed);
         assert_eq!(
-            found_scratch, found_csr,
-            "the scratch and CSR pipelines must route identically"
+            scratch_totals, csr_totals,
+            "the scratch and CSR pipelines must return the same total cost per request"
         );
         scratch_secs = scratch_secs.min(ss);
         csr_secs = csr_secs.min(cs);

@@ -38,6 +38,10 @@
 //! depends only on that order and the weights — routes are identical, not
 //! merely equal-cost (`tests/engine_differential.rs` pins this).
 //!
+//! Each search is cold: [`SearchArena`]'s Suurballe stops pass 1 at the
+//! sink and derives pass 2's potentials from that partial tree, so no
+//! search state is carried from one request to the next.
+//!
 //! ### Staleness contract
 //!
 //! The engine trusts the state's change clocks. Syncing one engine against
@@ -50,7 +54,7 @@
 use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
 use crate::network::{ResidualState, WdmNetwork};
 use wdm_graph::suurballe::DisjointPair;
-use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
+use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, SearchArena};
 
 /// Fixed-point scale for integer weight certification: weights that are
 /// exact multiples of `2^-SCALE_SHIFT` get a `u64` key `weight << SCALE_SHIFT`.
@@ -61,9 +65,10 @@ use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchAr
 pub const SCALE_SHIFT: u32 = 6;
 
 /// Upper bound on a certified per-arc key. Keys above this (weights ≥ 1024)
-/// de-certify the arc: the bucket queue's span is `max_key + 1 + max π`, so
-/// unbounded keys would trade heap ops for unbounded bucket scans — and the
-/// exactness argument needs headroom below 2^53 for summed distances.
+/// de-certify the arc: the bucket queue's span is `max_key + 1` in pass 1
+/// and `max_key + 1 + d(t)` in pass 2, so unbounded keys would trade heap
+/// ops for unbounded bucket scans — and the exactness argument needs
+/// headroom below 2^53 for summed distances.
 const KEY_CAP: u64 = 1 << 16;
 use wdm_telemetry::{
     CacheOutcome, Counter, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer,
@@ -177,11 +182,11 @@ pub struct AuxEngine {
     arc_dst: Vec<u32>,
     /// Weight per arc id (meaningful only while the arc is enabled).
     arc_weight: Vec<f64>,
-    /// Certified integer key per arc id (valid only while `arc_exact`).
-    arc_key: Vec<u64>,
-    /// Whether the arc's weight is exactly `arc_key / 2^SCALE_SHIFT`.
+    /// Whether the arc's weight is exactly its certified key over
+    /// `2^SCALE_SHIFT`.
     arc_exact: Vec<bool>,
-    /// Slot-ordered mirrors of `arc_weight` / `enabled` / `arc_key`: the
+    /// Slot-ordered mirrors of `arc_weight` / `enabled`, and the certified
+    /// integer key per slot (valid only while its arc is `arc_exact`): the
     /// relaxation loops walk slots sequentially, so keeping their operands
     /// slot-contiguous spares an indirection per scanned arc.
     slot_weight: Vec<f64>,
@@ -192,17 +197,6 @@ pub struct AuxEngine {
     inexact: u32,
     /// Monotone upper bound on certified keys ever written.
     max_key: u64,
-
-    // ---- warm Johnson potentials (opt-in) ----
-    /// Whether searches may carry potentials across requests.
-    warm: bool,
-    /// The carried potentials (empty until the first warm search adopts).
-    pot: Potentials,
-    /// Arcs whose feasibility constraint may have tightened since the last
-    /// repair (weight decrease or disabled→enabled flip).
-    pi_events: Vec<u32>,
-    /// Worklist buffer for `pi_repair`.
-    pi_work: Vec<u32>,
 }
 
 impl AuxEngine {
@@ -328,24 +322,13 @@ impl AuxEngine {
             arc_dst: arcs.iter().map(|a| a.1).collect(),
             // All skeleton weights start at 0.0 == key 0, which certifies.
             arc_weight: vec![0.0; edge_count],
-            arc_key: vec![0; edge_count],
             arc_exact: vec![true; edge_count],
             slot_weight: vec![0.0; edge_count],
             slot_enabled: vec![false; edge_count],
             slot_key: vec![0; edge_count],
             inexact: 0,
             max_key: 0,
-            warm: false,
-            pot: Potentials::default(),
-            pi_events: Vec::new(),
-            pi_work: Vec::new(),
         }
-    }
-
-    /// Number of skeleton nodes (`2 + 2m`).
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.csr_off.len() - 1
     }
 
     /// Arc id of link `e`'s source tap `s' → u_out^e`.
@@ -411,12 +394,6 @@ impl AuxEngine {
             links_refreshed: 0,
             remasked: self.mask_stale,
         };
-        // A full refresh or a whole-mask recompute floods the engine with
-        // weight/enable transitions; carrying potentials across one would
-        // require trusting the very bookkeeping the reset discards. The
-        // all-zero potential is always feasible, so reset (satellite of the
-        // `ResidualState`-clock-restart hazard: all-dirty ⇒ full π rebuild).
-        let reset_pi = self.warm && (full || self.mask_stale);
         if full || self.mask_stale || state.change_clock() != self.synced_clock {
             self.pass += 1;
             let m = net.link_count();
@@ -435,22 +412,13 @@ impl AuxEngine {
             self.synced_clock = state.change_clock();
             self.ever_synced = true;
         }
-        if self.warm {
-            if reset_pi || self.inexact > 0 {
-                self.pot.reset(self.node_count());
-                self.pi_events.clear();
-            } else {
-                self.pi_repair();
-            }
-        }
         self.retarget(net, s, t);
         stats
     }
 
     /// Writes arc `i`'s weight and its slot mirror, maintaining the integer
-    /// certification and (when warm) the potential feasibility event queue.
+    /// certification.
     fn set_arc_weight(&mut self, i: usize, w: f64) {
-        let old = self.arc_weight[i];
         self.arc_weight[i] = w;
         let slot = self.arc_slot[i] as usize;
         self.slot_weight[slot] = w;
@@ -459,7 +427,6 @@ impl AuxEngine {
         let exact = scaled >= 0.0 && scaled <= KEY_CAP as f64 && scaled.fract() == 0.0;
         if exact {
             let key = scaled as u64;
-            self.arc_key[i] = key;
             self.slot_key[slot] = key;
             if key > self.max_key {
                 self.max_key = key;
@@ -472,10 +439,6 @@ impl AuxEngine {
             } else {
                 self.inexact += 1;
             }
-        }
-        if self.warm && w < old {
-            // A weight decrease can break π(v) ≤ π(u) + w.
-            self.pi_events.push(i as u32);
         }
     }
 
@@ -557,13 +520,7 @@ impl AuxEngine {
         let adm = self.spec.admits(net, state, e);
         self.admitted[ei] = adm;
         // The traversal arc of link `e` is arc `e`.
-        if self.warm && adm && !self.enabled[ei] {
-            // Newly enabled arc: its feasibility constraint comes into force.
-            self.pi_events.push(ei as u32);
-        }
         self.set_enabled(ei, adm);
-        // Tap constraints are re-derived from scratch each warm solve
-        // (`warm_prepare`), so their flips need no events.
         let src_en = adm && self.cur_s == Some(net.graph().src(e));
         self.set_enabled(self.src_tap(ei), src_en);
         let dst_en = adm && self.cur_t == Some(net.graph().dst(e));
@@ -579,11 +536,7 @@ impl AuxEngine {
     fn update_conv_enabled(&mut self, ci: usize) {
         let slot = self.conv[ci];
         let en = slot.k > 0 && self.admitted[slot.ein.index()] && self.admitted[slot.eout.index()];
-        let idx = slot.arc as usize;
-        if self.warm && en && !self.enabled[idx] {
-            self.pi_events.push(idx as u32);
-        }
-        self.set_enabled(idx, en);
+        self.set_enabled(slot.arc as usize, en);
     }
 
     /// Moves the terminal taps to `(s, t)`.
@@ -612,117 +565,6 @@ impl AuxEngine {
         }
     }
 
-    /// Restores the potential feasibility invariant after queued weight
-    /// decreases / arc enables by propagating upper-bound decreases forward
-    /// along the CSR (lowering `π(v)` can only break constraints on arcs
-    /// *out of* `v`). Budgeted: a change burst whose repair would cost more
-    /// than a few sweeps resets to the all-zero potential instead — always
-    /// feasible, merely cold.
-    fn pi_repair(&mut self) {
-        if self.pi_events.is_empty() {
-            return;
-        }
-        if self.pot.pi.is_empty() {
-            // Nothing adopted yet; zeros are feasible under any weights.
-            self.pi_events.clear();
-            return;
-        }
-        let n = self.node_count();
-        debug_assert_eq!(self.pot.pi.len(), n);
-        for k in 0..self.pi_events.len() {
-            let a = self.pi_events[k] as usize;
-            if !self.enabled[a] {
-                continue;
-            }
-            let (u, v) = (self.arc_src[a] as usize, self.arc_dst[a] as usize);
-            let bound = self.pot.pi[u] + self.arc_key[a];
-            if self.pot.pi[v] > bound {
-                self.pot.pi[v] = bound;
-                self.pi_work.push(v as u32);
-            }
-        }
-        self.pi_events.clear();
-        let mut budget = 4 * n as u64;
-        while let Some(x) = self.pi_work.pop() {
-            let x = x as usize;
-            for slot in self.csr_off[x] as usize..self.csr_off[x + 1] as usize {
-                if budget == 0 {
-                    self.pi_work.clear();
-                    self.pot.reset(n);
-                    return;
-                }
-                budget -= 1;
-                let a = self.csr_arc[slot] as usize;
-                if !self.enabled[a] {
-                    continue;
-                }
-                let v = self.csr_head[slot] as usize;
-                let bound = self.pot.pi[x] + self.arc_key[a];
-                if self.pot.pi[v] > bound {
-                    self.pot.pi[v] = bound;
-                    self.pi_work.push(v as u32);
-                }
-            }
-        }
-    }
-
-    /// Re-derives the terminal potentials for the current `(s, t)` taps.
-    /// The aux source has no in-arcs, so *raising* `π(source)` to the max
-    /// enabled src-tap head keeps every constraint satisfiable without
-    /// cascading; symmetrically the sink has no out-arcs, so *lowering*
-    /// `π(sink)` to the min enabled dst-tap tail is safe. Call after
-    /// [`AuxEngine::sync`] and before a warm search.
-    pub fn warm_prepare(&mut self, net: &WdmNetwork) {
-        if !self.warm || self.pot.pi.is_empty() {
-            return;
-        }
-        let (Some(s), Some(t)) = (self.cur_s, self.cur_t) else {
-            return;
-        };
-        let mut ps = 0u64;
-        for &e in net.graph().out_edges(s) {
-            let tap = self.src_tap(e.index());
-            if self.enabled[tap] {
-                ps = ps.max(self.pot.pi[self.arc_dst[tap] as usize]);
-            }
-        }
-        self.pot.pi[SOURCE as usize] = ps;
-        let mut pt = u64::MAX;
-        for &e in net.graph().in_edges(t) {
-            let tap = self.dst_tap(e.index());
-            if self.enabled[tap] {
-                pt = pt.min(self.pot.pi[self.arc_src[tap] as usize]);
-            }
-        }
-        // No enabled dst tap ⇒ the sink has no in-arcs at all, so its
-        // potential is unconstrained.
-        self.pot.pi[SINK as usize] = if pt == u64::MAX { 0 } else { pt };
-    }
-
-    /// Opts this engine in/out of carrying Johnson potentials across
-    /// requests (off by default). Warm starts keep every total cost
-    /// bit-identical under certified integer weights but may select a
-    /// different equal-cost optimum, so differential oracles leave this off.
-    pub fn set_warm_potentials(&mut self, on: bool) {
-        if self.warm != on {
-            self.warm = on;
-            self.pot = Potentials::default();
-            self.pi_events.clear();
-            self.pi_work.clear();
-        }
-    }
-
-    /// Whether warm potentials are enabled.
-    #[inline]
-    pub fn warm_potentials(&self) -> bool {
-        self.warm
-    }
-
-    /// The carried potentials (test observability).
-    pub fn potentials(&self) -> &Potentials {
-        &self.pot
-    }
-
     /// Whether every arc weight currently certifies as an exact multiple of
     /// `2^-SCALE_SHIFT` within the key cap — the precondition for the
     /// integer/bucket search path.
@@ -748,28 +590,14 @@ impl AuxEngine {
         }
     }
 
-    /// Split-borrow accessor for the search call: the flat view and (when
-    /// certified) the integer keys, alongside a mutable borrow of the
-    /// potentials for warm adoption.
-    pub fn flat_parts(&mut self) -> (FlatView<'_>, Option<IntWeights<'_>>, &mut Potentials) {
-        let int = (self.inexact == 0).then_some(IntWeights {
+    /// The integer keys of the skeleton's weights, when every weight
+    /// certifies ([`AuxEngine::int_certified`]).
+    pub fn int_weights(&self) -> Option<IntWeights<'_>> {
+        (self.inexact == 0).then_some(IntWeights {
             key: &self.slot_key,
             scale_shift: SCALE_SHIFT,
             max_key: self.max_key,
-        });
-        let view = FlatView {
-            offsets: &self.csr_off,
-            heads: &self.csr_head,
-            slot_arc: &self.csr_arc,
-            arc_slot: &self.arc_slot,
-            src: &self.arc_src,
-            dst: &self.arc_dst,
-            weight: &self.arc_weight,
-            enabled: &self.enabled,
-            slot_weight: &self.slot_weight,
-            slot_enabled: &self.slot_enabled,
-        };
-        (view, int, &mut self.pot)
+        })
     }
 
     /// `s'`.
@@ -859,7 +687,11 @@ impl RequestStats {
 /// the shared [`SearchArena`]. Hold one of these per network wherever
 /// requests are routed repeatedly (the simulator owns one per run) and the
 /// skeleton/refresh machinery amortises across every request; one-shot
-/// entry points create a throwaway context internally.
+/// entry points create a throwaway context internally. What persists is
+/// the engines' skeletons and weights and the arena's buffers; every
+/// search itself starts cold, so a warm context routes exactly as a fresh
+/// one would (`wdm-sim`'s `batch_equivalence.rs` and `conflict_warm_ctx.rs`
+/// check this).
 ///
 /// The context is generic over a [`Recorder`] and a [`Tracer`]. The
 /// defaults [`NoopRecorder`] / [`NoopTracer`] monomorphise all
@@ -884,8 +716,6 @@ pub struct RouterCtx<R: Recorder = NoopRecorder, T: Tracer = NoopTracer> {
     g_c_prospective: Option<AuxEngine>,
     g_rc: Option<AuxEngine>,
     g_rc_printed: Option<AuxEngine>,
-    /// Opt-in: engines carry Johnson potentials across requests.
-    warm: bool,
     /// MinCog warm-start memory: `(residual epoch, accepted ladder index)`
     /// of the last §4.1 threshold search (see `mincog::find_two_paths_mincog_ctx`).
     pub(crate) mincog_warm: Option<(u64, u32)>,
@@ -921,29 +751,7 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             g_c_prospective: None,
             g_rc: None,
             g_rc_printed: None,
-            warm: false,
             mincog_warm: None,
-        }
-    }
-
-    /// Opts every engine in this context into warm Johnson potentials
-    /// (off by default). Warm starts never change a pair's total cost under
-    /// the certified integer weights, but may pick a different equal-cost
-    /// optimum — leave off when exact route reproducibility against a cold
-    /// context matters.
-    pub fn set_warm_potentials(&mut self, on: bool) {
-        self.warm = on;
-        for e in [
-            &mut self.g_prime,
-            &mut self.g_c,
-            &mut self.g_c_prospective,
-            &mut self.g_rc,
-            &mut self.g_rc_printed,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            e.set_warm_potentials(on);
         }
     }
 
@@ -1048,7 +856,6 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             g_c_prospective,
             g_rc,
             g_rc_printed,
-            warm,
             ..
         } = &mut *self;
         // The refresh span opens before engine selection: a cold slot
@@ -1058,9 +865,7 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         let sync_t0 = tracer.now_ns();
         let (eng, built) =
             Self::engine_slot(g_prime, g_c, g_c_prospective, g_rc, g_rc_printed, net, spec);
-        eng.set_warm_potentials(*warm);
         let sync = eng.sync(net, state, s, t);
-        eng.warm_prepare(net);
         if tracing {
             tracer.record(Phase::AuxRefresh, sync_t0);
         }
@@ -1074,17 +879,14 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         // The searches run over the engine's CSR mirror: the bucket-queue
         // integer path when every weight certifies as dyadic (bit-identical
         // to the f64 path), the flat f64 d-ary path otherwise.
-        let (view, int, pot) = eng.flat_parts();
-        let warm_pot = if *warm { Some(pot) } else { None };
-        let pair_opt = match int {
-            Some(iw) => {
-                arena.edge_disjoint_pair_flat_int(&view, &iw, warm_pot, source, sink, || {
-                    if tracing {
-                        tracer.record(Phase::SuurballeP1, p1_t0);
-                        p2_t0 = Some(tracer.now_ns());
-                    }
-                })
-            }
+        let view = eng.flat_view();
+        let pair_opt = match eng.int_weights() {
+            Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, source, sink, || {
+                if tracing {
+                    tracer.record(Phase::SuurballeP1, p1_t0);
+                    p2_t0 = Some(tracer.now_ns());
+                }
+            }),
             None => arena.edge_disjoint_pair_flat(&view, source, sink, || {
                 if tracing {
                     tracer.record(Phase::SuurballeP1, p1_t0);

@@ -158,10 +158,9 @@ fn check_family(
     // certificate holds, the scaled bucket path — must be bit-identical to
     // each other over the same skeleton (same arc ids, same cost bits).
     let (aux_s, aux_t) = (eng.source(), eng.sink());
-    let int_pair = {
-        let (view, int, _pot) = eng.flat_parts();
-        int.map(|iw| arena.edge_disjoint_pair_flat_int(&view, &iw, None, aux_s, aux_t, || {}))
-    };
+    let int_pair = eng
+        .int_weights()
+        .map(|iw| arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, || {}));
     let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, || {});
     if let Some(ip) = &int_pair {
         assert_pair_bits(

@@ -217,31 +217,6 @@ pub struct IntWeights<'a> {
     pub max_key: u64,
 }
 
-/// Johnson-style vertex potentials carried across searches (key units).
-///
-/// Feasibility invariant: `pi[v] <= pi[u] + key(a)` for every *enabled* arc
-/// `a: u -> v`, so reduced keys `key(a) + pi[u] - pi[v]` are non-negative.
-/// `max` is an upper bound on every entry (it sizes the bucket span:
-/// reduced keys never exceed `max_key + max`). The owner (the aux engine)
-/// must repair or reset the potentials whenever an arc weight decreases or a
-/// disabled arc becomes enabled; the all-zero vector is always feasible.
-#[derive(Debug, Clone, Default)]
-pub struct Potentials {
-    /// Per-node potential in key units.
-    pub pi: Vec<u64>,
-    /// Upper bound on `pi` entries.
-    pub max: u64,
-}
-
-impl Potentials {
-    /// Resets to the all-zero (always feasible) potential over `n` nodes.
-    pub fn reset(&mut self, n: usize) {
-        self.pi.clear();
-        self.pi.resize(n, 0);
-        self.max = 0;
-    }
-}
-
 /// A generation-stamped boolean edge set.
 #[derive(Debug, Clone, Default)]
 struct EdgeMask {
@@ -360,26 +335,33 @@ impl SearchArena {
         if s == t {
             return None;
         }
-        // Pass 1: shortest path tree from s.
+        // Pass 1: Dijkstra from s, stopped when t is popped. Settled nodes
+        // hold exact distances d(v) <= d(t); every other node is at least
+        // d(t) away.
         self.allocs += dijkstra_into(
             &mut self.t1,
             &mut self.heap,
             g,
             s,
-            None,
+            t,
             &mut cost,
             &mut filter,
         ) as u64;
         if !self.t1.reached(t) {
             return None;
         }
+        let d_t = self.t1.dist(t.index());
         let p1 = self.t1.path_to(g, t).expect("t is reached");
         self.allocs += self.mask.begin(g.edge_count()) as u64;
         for &e in &p1.edges {
             self.mask.set(e.index(), true);
         }
 
-        // Pass 2: residual graph with reduced costs.
+        // Pass 2: residual graph with reduced costs under the capped
+        // potentials pi(v) = min(d(v), d(t)). A tentative node's label is at
+        // least d(t) (t was the heap minimum) and an unreached node's is
+        // infinite, so both take d(t), and arcs into them stay in the
+        // residual: pass 2 may need nodes pass 1 never settled.
         let n = g.node_count();
         self.resid.clear_edges();
         if self.resid.node_count() < n {
@@ -404,10 +386,11 @@ impl SearchArena {
                         reversed: true,
                     },
                 );
-            } else if self.t1.reached(u) && self.t1.reached(v) {
-                let red = cost(e) + self.t1.dist(u.index()) - self.t1.dist(v.index());
+            } else {
+                let pi_u = self.t1.dist(u.index()).min(d_t);
+                let pi_v = self.t1.dist(v.index()).min(d_t);
                 // Floating-point noise can push a tight edge to -epsilon.
-                let red = red.max(0.0);
+                let red = (cost(e) + pi_u - pi_v).max(0.0);
                 self.resid.add_edge(
                     u,
                     v,
@@ -418,7 +401,6 @@ impl SearchArena {
                     },
                 );
             }
-            // Edges touching unreachable nodes cannot lie on any s->t path.
         }
         let (t2, resid) = (&mut self.t2, &self.resid);
         let grew = dijkstra_into(
@@ -426,7 +408,7 @@ impl SearchArena {
             &mut self.heap,
             resid,
             s,
-            Some(t),
+            t,
             |e| resid.edge(e).reduced,
             |_| true,
         );
@@ -518,39 +500,29 @@ impl SearchArena {
         t: NodeId,
         pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, None, None, s, t, pass1_done)
+        self.flat_pair_impl(g, None, s, t, pass1_done)
     }
 
     /// [`SearchArena::edge_disjoint_pair_flat`] under certified integer
     /// weights: both Dijkstra passes run on the monotone bucket queue with
     /// `u64` keys (falling back to the d-ary heap when a pass's key window
     /// exceeds `BUCKET_SPAN_CAP`). Results are bit-identical to the f64
-    /// path when `warm` is `None` or holds all-zero potentials.
-    ///
-    /// With `warm` potentials, pass 1 runs on reduced keys
-    /// `key(a) + pi[u] - pi[v]` — near-zero along previously-shortest paths,
-    /// which keeps the bucket scan short — and the finished tree is adopted
-    /// as the next search's potentials (unreached nodes take the running
-    /// max, which is feasible because no enabled arc can lead from a reached
-    /// to an unreached node). Warm starts change which equal-cost optimum is
-    /// selected, but never the optimal total cost.
+    /// path.
     pub fn edge_disjoint_pair_flat_int(
         &mut self,
         g: &FlatView<'_>,
         int: &IntWeights<'_>,
-        warm: Option<&mut Potentials>,
         s: NodeId,
         t: NodeId,
         pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, Some(int), warm, s, t, pass1_done)
+        self.flat_pair_impl(g, Some(int), s, t, pass1_done)
     }
 
     fn flat_pair_impl(
         &mut self,
         g: &FlatView<'_>,
         int: Option<&IntWeights<'_>>,
-        mut warm: Option<&mut Potentials>,
         s: NodeId,
         t: NodeId,
         mut pass1_done: impl FnMut(),
@@ -567,19 +539,21 @@ impl SearchArena {
             return None;
         }
 
-        // ---- Pass 1: shortest-path tree from s over enabled arcs. ----
-        // Max finite tree distance in key units (int paths only): bounds
-        // the pass-2 reduced costs, sizing its bucket span.
-        let mut mx_key = 0u64;
+        // ---- Pass 1: Dijkstra from s over enabled arcs, stopped when t is
+        // popped (as the pointer path does); `d_t` is d(t) in cost units.
+        let mut d_t = None;
+        self.allocs += self.t1.begin(n, s) as u64;
+        self.t1.set(s.index(), 0.0, None);
         match int {
             None => {
-                debug_assert!(warm.is_none(), "warm restart requires integer keys");
-                self.allocs += self.t1.begin(n, s) as u64;
                 self.heap.ensure_capacity(n);
                 self.heap.clear();
-                self.t1.set(s.index(), 0.0, None);
                 self.heap.insert(s.index(), 0.0);
                 while let Some((u, du)) = self.heap.pop_min() {
+                    if u == t.index() {
+                        d_t = Some(du);
+                        break;
+                    }
                     for slot in g.out_range(u) {
                         if !g.slot_enabled[slot] {
                             continue;
@@ -606,48 +580,24 @@ impl SearchArena {
                     "integer keys too large for exact f64 mirroring"
                 );
                 let inv_scale = 1.0 / (1u64 << iw.scale_shift) as f64;
-                if let Some(p) = warm.as_deref_mut() {
-                    if p.pi.len() != n {
-                        p.reset(n);
-                    }
-                }
-                // Warm restart only if the reduced-key window fits the
-                // bucket span cap; otherwise run cold (and still re-adopt).
-                let use_pi = warm
-                    .as_deref()
-                    .is_some_and(|p| iw.max_key + p.max < BUCKET_SPAN_CAP);
-                let (span, pi_s) = match (use_pi, warm.as_deref()) {
-                    (true, Some(p)) => (iw.max_key + p.max + 1, p.pi[s.index()]),
-                    _ => (iw.max_key + 1, 0),
-                };
-                self.allocs += self.t1.begin(n, s) as u64;
                 self.bucket.clear();
-                self.allocs += self.bucket.ensure(n, span) as u64;
-                self.t1.set(s.index(), 0.0, None);
+                self.allocs += self.bucket.ensure(n, iw.max_key + 1) as u64;
                 self.bucket.insert(s.index(), 0);
-                let pi_view: &[u64] = match (use_pi, warm.as_deref()) {
-                    (true, Some(p)) => &p.pi,
-                    _ => &[],
-                };
                 while let Some((u, du)) = self.bucket.pop_min() {
-                    let pi_u = if pi_view.is_empty() { 0 } else { pi_view[u] };
+                    if u == t.index() {
+                        d_t = Some(du as f64 * inv_scale);
+                        break;
+                    }
                     for slot in g.out_range(u) {
                         if !g.slot_enabled[slot] {
                             continue;
                         }
                         let v = g.heads[slot] as usize;
-                        let r = if pi_view.is_empty() {
-                            iw.key[slot]
-                        } else {
-                            debug_assert!(
-                                iw.key[slot] + pi_u >= pi_view[v],
-                                "infeasible potential in slot {slot}"
-                            );
-                            iw.key[slot] + pi_u - pi_view[v]
-                        };
-                        let nd = du + r;
-                        // Exact: nd < n * (max_key + pi.max) < 2^53.
-                        let ndf = nd as f64;
+                        let nd = du + iw.key[slot];
+                        // Exact (nd < n * max_key < 2^53), and scaling by a
+                        // power of two keeps the order: the tree holds the
+                        // f64 path's distances in cost units.
+                        let ndf = nd as f64 * inv_scale;
                         if ndf < self.t1.dist(v) {
                             self.t1
                                 .set(v, ndf, Some(EdgeId::from(g.slot_arc[slot] as usize)));
@@ -655,46 +605,9 @@ impl SearchArena {
                         }
                     }
                 }
-                // Convert key-unit (possibly reduced) distances to true cost
-                // units; with warm potentials, adopt the finished tree.
-                match warm {
-                    Some(p) => {
-                        let mut mx = 0u64;
-                        for v in 0..n {
-                            if self.t1.stamp[v] == self.t1.gen {
-                                let dk = if use_pi {
-                                    (self.t1.dist[v] as u64 + p.pi[v]) - pi_s
-                                } else {
-                                    self.t1.dist[v] as u64
-                                };
-                                self.t1.dist[v] = dk as f64 * inv_scale;
-                                p.pi[v] = dk;
-                                mx = mx.max(dk);
-                            }
-                        }
-                        for v in 0..n {
-                            if self.t1.stamp[v] != self.t1.gen {
-                                p.pi[v] = mx;
-                            }
-                        }
-                        p.max = mx;
-                        mx_key = mx;
-                    }
-                    None => {
-                        for v in 0..n {
-                            if self.t1.stamp[v] == self.t1.gen {
-                                let dk = self.t1.dist[v] as u64;
-                                mx_key = mx_key.max(dk);
-                                self.t1.dist[v] = dk as f64 * inv_scale;
-                            }
-                        }
-                    }
-                }
             }
         }
-        if !self.t1.reached(t) {
-            return None;
-        }
+        let d_t = d_t?;
         let p1 = self.t1.path_to_flat(g.src, t).expect("t is reached");
         self.allocs += self.mask.begin(m) as u64;
         self.allocs += self.mask_slot.begin(m) as u64;
@@ -706,9 +619,11 @@ impl SearchArena {
 
         // ---- Pass 2 runs directly over the CSR with a residual overlay ----
         // (no residual graph is materialised). The residual is: every
-        // enabled unmasked forward arc whose endpoints both lie in the
-        // pass-1 tree, at reduced cost `(w + d(u) - d(v)).max(0)`, plus
-        // each P1 arc reversed at reduced cost 0. P1 is a simple path, so a
+        // enabled unmasked forward arc at reduced cost
+        // `(w + pi(u) - pi(v)).max(0)` under the capped potentials
+        // `pi(v) = min(d(v), d(t))` (tentative and unreached nodes take
+        // d(t), exactly as in the pointer path), plus each P1 arc reversed
+        // at reduced cost 0. P1 is a simple path, so a
         // node has at most one masked in-arc — at most one reversed arc —
         // and merging it into the forward slot scan by ascending original
         // arc id reproduces the pointer path's residual insertion order,
@@ -725,25 +640,24 @@ impl SearchArena {
         self.allocs += self.t2.begin(n, s) as u64;
         let bucket2 = int.and_then(|iw| {
             let scale = (1u64 << iw.scale_shift) as f64;
-            // Reduced costs are bounded by max_key + (max tree distance in
-            // key units): a safe over-estimate of the Dial span needed.
-            let span2 = iw.max_key + mx_key + 1;
+            // Potentials lie in [0, d(t)], so reduced keys never exceed
+            // max_key + d(t) in key units.
+            let span2 = iw.max_key + (d_t * scale) as u64 + 1;
             (span2 <= BUCKET_SPAN_CAP).then_some((scale, span2))
         });
         match bucket2 {
             Some((scale, span2)) => {
-                let inv_scale = 1.0 / scale;
                 self.bucket.clear();
                 self.allocs += self.bucket.ensure(n, span2) as u64;
+                // The pass-2 tree stays in key units: only its reachability
+                // and predecessors are read.
                 self.t2.set(s.index(), 0.0, None);
                 self.bucket.insert(s.index(), 0);
                 while let Some((u, du)) = self.bucket.pop_min() {
                     if u == t.index() {
                         break;
                     }
-                    // Every pass-2 node is pass-1 reachable (induction from
-                    // s), so this distance is finite.
-                    let d1_u = self.t1.dist(u);
+                    let pi_u = self.t1.dist(u).min(d_t);
                     let mut pending_rev = self.rev_at[u];
                     for slot in g.out_range(u) {
                         if (pending_rev as usize) < g.slot_arc[slot] as usize {
@@ -760,13 +674,9 @@ impl SearchArena {
                             continue;
                         }
                         let v = g.heads[slot] as usize;
-                        if self.t1.stamp[v] != self.t1.gen {
-                            // Unreachable head: not a residual arc.
-                            continue;
-                        }
                         // Floating-point noise can push a tight edge to
                         // -epsilon; clamp exactly as the pointer path does.
-                        let red = (g.slot_weight[slot] + d1_u - self.t1.dist(v)).max(0.0);
+                        let red = (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t)).max(0.0);
                         let rk = (red * scale) as u64;
                         let nd = du + rk;
                         let ndf = nd as f64;
@@ -786,11 +696,6 @@ impl SearchArena {
                         }
                     }
                 }
-                for v in 0..n {
-                    if self.t2.stamp[v] == self.t2.gen {
-                        self.t2.dist[v] *= inv_scale;
-                    }
-                }
             }
             None => {
                 self.heap.ensure_capacity(n);
@@ -801,7 +706,7 @@ impl SearchArena {
                     if u == t.index() {
                         break;
                     }
-                    let d1_u = self.t1.dist(u);
+                    let pi_u = self.t1.dist(u).min(d_t);
                     let mut pending_rev = self.rev_at[u];
                     for slot in g.out_range(u) {
                         if (pending_rev as usize) < g.slot_arc[slot] as usize {
@@ -817,10 +722,7 @@ impl SearchArena {
                             continue;
                         }
                         let v = g.heads[slot] as usize;
-                        if self.t1.stamp[v] != self.t1.gen {
-                            continue;
-                        }
-                        let red = (g.slot_weight[slot] + d1_u - self.t1.dist(v)).max(0.0);
+                        let red = (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t)).max(0.0);
                         let nd = du + red;
                         if nd < self.t2.dist(v) {
                             let a = g.slot_arc[slot] as usize;
@@ -921,16 +823,16 @@ impl SearchArena {
     }
 }
 
-/// Dijkstra into a [`TreeBank`]: the exact relaxation loop of
-/// [`dijkstra_generic`](crate::dijkstra::dijkstra_generic) with the default
-/// 4-ary heap, writing into reused buffers. Returns whether the tree bank
-/// had to grow (an allocation event).
+/// Dijkstra into a [`TreeBank`], stopped when `target` is popped: the exact
+/// relaxation loop of [`dijkstra_generic`](crate::dijkstra::dijkstra_generic)
+/// with the default 4-ary heap, writing into reused buffers. Returns
+/// whether the tree bank had to grow (an allocation event).
 fn dijkstra_into<N, E>(
     bank: &mut TreeBank,
     heap: &mut DaryHeap<f64, 4>,
     g: &DiGraph<N, E>,
     source: NodeId,
-    target: Option<NodeId>,
+    target: NodeId,
     mut cost: impl FnMut(EdgeId) -> f64,
     mut filter: impl FnMut(EdgeId) -> bool,
 ) -> bool {
@@ -942,7 +844,7 @@ fn dijkstra_into<N, E>(
     heap.insert(source.index(), 0.0);
     while let Some((u_idx, du)) = heap.pop_min() {
         let u = NodeId::from(u_idx);
-        if Some(u) == target {
+        if u == target {
             break;
         }
         for &e in g.out_edges(u) {
@@ -970,6 +872,12 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn random_graph(rng: &mut impl Rng, n: usize, p: f64) -> DiGraph<(), f64> {
+        random_graph_halves(rng, n, p, 20)
+    }
+
+    /// Random digraph whose arc weights are `k / 2` for `k` in
+    /// `1..=levels`: few levels make many equal-cost ties.
+    fn random_graph_halves(rng: &mut impl Rng, n: usize, p: f64, levels: u32) -> DiGraph<(), f64> {
         let mut g: DiGraph<(), f64> = DiGraph::new();
         for _ in 0..n {
             g.add_node(());
@@ -980,7 +888,7 @@ mod tests {
                     g.add_edge(
                         NodeId::from(u),
                         NodeId::from(v),
-                        (rng.gen_range(1..=20) as f64) / 2.0,
+                        (rng.gen_range(1..=levels) as f64) / 2.0,
                     );
                 }
             }
@@ -1141,7 +1049,7 @@ mod tests {
         }
     }
 
-    /// The flat f64 path and the cold integer/bucket path must both be
+    /// The flat f64 path and the integer/bucket path must both be
     /// bit-identical to the pointer-based arena search.
     #[test]
     fn flat_paths_match_pointer_path() {
@@ -1159,98 +1067,207 @@ mod tests {
             let base = ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |e| e != banned);
             let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, || {});
             let int_pair =
-                int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), None, s, t, || {});
+                int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {});
             assert_same_pair(&base, &f64_pair, &format!("flat f64, trial {trial}"));
             assert_same_pair(&base, &int_pair, &format!("flat int, trial {trial}"));
         }
     }
 
-    /// Warm restarts preserve the optimal total cost (bit-exactly, thanks to
-    /// dyadic weights) and always produce a valid disjoint pair, across
-    /// repeated solves with changing endpoints.
+    /// Suurballe with an exhaustive pass 1 and uncapped potentials `d(v)`:
+    /// the reference the early exit is checked against. Returns the pair
+    /// and the full pass-1 distances.
+    fn exhaustive_pair(
+        g: &DiGraph<(), f64>,
+        s: NodeId,
+        t: NodeId,
+    ) -> (Option<crate::suurballe::DisjointPair>, Vec<Option<f64>>) {
+        let tree = crate::dijkstra::dijkstra(g, s, |e| g.weight(e));
+        let d: Vec<Option<f64>> = g.node_ids().map(|v| tree.distance(v)).collect();
+        if s == t {
+            return (None, d);
+        }
+        let Some(p1) = tree.path_to(g, t) else {
+            return (None, d);
+        };
+        let mut keep = vec![false; g.edge_count()];
+        for &e in &p1.edges {
+            keep[e.index()] = true;
+        }
+        // Residual arcs: (original edge, reversed, reduced cost).
+        let mut resid: DiGraph<(), (EdgeId, bool, f64)> = DiGraph::new();
+        for _ in g.node_ids() {
+            resid.add_node(());
+        }
+        for e in g.edge_ids() {
+            let (u, v) = g.endpoints(e);
+            if keep[e.index()] {
+                resid.add_edge(v, u, (e, true, 0.0));
+            } else if let (Some(du), Some(dv)) = (d[u.index()], d[v.index()]) {
+                resid.add_edge(u, v, (e, false, (g.weight(e) + du - dv).max(0.0)));
+            }
+        }
+        let tree2 = crate::dijkstra::dijkstra_to(&resid, s, t, |a| resid.edge(a).2);
+        let Some(p2) = tree2.path_to(&resid, t) else {
+            return (None, d);
+        };
+        for &a in &p2.edges {
+            let (e, reversed, _) = *resid.edge(a);
+            keep[e.index()] = !reversed;
+        }
+        let mut out: Vec<Vec<EdgeId>> = vec![Vec::new(); g.node_count()];
+        let mut total = 0.0;
+        for e in g.edge_ids() {
+            if keep[e.index()] {
+                out[g.src(e).index()].push(e);
+                total += g.weight(e);
+            }
+        }
+        let mut walk = || {
+            let mut edges = Vec::new();
+            let mut at = s;
+            while at != t {
+                let e = out[at.index()].pop().expect("balanced edge set");
+                edges.push(e);
+                at = g.dst(e);
+            }
+            Path {
+                src: s,
+                dst: t,
+                edges,
+            }
+        };
+        let (a, b) = (walk(), walk());
+        let pair = crate::suurballe::DisjointPair {
+            paths: [a, b],
+            total_cost: total,
+        };
+        (Some(pair), d)
+    }
+
+    /// Stopping pass 1 at `t` with potentials capped at `d(t)` finds a
+    /// minimum-cost pair: the total-cost bits and the feasibility of all
+    /// three entry points match the exhaustive reference, over repeated
+    /// solves on one arena per entry point. The trials must include pairs
+    /// that differ from the reference's (cost ties) and second paths
+    /// through nodes farther than `d(t)`, which pass 1 never settles.
     #[test]
-    fn warm_potentials_preserve_total_cost() {
+    fn early_exit_matches_exhaustive_suurballe() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x3A3A);
-        let mut cold_arena = SearchArena::new();
-        let mut warm_arena = SearchArena::new();
-        for trial in 0..40 {
+        let mut ptr_arena = SearchArena::new();
+        let mut flat_arena = SearchArena::new();
+        let mut int_arena = SearchArena::new();
+        let (mut routed, mut differ, mut beyond_cap) = (0, 0, 0);
+        for trial in 0..150 {
             let n = rng.gen_range(4..14);
-            let g = random_graph(&mut rng, n, 0.4);
+            let levels = if trial % 2 == 0 { 20 } else { 3 };
+            let g = random_graph_halves(&mut rng, n, 0.4, levels);
             let flat = FlatArrays::build(&g, |_| true);
-            let mut pot = Potentials::default();
             for solve in 0..12 {
+                let ctx = format!("trial {trial} solve {solve}");
                 let s = NodeId::from(rng.gen_range(0..n));
                 let t = NodeId::from(rng.gen_range(0..n));
-                let cold = cold_arena.edge_disjoint_pair_flat_int(
-                    &flat.view(),
-                    &flat.int(),
-                    None,
-                    s,
-                    t,
-                    || {},
-                );
-                let warm = warm_arena.edge_disjoint_pair_flat_int(
-                    &flat.view(),
-                    &flat.int(),
-                    Some(&mut pot),
-                    s,
-                    t,
-                    || {},
-                );
-                match (&cold, &warm) {
-                    (None, None) => {}
-                    (Some(c), Some(w)) => {
-                        assert_eq!(
-                            c.total_cost.to_bits(),
-                            w.total_cost.to_bits(),
-                            "trial {trial} solve {solve}"
-                        );
-                        assert!(w.is_edge_disjoint());
-                        assert_eq!(w.paths[0].src, s);
-                        assert_eq!(w.paths[0].dst, t);
+                let (reference, d) = exhaustive_pair(&g, s, t);
+                let ptr = ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true);
+                let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, || {});
+                let int_pair =
+                    int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {});
+                for (label, got) in [
+                    ("pointer", &ptr),
+                    ("flat f64", &f64_pair),
+                    ("flat int", &int_pair),
+                ] {
+                    match (&reference, got) {
+                        (None, None) => {}
+                        (Some(r), Some(p)) => {
+                            assert_eq!(
+                                r.total_cost.to_bits(),
+                                p.total_cost.to_bits(),
+                                "{label}, {ctx}"
+                            );
+                            assert!(p.is_edge_disjoint(), "{label}, {ctx}");
+                            let mut sum = 0.0;
+                            for path in &p.paths {
+                                assert_eq!((path.src, path.dst), (s, t), "{label}, {ctx}");
+                                assert_eq!(g.src(path.edges[0]), s, "{label}, {ctx}");
+                                for w in path.edges.windows(2) {
+                                    assert_eq!(g.dst(w[0]), g.src(w[1]), "{label}, {ctx}");
+                                }
+                                assert_eq!(g.dst(*path.edges.last().unwrap()), t, "{label}, {ctx}");
+                                sum += path.cost(|e| g.weight(e));
+                            }
+                            assert_eq!(sum, p.total_cost, "{label}, {ctx}");
+                        }
+                        _ => panic!("{label}, {ctx}: feasibility disagrees"),
                     }
-                    _ => panic!("trial {trial} solve {solve}: feasibility disagrees"),
+                }
+                assert_same_pair(&ptr, &f64_pair, &ctx);
+                assert_same_pair(&ptr, &int_pair, &ctx);
+                let (Some(r), Some(p)) = (&reference, &ptr) else {
+                    continue;
+                };
+                routed += 1;
+                let edge_set = |p: &crate::suurballe::DisjointPair| {
+                    let mut all: Vec<EdgeId> = p
+                        .paths
+                        .iter()
+                        .flat_map(|x| x.edges.iter().copied())
+                        .collect();
+                    all.sort();
+                    all
+                };
+                if edge_set(r) != edge_set(p) {
+                    differ += 1;
+                }
+                let d_t = d[t.index()].expect("t is reached");
+                let far = |e: &EdgeId| d[g.dst(*e).index()].is_some_and(|dv| dv > d_t);
+                if p.paths.iter().any(|x| x.edges.iter().any(far)) {
+                    beyond_cap += 1;
                 }
             }
         }
+        assert!(routed >= 500, "only {routed} routed solves");
+        assert!(differ > 0, "no solve picked a different equal-cost pair");
+        assert!(beyond_cap > 0, "no pair crossed a node beyond d(t)");
     }
 
-    /// After the first adoption, repeated warm searches over an unchanged
-    /// graph run entirely reduced-key-zero and still agree with cold runs;
-    /// the arena also stops allocating once warmed up.
+    /// Pass 2 reaches nodes pass 1 never settled: `s -> t` costs 1, so
+    /// pass 1 stops while `a` is tentative (at 5) and `b` unreached, yet
+    /// the only second path is `s -> a -> b -> t`. Total 1 + 10 = 11.
     #[test]
-    fn warm_flat_searches_stop_allocating() {
+    fn second_path_runs_through_nodes_pass_one_never_settled() {
+        let (s, t) = (NodeId(0), NodeId(1));
+        // s = 0, t = 1, a = 2, b = 3.
+        let g = DiGraph::weighted(4, &[(0, 1, 1.0), (0, 2, 5.0), (2, 3, 2.0), (3, 1, 3.0)]);
+        let flat = FlatArrays::build(&g, |_| true);
+        let pairs = [
+            SearchArena::new().edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true),
+            SearchArena::new().edge_disjoint_pair_flat(&flat.view(), s, t, || {}),
+            SearchArena::new().edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {}),
+        ];
+        for pair in pairs {
+            let pair = pair.expect("two edge-disjoint paths exist");
+            assert_eq!(pair.total_cost, 11.0);
+            assert_eq!(pair.paths[0].edges, vec![EdgeId(0)]);
+            assert_eq!(pair.paths[1].edges, vec![EdgeId(1), EdgeId(2), EdgeId(3)]);
+        }
+    }
+
+    /// A warmed-up arena serves the flat integer searches without
+    /// allocating: after one solve to the farthest sink, whose pass-2 key
+    /// window is the widest, later searches fit every buffer.
+    #[test]
+    fn flat_searches_stop_allocating() {
         let g = topology::ring(24, 1.0);
         let flat = FlatArrays::build(&g, |_| true);
         let mut arena = SearchArena::new();
-        let mut pot = Potentials::default();
-        // Two warm-up solves: the first adopts potentials, the second grows
-        // the bucket span to the now-nonzero reduced-key window.
-        for _ in 0..2 {
-            arena
-                .edge_disjoint_pair_flat_int(
-                    &flat.view(),
-                    &flat.int(),
-                    Some(&mut pot),
-                    NodeId(0),
-                    NodeId(12),
-                    || {},
-                )
-                .unwrap();
-        }
-        assert!(pot.max > 0, "adoption must record reached distances");
+        arena
+            .edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), NodeId(0), NodeId(12), || {})
+            .unwrap();
         let after_warmup = arena.alloc_events();
         for i in 0..10 {
             let t = NodeId::from(6 + i);
             arena
-                .edge_disjoint_pair_flat_int(
-                    &flat.view(),
-                    &flat.int(),
-                    Some(&mut pot),
-                    NodeId(0),
-                    t,
-                    || {},
-                )
+                .edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), NodeId(0), t, || {})
                 .unwrap();
         }
         assert_eq!(arena.alloc_events(), after_warmup);

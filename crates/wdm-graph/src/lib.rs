@@ -39,7 +39,7 @@ pub mod suurballe;
 pub mod topology;
 pub mod traverse;
 
-pub use arena::{FlatView, IntWeights, Potentials, SearchArena};
+pub use arena::{FlatView, IntWeights, SearchArena};
 pub use csr::Csr;
 pub use graph::DiGraph;
 pub use ids::{EdgeId, NodeId};

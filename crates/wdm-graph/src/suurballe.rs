@@ -7,12 +7,20 @@
 //! formulation so both passes are plain Dijkstra runs on non-negative
 //! weights:
 //!
-//! 1. Dijkstra from `s` gives distances `d(·)` and a shortest path `P1`.
+//! 1. Dijkstra from `s`, stopped when `t` is popped, gives a shortest
+//!    path `P1` and the potentials `π(v) = min(d(v), d(t))`: settled nodes
+//!    keep their exact distance, and tentative or unreached nodes, which
+//!    are at least `d(t)` away, take `d(t)`.
 //! 2. Every remaining edge `(u, v)` gets reduced cost
-//!    `c(e) + d(u) − d(v) ≥ 0`; the edges of `P1` are removed and replaced
-//!    by zero-cost reversals (tree edges are tight, so their reversals cost
-//!    exactly 0).
-//! 3. A second Dijkstra finds `P2'` in that residual graph.
+//!    `c(e) + π(u) − π(v) ≥ 0` (capping at `d(t)` keeps the potentials
+//!    feasible), including edges into nodes step 1 never settled; the
+//!    edges of `P1` are removed and replaced by zero-cost reversals (`P1`'s
+//!    nodes are all settled, so its edges are tight and their reversals
+//!    cost exactly 0).
+//! 3. A second Dijkstra, stopped at `t`, finds `P2'` in that residual
+//!    graph. These are the successive-shortest-path conditions for a
+//!    two-unit min-cost flow, so the pair has minimum total cost; only the
+//!    choice among equal-cost pairs depends on where step 1 stopped.
 //! 4. Interleaving removal: edges of `P1` whose reversals `P2'` used cancel
 //!    (the `E_intersect` step of the paper's pseudocode); the surviving edge
 //!    set decomposes into the two edge-disjoint paths, recovered by walking
