@@ -1,7 +1,8 @@
 //! Routing hot path, scratch vs incremental: per request, the oracle
-//! pipeline rebuilds the auxiliary graph (`AuxGraph::build`) and runs the
-//! allocating Suurballe; the engine syncs a persistent [`AuxEngine`] (dirty
-//! links only) and searches its CSR arrays in a reusable [`SearchArena`].
+//! pipeline rebuilds the auxiliary graph (`AuxGraph::build`) and runs its
+//! allocating, bound-guided Suurballe (`AuxGraph::disjoint_pair`); the
+//! engine syncs a persistent [`AuxEngine`] (dirty links only) and runs the
+//! same guided search over its CSR arrays in a reusable [`SearchArena`].
 //! Between requests a small churn script flips a couple of channels,
 //! mimicking the arrival / departure mix a simulator generates — the
 //! regime the incremental engine is built for.
@@ -15,7 +16,6 @@ use wdm_core::aux_graph::{AuxGraph, AuxSpec};
 use wdm_core::disjoint::robust_route_ctx;
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::wavelength::Wavelength;
-use wdm_graph::suurballe::edge_disjoint_pair;
 use wdm_graph::{EdgeId, NodeId, SearchArena};
 use wdm_telemetry::{NoopRecorder, SpanBuffer, TelemetrySink, Tracer};
 
@@ -85,13 +85,12 @@ fn bench_hot_path(c: &mut Criterion) {
             let (s, t) = reqs[k % reqs.len()];
             k += 1;
             let aux = AuxGraph::build(net, &st, s, t, AuxSpec::g_prime());
-            let pair = edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e));
-            black_box(pair.map(|p| p.total_cost))
+            black_box(aux.disjoint_pair().map(|p| p.total_cost))
         })
     });
 
-    // The engine, searched through its CSR arrays with the integer bucket
-    // queue, as production routes. Runs on a dyadic
+    // The engine, searched through its CSR arrays under the sink bound with
+    // the integer bucket queue, as production routes. Runs on a dyadic
     // (quarter-integer cost, free conversion) instance of the same shape so
     // the integer certificate holds on every request.
     group.bench_function(BenchmarkId::new("engine_csr", "n100_d4_w8"), |b| {
@@ -110,12 +109,7 @@ fn bench_hot_path(c: &mut Criterion) {
             let (s, t) = reqs[k % reqs.len()];
             k += 1;
             eng.sync(&net, &st, s, t);
-            let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
-            let pair = match eng.int_weights() {
-                Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, || {}),
-                None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, || {}),
-            };
-            black_box(pair.map(|p| p.total_cost))
+            black_box(eng.disjoint_pair(&mut arena, || {}).map(|p| p.total_cost))
         })
     });
 

@@ -6,17 +6,21 @@
 //! ```
 //!
 //! For each network size, routes the same churn-interleaved request stream
-//! two ways and reports ns/request:
+//! three ways and reports ns/request:
 //!
-//! * **scratch** — the oracle pipeline: `AuxGraph::build` over the
-//!   residual state, then the allocating Suurballe (`edge_disjoint_pair`);
-//! * **csr**     — the production path: a persistent [`AuxEngine`] synced
+//! * **scratch**  — the oracle pipeline: `AuxGraph::build` over the
+//!   residual state, then its allocating Suurballe guided by the sink
+//!   bound (`AuxGraph::disjoint_pair`);
+//! * **csr**      — the production path: a persistent [`AuxEngine`] synced
 //!   per request (only dirty links refreshed) and searched through its CSR
-//!   arrays by a reusable [`SearchArena`], with integer-scaled bucket-queue
-//!   Dijkstra.
+//!   arrays by a reusable [`SearchArena`] under the same sink bound
+//!   (`AuxEngine::disjoint_pair`), with integer-scaled bucket-queue
+//!   Dijkstra;
+//! * **csr unguided** — the csr pipeline with the bound left out (`h ≡ 0`),
+//!   so `guide_speedup` (unguided / csr) is what the bound buys.
 //!
-//! Every pass asserts that both pipelines return the same total-cost bits
-//! (or the same failure) for every request.
+//! Every pass asserts that all three pipelines return the same total-cost
+//! bits (or the same failure) for every request.
 //!
 //! Instances use quarter-integer link costs and free conversions so the
 //! integer certificate holds on every request (same topology distribution
@@ -32,7 +36,6 @@ use wdm_core::aux_engine::AuxEngine;
 use wdm_core::aux_graph::{AuxGraph, AuxSpec};
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::wavelength::Wavelength;
-use wdm_graph::suurballe::edge_disjoint_pair;
 use wdm_graph::{EdgeId, NodeId, SearchArena};
 
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -46,6 +49,10 @@ struct SizeResult {
     csr_ns_per_req: f64,
     /// scratch / csr.
     csr_speedup: f64,
+    /// The csr pipeline searching without the sink bound (`h ≡ 0`).
+    csr_unguided_ns_per_req: f64,
+    /// csr unguided / csr.
+    guide_speedup: f64,
 }
 
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -116,8 +123,7 @@ fn scratch_pass(
         for &(s, t) in stream {
             churn.step(net, &mut st);
             let aux = AuxGraph::build(net, &st, s, t, AuxSpec::g_prime());
-            let pair = edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e));
-            totals.push(pair.map(|p| p.total_cost.to_bits()));
+            totals.push(aux.disjoint_pair().map(|p| p.total_cost.to_bits()));
         }
     });
     (totals, secs)
@@ -127,8 +133,14 @@ fn scratch_pass(
 /// skeleton build is charged to the pass, as in production start-up)
 /// synced per request and searched through its CSR arrays — integer
 /// bucket-queue Dijkstra when the dyadic certificate holds (always, on
-/// these instances), f64 fallback otherwise.
-fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (Vec<Option<u64>>, f64) {
+/// these instances), f64 fallback otherwise — under the sink bound, or
+/// with `h ≡ 0` when `guided` is false.
+fn csr_pass(
+    net: &WdmNetwork,
+    stream: &[(NodeId, NodeId)],
+    seed: u64,
+    guided: bool,
+) -> (Vec<Option<u64>>, f64) {
     let mut st = ResidualState::fresh(net);
     let mut churn = Churn::new(net, 256, seed ^ 2);
     let mut eng = AuxEngine::new(net, AuxSpec::g_prime());
@@ -138,10 +150,16 @@ fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (Vec<Op
         for &(s, t) in stream {
             churn.step(net, &mut st);
             eng.sync(net, &st, s, t);
-            let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
-            let pair = match eng.int_weights() {
-                Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, || {}),
-                None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, || {}),
+            let pair = if guided {
+                eng.disjoint_pair(&mut arena, || {})
+            } else {
+                let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
+                match eng.int_weights() {
+                    Some(iw) => {
+                        arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, |_| 0.0, || {})
+                    }
+                    None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, |_| 0.0, || {}),
+                }
             };
             totals.push(pair.map(|p| p.total_cost.to_bits()));
         }
@@ -160,19 +178,27 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
     // measurement swings ±25 % on a busy box).
     let mut scratch_secs = f64::INFINITY;
     let mut csr_secs = f64::INFINITY;
+    let mut unguided_secs = f64::INFINITY;
     for _ in 0..passes {
         let (scratch_totals, ss) = scratch_pass(&net, &stream, seed);
-        let (csr_totals, cs) = csr_pass(&net, &stream, seed);
+        let (csr_totals, cs) = csr_pass(&net, &stream, seed, true);
+        let (unguided_totals, us) = csr_pass(&net, &stream, seed, false);
         assert_eq!(
             scratch_totals, csr_totals,
             "the scratch and CSR pipelines must return the same total cost per request"
         );
+        assert_eq!(
+            csr_totals, unguided_totals,
+            "the guided and unguided searches must return the same total cost per request"
+        );
         scratch_secs = scratch_secs.min(ss);
         csr_secs = csr_secs.min(cs);
+        unguided_secs = unguided_secs.min(us);
     }
 
     let scratch_ns = scratch_secs / reqs as f64 * 1e9;
     let csr_ns = csr_secs / reqs as f64 * 1e9;
+    let unguided_ns = unguided_secs / reqs as f64 * 1e9;
     SizeResult {
         name: format!("n{n}_d{d}_w{w}"),
         nodes: n,
@@ -182,6 +208,8 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
         scratch_ns_per_req: scratch_ns,
         csr_ns_per_req: csr_ns,
         csr_speedup: scratch_ns / csr_ns,
+        csr_unguided_ns_per_req: unguided_ns,
+        guide_speedup: unguided_ns / csr_ns,
     }
 }
 
@@ -190,7 +218,16 @@ fn main() {
     let (reqs, passes) = if quick { (200, 3) } else { (2000, 5) };
 
     println!("aux-engine — scratch rebuild vs CSR engine (ns/request)\n");
-    let mut table = Table::new(&["size", "m", "W", "scratch ns", "csr ns", "csr speedup"]);
+    let mut table = Table::new(&[
+        "size",
+        "m",
+        "W",
+        "scratch ns",
+        "csr ns",
+        "csr speedup",
+        "csr unguided ns",
+        "guide speedup",
+    ]);
     let mut sizes = Vec::new();
     for &(n, d, w) in &[(50usize, 4usize, 8usize), (100, 4, 8), (200, 4, 8)] {
         let res = measure(n, d, w, reqs, passes, 0xA0 + n as u64);
@@ -201,6 +238,8 @@ fn main() {
             format!("{:.0}", res.scratch_ns_per_req),
             format!("{:.0}", res.csr_ns_per_req),
             format!("{:.2}x", res.csr_speedup),
+            format!("{:.0}", res.csr_unguided_ns_per_req),
+            format!("{:.2}x", res.guide_speedup),
         ]);
         sizes.push(res);
     }

@@ -38,9 +38,15 @@
 //! depends only on that order and the weights — routes are identical, not
 //! merely equal-cost (`tests/engine_differential.rs` pins this).
 //!
-//! Each search is cold: [`SearchArena`]'s Suurballe stops pass 1 at the
-//! sink and derives pass 2's potentials from that partial tree, so no
-//! search state is carried from one request to the next.
+//! Each search is cold: [`AuxEngine::disjoint_pair`] first computes the
+//! sink bound of the module docs of [`crate::aux_graph`], the physical
+//! distance to `t` over the admitted links by a reverse Dijkstra over a
+//! physical in-link adjacency built once with the skeleton. [`SearchArena`]'s
+//! Suurballe then runs pass 1 as an A* under that bound, stops it at the
+//! sink, and derives pass 2's potentials from that partial tree and the
+//! bound, so no search state is carried from one request to the next. A
+//! scratch build computes the same bound bit for bit, which keeps the two
+//! tiers route-identical.
 //!
 //! ### Staleness contract
 //!
@@ -51,10 +57,11 @@
 //! went *backwards* (a fresh or deserialized state) is detected and handled
 //! by a full refresh.
 
-use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
+use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, InLinks, ThresholdBasis};
 use crate::network::{ResidualState, WdmNetwork};
 use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, SearchArena};
+use wdm_heap::{DaryHeap, MinQueue};
 
 /// Fixed-point scale for integer weight certification: weights that are
 /// exact multiples of `2^-SCALE_SHIFT` get a `u64` key `weight << SCALE_SHIFT`.
@@ -197,6 +204,18 @@ pub struct AuxEngine {
     inexact: u32,
     /// Monotone upper bound on certified keys ever written.
     max_key: u64,
+
+    // ---- Sink bound (recomputed by every search) ----
+    /// The physical in-link adjacency the bound's Dijkstra walks.
+    in_links: InLinks,
+    /// Head node per physical link.
+    link_head: Vec<u32>,
+    /// `D(v)`: distance from physical node `v` to the current sink over the
+    /// admitted links, as of the last search.
+    sink_dist: Vec<f64>,
+    sink_heap: DaryHeap<f64, 4>,
+    /// The largest finite `D(v)`.
+    sink_dist_max: f64,
 }
 
 impl AuxEngine {
@@ -328,6 +347,15 @@ impl AuxEngine {
             slot_key: vec![0; edge_count],
             inexact: 0,
             max_key: 0,
+            in_links: InLinks::new(net),
+            link_head: net
+                .graph()
+                .edge_ids()
+                .map(|e| net.graph().dst(e).index() as u32)
+                .collect(),
+            sink_dist: Vec::new(),
+            sink_heap: DaryHeap::with_capacity(0),
+            sink_dist_max: 0.0,
         }
     }
 
@@ -591,13 +619,84 @@ impl AuxEngine {
     }
 
     /// The integer keys of the skeleton's weights, when every weight
-    /// certifies ([`AuxEngine::int_certified`]).
+    /// certifies ([`AuxEngine::int_certified`]), with the key bound of the
+    /// sink bound last computed by [`AuxEngine::disjoint_pair`]. The bound
+    /// is then a sum of certified traversal weights, so it certifies too.
     pub fn int_weights(&self) -> Option<IntWeights<'_>> {
-        (self.inexact == 0).then_some(IntWeights {
+        (self.inexact == 0).then(|| IntWeights {
             key: &self.slot_key,
             scale_shift: SCALE_SHIFT,
             max_key: self.max_key,
+            // The largest bound is some `w(e) + D(head e)`.
+            max_bound_key: (self.sink_dist_max * (1u64 << SCALE_SHIFT) as f64) as u64
+                + self.max_key,
         })
+    }
+
+    /// Recomputes `D` for the current sink over the admitted links.
+    fn update_bound(&mut self) {
+        let t = self.cur_t.expect("sync before searching");
+        let (admitted, weight) = (&self.admitted, &self.arc_weight);
+        // The traversal arc of link `e` is arc `e`.
+        self.sink_dist_max = self.in_links.sink_distances(
+            t,
+            |e| admitted[e],
+            |e| weight[e],
+            &mut self.sink_dist,
+            &mut self.sink_heap,
+        );
+    }
+
+    /// The sink bound of skeleton node `v` of [`AuxEngine::flat_view`]
+    /// (module docs of [`crate::aux_graph`]) as used by the last
+    /// [`AuxEngine::disjoint_pair`], from the fixed node layout.
+    #[inline]
+    pub fn bound(&self, v: usize) -> f64 {
+        match v as u32 {
+            SOURCE => self.sink_dist[self.cur_s.expect("synced").index()],
+            SINK => 0.0,
+            _ => {
+                let e = (v - 2) / 2;
+                let d = self.sink_dist[self.link_head[e] as usize];
+                match v % 2 {
+                    0 => self.arc_weight[e] + d,
+                    _ => d,
+                }
+            }
+        }
+    }
+
+    /// The sink bound of the skeleton node standing for `node`, as used by
+    /// the last [`AuxEngine::disjoint_pair`]; equal, bit for bit, to
+    /// [`AuxGraph::bound`](crate::aux_graph::AuxGraph::bound) of a scratch
+    /// build of the same state and request.
+    pub fn bound_of(&self, node: AuxNode) -> f64 {
+        self.bound(match node {
+            AuxNode::Source => SOURCE,
+            AuxNode::Sink => SINK,
+            AuxNode::OutNode(e) => out_node(e.index()),
+            AuxNode::InNode(e) => in_node(e.index()),
+        } as usize)
+    }
+
+    /// Suurballe over the enabled skeleton, synced for `(s, t)` by
+    /// [`AuxEngine::sync`]: computes the sink bound, then searches the CSR
+    /// arrays under it — on the integer bucket path when every weight
+    /// certifies as dyadic (bit-identical to the f64 path), on the f64
+    /// d-ary path otherwise. `pass1_done` fires between the two passes.
+    pub fn disjoint_pair(
+        &mut self,
+        arena: &mut SearchArena,
+        pass1_done: impl FnMut(),
+    ) -> Option<DisjointPair> {
+        self.update_bound();
+        let eng: &Self = self;
+        let (source, sink, view) = (eng.source(), eng.sink(), eng.flat_view());
+        let h = |v| eng.bound(v);
+        match eng.int_weights() {
+            Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, source, sink, h, pass1_done),
+            None => arena.edge_disjoint_pair_flat(&view, source, sink, h, pass1_done),
+        }
     }
 
     /// `s'`.
@@ -664,6 +763,10 @@ pub struct RequestStats {
     pub fast_syncs: u32,
     /// Suurballe searches executed.
     pub searches: u32,
+    /// Nodes settled by those searches' pass 1.
+    pub settled_p1: u64,
+    /// Nodes settled by those searches' pass 2.
+    pub settled_p2: u64,
     /// Wall-clock nanoseconds spent inside those searches (sync + Suurballe).
     pub search_ns: u64,
 }
@@ -869,31 +972,19 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         if tracing {
             tracer.record(Phase::AuxRefresh, sync_t0);
         }
-        let source = eng.source();
-        let sink = eng.sink();
+        // Pass 1's span includes the sink bound the search computes first.
         let p1_t0 = tracer.now_ns();
         // The staged callback fires between the two Suurballe passes; it
         // closes the pass-1 span and opens the pass-2 stamp. If pass 1
         // fails (t unreachable) it never fires and neither span records.
         let mut p2_t0 = None;
-        // The searches run over the engine's CSR mirror: the bucket-queue
-        // integer path when every weight certifies as dyadic (bit-identical
-        // to the f64 path), the flat f64 d-ary path otherwise.
-        let view = eng.flat_view();
-        let pair_opt = match eng.int_weights() {
-            Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, source, sink, || {
-                if tracing {
-                    tracer.record(Phase::SuurballeP1, p1_t0);
-                    p2_t0 = Some(tracer.now_ns());
-                }
-            }),
-            None => arena.edge_disjoint_pair_flat(&view, source, sink, || {
-                if tracing {
-                    tracer.record(Phase::SuurballeP1, p1_t0);
-                    p2_t0 = Some(tracer.now_ns());
-                }
-            }),
-        };
+        let settled_before = enabled.then(|| arena.settled());
+        let pair_opt = eng.disjoint_pair(arena, || {
+            if tracing {
+                tracer.record(Phase::SuurballeP1, p1_t0);
+                p2_t0 = Some(tracer.now_ns());
+            }
+        });
         if tracing && p2_t0.is_none() {
             // The staged callback never fired: pass 1 ran to exhaustion
             // and found no path. The failed search is still pass-1 work.
@@ -916,19 +1007,30 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             // Pass 2 ran but found no second path: still attribute it.
             tracer.record(Phase::SuurballeP2, t0);
         }
-        if enabled {
-            self.record_search(built, sync, start);
+        if let Some([p1, p2]) = settled_before {
+            let [now1, now2] = self.arena.settled();
+            self.record_search(built, sync, start, [now1 - p1, now2 - p2]);
         }
         result
     }
 
     /// Cold path: folds one search's engine activity into the counters and
     /// the per-request accumulator. Only called when the recorder is live.
-    fn record_search(&mut self, built: bool, sync: SyncStats, start: Option<std::time::Instant>) {
+    fn record_search(
+        &mut self,
+        built: bool,
+        sync: SyncStats,
+        start: Option<std::time::Instant>,
+        settled: [u64; 2],
+    ) {
         let r = &self.recorder;
         let s = &mut self.stats;
         r.add(Counter::SuurballeSearches, 1);
         s.searches += 1;
+        r.add(Counter::SuurballeSettledP1, settled[0]);
+        r.add(Counter::SuurballeSettledP2, settled[1]);
+        s.settled_p1 += settled[0];
+        s.settled_p2 += settled[1];
         if built {
             r.add(Counter::EngineSkeletonBuilds, 1);
             s.skeleton_builds += 1;
@@ -1079,6 +1181,33 @@ mod tests {
             NodeId(3),
             AuxSpec::g_c(2.0, 0.3),
         );
+    }
+
+    /// A live recorder gets each search's settled counts, as counters and
+    /// in the request's stats; the no-op default records none.
+    #[test]
+    fn settled_counts_reach_a_live_recorder() {
+        let net = fig1_like();
+        let st = ResidualState::fresh(&net);
+        let (s, t, spec) = (NodeId(0), NodeId(3), AuxSpec::g_prime());
+        let sink = wdm_telemetry::TelemetrySink::new();
+        let mut ctx = RouterCtx::with_recorder(&sink);
+        ctx.begin_request();
+        ctx.disjoint_pair(&net, &st, s, t, spec).expect("pair");
+        let [p1, p2] = ctx.arena.settled();
+        assert!(p1 > 0 && p2 > 0);
+        let stats = ctx.request_stats();
+        assert_eq!((stats.settled_p1, stats.settled_p2), (p1, p2));
+        let snap = sink.snapshot();
+        assert_eq!(snap.counters["suurballe_settled_p1"], p1);
+        assert_eq!(snap.counters["suurballe_settled_p2"], p2);
+
+        let mut quiet = RouterCtx::new();
+        quiet.begin_request();
+        quiet.disjoint_pair(&net, &st, s, t, spec).expect("pair");
+        assert_eq!(quiet.arena.settled(), [p1, p2]);
+        let stats = quiet.request_stats();
+        assert_eq!((stats.settled_p1, stats.settled_p2), (0, 0));
     }
 
     #[test]

@@ -29,10 +29,22 @@
 //!   [`AuxSpec::g_rc`] therefore uses the `AverageCost` scheme (divide by
 //!   `|Λ_avail(e)|`); the literal formula is kept as
 //!   [`AuxSpec::g_rc_as_printed`] for the ablation experiment.
+//!
+//! Both tiers guide Suurballe with the same *sink bound* `h`, a lower
+//! bound on every auxiliary node's remaining cost to `t''`: conversions
+//! cost ≥ 0, so a path costs at least the traversal weights of the links
+//! it crosses. With `D(v)` the distance from physical node `v` to `t` over
+//! the admitted links, each weighted by its traversal arc
+//! (`InLinks::sink_distances`), `h(s') = D(s)`, `h(t'') = 0`,
+//! `h(v_in^e) = D(head e)` and `h(u_out^e) = w(e) + D(head e)`. It is
+//! consistent: traversal arcs are tight, and conversion and tap arcs cost
+//! ≥ 0 while `D` is a shortest-path distance.
 
 use crate::network::{ResidualState, WdmNetwork};
+use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::traverse::edge_connectivity_filtered;
-use wdm_graph::{DiGraph, EdgeId, NodeId};
+use wdm_graph::{DiGraph, EdgeId, NodeId, SearchArena};
+use wdm_heap::{DaryHeap, MinQueue};
 
 /// What an auxiliary-graph node stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,6 +231,72 @@ pub struct AuxGraph {
     out_node: Vec<Option<NodeId>>,
     /// Per physical edge: its `v_in^e` node, if admitted.
     in_node: Vec<Option<NodeId>>,
+    /// The sink bound per node (module docs).
+    bound: Vec<f64>,
+}
+
+/// The links entering each physical node, flattened: the reverse
+/// adjacency the sink bound's Dijkstra walks. The engine builds it once
+/// with its skeleton and a scratch build builds it on the spot, from the
+/// same `in_edges` order, so both tiers' bounds agree bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct InLinks {
+    /// Row offsets per physical node (`len == node_count + 1`).
+    off: Vec<u32>,
+    /// `(link, tail)` per slot, each row in `in_edges` order.
+    links: Vec<(u32, u32)>,
+}
+
+impl InLinks {
+    pub(crate) fn new(net: &WdmNetwork) -> Self {
+        let g = net.graph();
+        let mut off = Vec::with_capacity(g.node_count() + 1);
+        let mut links = Vec::with_capacity(g.edge_count());
+        for v in g.node_ids() {
+            off.push(links.len() as u32);
+            for &e in g.in_edges(v) {
+                links.push((e.index() as u32, g.src(e).index() as u32));
+            }
+        }
+        off.push(links.len() as u32);
+        Self { off, links }
+    }
+
+    /// `D(v)`, the distance from every physical node to `t` over the links
+    /// `admitted` accepts, each weighted by `weight(e)` (its traversal
+    /// arc's weight): a reverse Dijkstra into `dist`, infinite where `t`
+    /// is unreachable. Returns the largest finite distance.
+    pub(crate) fn sink_distances(
+        &self,
+        t: NodeId,
+        admitted: impl Fn(usize) -> bool,
+        weight: impl Fn(usize) -> f64,
+        dist: &mut Vec<f64>,
+        heap: &mut DaryHeap<f64, 4>,
+    ) -> f64 {
+        let n = self.off.len() - 1;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        heap.ensure_capacity(n);
+        heap.clear();
+        dist[t.index()] = 0.0;
+        heap.insert(t.index(), 0.0);
+        let mut farthest = 0.0;
+        while let Some((v, dv)) = heap.pop_min() {
+            farthest = dv;
+            for &(e, u) in &self.links[self.off[v] as usize..self.off[v + 1] as usize] {
+                if !admitted(e as usize) {
+                    continue;
+                }
+                let nd = dv + weight(e as usize);
+                if nd < dist[u as usize] {
+                    dist[u as usize] = nd;
+                    heap.insert_or_decrease(u as usize, nd);
+                }
+            }
+        }
+        farthest
+    }
 }
 
 impl AuxGraph {
@@ -237,6 +315,7 @@ impl AuxGraph {
         let sink = graph.add_node(AuxNode::Sink);
         let mut out_node: Vec<Option<NodeId>> = vec![None; m];
         let mut in_node: Vec<Option<NodeId>> = vec![None; m];
+        let mut traversal_weight = vec![0.0; m];
 
         // Edge-nodes and traversal links.
         for ei in 0..m {
@@ -262,6 +341,7 @@ impl AuxGraph {
                     a.powf((u + 1.0) / n) - a.powf(u / n)
                 }
             };
+            traversal_weight[ei] = weight;
             graph.add_edge(
                 uo,
                 vi,
@@ -340,13 +420,52 @@ impl AuxGraph {
             }
         }
 
+        let mut dist = Vec::new();
+        InLinks::new(net).sink_distances(
+            t,
+            |e| out_node[e].is_some(),
+            |e| traversal_weight[e],
+            &mut dist,
+            &mut DaryHeap::with_capacity(0),
+        );
+        let mut bound = vec![0.0; graph.node_count()];
+        bound[source.index()] = dist[s.index()];
+        for ei in 0..m {
+            if let (Some(uo), Some(vi)) = (out_node[ei], in_node[ei]) {
+                let d = dist[net.graph().dst(EdgeId::from(ei)).index()];
+                bound[uo.index()] = traversal_weight[ei] + d;
+                bound[vi.index()] = d;
+            }
+        }
+
         Self {
             graph,
             source,
             sink,
             out_node,
             in_node,
+            bound,
         }
+    }
+
+    /// The sink bound `h(v)` (module docs): a consistent lower bound on
+    /// `v`'s remaining cost to `t''`, infinite where `t''` is unreachable.
+    pub fn bound(&self, v: NodeId) -> f64 {
+        self.bound[v.index()]
+    }
+
+    /// The oracle's Suurballe: a minimum-cost pair of edge-disjoint
+    /// `s' → t''` paths, guided by [`AuxGraph::bound`] exactly as the
+    /// engine's search is, so both tiers return the same route.
+    pub fn disjoint_pair(&self) -> Option<DisjointPair> {
+        SearchArena::new().edge_disjoint_pair(
+            &self.graph,
+            self.source,
+            self.sink,
+            |e| self.weight(e),
+            |_| true,
+            |v| self.bound[v],
+        )
     }
 
     /// Weight accessor for the shortest-path calls.

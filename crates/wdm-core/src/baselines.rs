@@ -21,7 +21,6 @@ use crate::optimal_slp::{
     assign_wavelengths_on_path, optimal_semilightpath, optimal_semilightpath_filtered,
 };
 use crate::semilightpath::{Hop, RobustRoute, Semilightpath};
-use wdm_graph::suurballe::edge_disjoint_pair;
 use wdm_graph::{EdgeId, NodeId};
 
 /// Greedy two-step baseline: best semilightpath, remove its physical links,
@@ -59,8 +58,7 @@ pub fn suurballe_unrefined(
         return Err(RoutingError::DegenerateRequest);
     }
     let aux = AuxGraph::build(net, state, s, t, AuxSpec::g_prime());
-    let pair = edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e))
-        .ok_or(RoutingError::NoDisjointPair)?;
+    let pair = aux.disjoint_pair().ok_or(RoutingError::NoDisjointPair)?;
     let a = greedy_assign(net, state, s, &aux.physical_edges(&pair.paths[0]))?;
     let b = greedy_assign(net, state, s, &aux.physical_edges(&pair.paths[1]))?;
     Ok(RobustRoute::ordered(a, b))

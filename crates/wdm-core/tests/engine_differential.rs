@@ -6,12 +6,13 @@
 //! release / fail / repair), request retargets and threshold changes. After
 //! every step, each engine's enabled subgraph must match a from-scratch
 //! build **bit-for-bit**: same admitted links, same arcs in the same
-//! relative order, identical `f64` weight bits. On top of that, the
-//! engine's CSR searches must agree with each other (integer bucket path ≡
-//! f64 path on arc ids and cost bits) and with the allocating Suurballe
-//! over the scratch graph — same physical edges, same total-cost bits —
-//! which pins route identity (refinement is a deterministic function of
-//! the physical edge sets).
+//! relative order, identical `f64` weight bits, and the same sink bound on
+//! every node. On top of that, the engine's guided CSR searches must agree
+//! with each other (integer bucket path ≡ f64 path on arc ids and cost
+//! bits), with the unguided search on total-cost bits, and with the
+//! oracle's guided Suurballe over the scratch graph — same physical edges,
+//! same total-cost bits — which pins route identity (refinement is a
+//! deterministic function of the physical edge sets).
 //!
 //! Finally the persistent-context public entry points
 //! ([`find_two_paths_mincog_ctx`], [`find_two_paths_joint_ctx`]) are
@@ -27,7 +28,7 @@ use wdm_core::joint::{find_two_paths_joint, find_two_paths_joint_ctx};
 use wdm_core::mincog::{find_two_paths_mincog, find_two_paths_mincog_ctx};
 use wdm_core::network::{NetworkBuilder, ResidualState, WdmNetwork};
 use wdm_core::wavelength::{Wavelength, WavelengthSet};
-use wdm_graph::suurballe::{edge_disjoint_pair_filtered, DisjointPair};
+use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::{EdgeId, NodeId, SearchArena};
 
 fn random_net(rng: &mut ChaCha8Rng) -> WdmNetwork {
@@ -126,8 +127,9 @@ fn assert_pair_bits(a: &Option<DisjointPair>, b: &Option<DisjointPair>, label: &
     }
 }
 
-/// Engine-refreshed graph == scratch build, CSR integer search == CSR f64
-/// search, and CSR pair search == allocating pair search over the scratch
+/// Engine-refreshed graph == scratch build, engine sink bound == scratch
+/// bound, CSR integer search == CSR f64 search, guided == unguided on cost
+/// bits, and CSR pair search == the oracle's pair search over the scratch
 /// graph.
 #[allow(clippy::too_many_arguments)]
 fn check_family(
@@ -154,14 +156,44 @@ fn check_family(
         "{ctx_label}: enabled arcs / weight bits"
     );
 
-    // Both CSR searches — the f64 d-ary path and, whenever the dyadic
-    // certificate holds, the scaled bucket path — must be bit-identical to
-    // each other over the same skeleton (same arc ids, same cost bits).
+    // The production search computes the engine's sink bound first.
+    let guided = eng.disjoint_pair(arena, || {});
+
+    // The bound is the scratch build's, bit for bit per node (matched by
+    // kind), is 0 at the sink, and is consistent on every enabled arc under
+    // the f64 expression the bound is built with (`w + h(v)`).
+    for v in scratch.graph.node_ids() {
+        let kind = *scratch.graph.node(v);
+        assert_eq!(
+            eng.bound_of(kind).to_bits(),
+            scratch.bound(v).to_bits(),
+            "{ctx_label}: sink bound of {kind:?}"
+        );
+    }
+    assert_eq!(eng.bound_of(AuxNode::Sink), 0.0, "{ctx_label}: h(t'')");
+    for (u, v, kind, w) in eng.enabled_arcs() {
+        let (h_u, h_v) = (eng.bound_of(u), eng.bound_of(v));
+        assert!(
+            h_u <= w + h_v,
+            "{ctx_label}: bound inconsistent on {kind:?} {u:?} -> {v:?}: {h_u} > {w} + {h_v}"
+        );
+    }
+
+    // Both CSR searches under the bound — the f64 d-ary path and, whenever
+    // the dyadic certificate holds, the scaled bucket path the engine then
+    // takes — must be bit-identical to each other over the same skeleton
+    // (same arc ids, same cost bits).
     let (aux_s, aux_t) = (eng.source(), eng.sink());
+    let h = |v| eng.bound(v);
+    let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, h, || {});
     let int_pair = eng
         .int_weights()
-        .map(|iw| arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, || {}));
-    let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, || {});
+        .map(|iw| arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, h, || {}));
+    assert_pair_bits(
+        &flat_pair,
+        &guided,
+        &format!("{ctx_label}: flat f64 vs engine"),
+    );
     if let Some(ip) = &int_pair {
         assert_pair_bits(
             &flat_pair,
@@ -170,15 +202,27 @@ fn check_family(
         );
     }
 
+    // The bound changes which equal-cost pair wins, never the optimum: the
+    // unguided search (h = 0) finds the same total-cost bits.
+    let unguided = match eng.int_weights() {
+        Some(iw) => {
+            arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, |_| 0.0, || {})
+        }
+        None => arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, |_| 0.0, || {}),
+    };
+    match (&guided, &unguided) {
+        (None, None) => {}
+        (Some(a), Some(b)) => assert_eq!(
+            a.total_cost.to_bits(),
+            b.total_cost.to_bits(),
+            "{ctx_label}: guided vs unguided cost bits"
+        ),
+        _ => panic!("{ctx_label}: guided and unguided feasibility disagree"),
+    }
+
     // And the CSR pair must be the scratch oracle's pair: same physical
     // edges per leg, same cost bits.
-    let scratch_pair = edge_disjoint_pair_filtered(
-        &scratch.graph,
-        scratch.source,
-        scratch.sink,
-        |e| scratch.weight(e),
-        |_| true,
-    );
+    let scratch_pair = scratch.disjoint_pair();
     match (flat_pair, scratch_pair) {
         (None, None) => {}
         (Some(a), Some(b)) => {

@@ -28,7 +28,6 @@ use wdm_core::network::{NetworkBuilder, ResidualState, WdmNetwork};
 use wdm_core::optimal_slp::{assign_wavelengths_on_path, optimal_semilightpath_filtered};
 use wdm_core::semilightpath::{RobustRoute, Semilightpath};
 use wdm_core::wavelength::{Wavelength, WavelengthSet};
-use wdm_graph::suurballe::edge_disjoint_pair;
 use wdm_graph::{EdgeId, NodeId};
 
 /// Congestion base used throughout.
@@ -115,7 +114,8 @@ fn refine(
 
 type Pair = (RobustRoute, [Vec<EdgeId>; 2]);
 
-/// Suurballe on a scratch auxiliary graph: both legs' physical edges.
+/// The oracle's Suurballe on a scratch auxiliary graph: both legs'
+/// physical edges.
 fn scratch_pair(
     net: &WdmNetwork,
     st: &ResidualState,
@@ -124,7 +124,7 @@ fn scratch_pair(
     spec: AuxSpec,
 ) -> Option<[Vec<EdgeId>; 2]> {
     let aux = AuxGraph::build(net, st, s, t, spec);
-    let pair = edge_disjoint_pair(&aux.graph, aux.source, aux.sink, |e| aux.weight(e))?;
+    let pair = aux.disjoint_pair()?;
     Some([
         aux.physical_edges(&pair.paths[0]),
         aux.physical_edges(&pair.paths[1]),

@@ -200,8 +200,9 @@ impl FlatView<'_> {
     }
 }
 
-/// Integer certification of a [`FlatView`]'s weights: every arc weight is
-/// exactly `key[a] / 2^scale_shift` in f64. Under this contract the bucket
+/// Integer certification of a [`FlatView`]'s weights and of the search's
+/// sink bound: every arc weight is exactly `key[a] / 2^scale_shift` in f64,
+/// and so is every finite bound value `h(v)`. Under this contract the bucket
 /// searches below are *bit-identical* to the f64 d-ary searches: integer key
 /// order is isomorphic to f64 distance order, partial sums stay below 2^53
 /// (guarded), and both heap engines break key ties by smallest node id.
@@ -215,6 +216,10 @@ pub struct IntWeights<'a> {
     pub scale_shift: u32,
     /// Upper bound on `key[a]` over all enabled arcs (need not be tight).
     pub max_key: u64,
+    /// Upper bound on `h(v) · 2^scale_shift` over every node whose bound is
+    /// finite (need not be tight). Sizes the bucket windows: an A* key rises
+    /// by at most `w + h(v) − h(u)` per arc.
+    pub max_bound_key: u64,
 }
 
 /// A generation-stamped boolean edge set.
@@ -267,6 +272,16 @@ pub(crate) struct ResidArc {
 /// One arena serves any number of sequential searches over graphs of any
 /// (varying) size; buffers only grow. Results are identical to the
 /// allocating entry points.
+///
+/// # The sink bound
+///
+/// Every Suurballe entry point takes a bound `h`, indexed by node: a lower
+/// bound on the node's remaining cost to the sink `t`, with `h(t) = 0`,
+/// `f64::INFINITY` on nodes that cannot reach `t`, and *consistent*:
+/// `h(u) ≤ w + h(v)` on every arc `u → v` of weight `w`. Pass 1 is then an
+/// A* search, and pass 2's potentials `min(d(v), d(t) − h(v))` keep it
+/// guided (see `suurballe.rs`). The pair keeps minimum total cost under
+/// any such bound; `|_| 0.0` is plain Dijkstra.
 #[derive(Debug, Clone)]
 pub struct SearchArena {
     /// Pass-1 tree (kept alive through pass 2, which reads its distances).
@@ -281,6 +296,9 @@ pub struct SearchArena {
     mask_slot: EdgeMask,
     resid: DiGraph<(), ResidArc>,
     out_lists: Vec<Vec<EdgeId>>,
+    /// The pair's surviving arcs: P1's uncancelled arcs plus pass 2's
+    /// forward arcs, sorted by arc id before the decomposition walk.
+    survivors: Vec<EdgeId>,
     /// Per-node reversed residual arc for the flat pass 2 (`u32::MAX` =
     /// none). P1 is a simple path, so a node has at most one masked
     /// in-arc — i.e. at most one reversed residual arc rooted at it.
@@ -289,6 +307,9 @@ pub struct SearchArena {
     /// Buffer-growth events since construction (telemetry: a steady-state
     /// arena stops allocating, so this should plateau after warm-up).
     allocs: u64,
+    /// Nodes settled (popped from the queue) by pass 1 and by pass 2,
+    /// summed over every search since construction.
+    settled: [u64; 2],
 }
 
 impl Default for SearchArena {
@@ -308,8 +329,10 @@ impl SearchArena {
             mask_slot: EdgeMask::default(),
             resid: DiGraph::new(),
             out_lists: Vec::new(),
+            survivors: Vec::new(),
             rev_at: Vec::new(),
             allocs: 0,
+            settled: [0; 2],
         }
     }
 
@@ -319,11 +342,17 @@ impl SearchArena {
         self.allocs
     }
 
-    /// Arena-backed [`crate::suurballe::edge_disjoint_pair_filtered`]:
-    /// minimum-cost pair of
-    /// edge-disjoint `s -> t` paths over edges accepted by `filter`. Same
-    /// algorithm, same tie-breaking, same results; only the working memory
-    /// is reused.
+    /// Cumulative nodes settled by Suurballe's pass 1 and pass 2 across all
+    /// searches served by this arena (the sink counts when it is popped).
+    pub fn settled(&self) -> [u64; 2] {
+        self.settled
+    }
+
+    /// Arena-backed [`crate::suurballe::edge_disjoint_pair_filtered`],
+    /// guided by the sink bound `h` (see [`SearchArena`]): minimum-cost
+    /// pair of edge-disjoint `s -> t` paths over edges accepted by
+    /// `filter`. Under `h ≡ 0` this is the allocating function's exact
+    /// operation sequence; only the working memory is reused.
     pub fn edge_disjoint_pair<N, E>(
         &mut self,
         g: &DiGraph<N, E>,
@@ -331,14 +360,15 @@ impl SearchArena {
         t: NodeId,
         mut cost: impl FnMut(EdgeId) -> f64,
         mut filter: impl FnMut(EdgeId) -> bool,
+        h: impl Fn(usize) -> f64,
     ) -> Option<crate::suurballe::DisjointPair> {
         if s == t {
             return None;
         }
-        // Pass 1: Dijkstra from s, stopped when t is popped. Settled nodes
-        // hold exact distances d(v) <= d(t); every other node is at least
-        // d(t) away.
-        self.allocs += dijkstra_into(
+        // Pass 1: A* from s under h, stopped when t is popped. Settled
+        // nodes hold exact distances with d(v) + h(v) <= d(t); every other
+        // node v is at least d(t) - h(v) away.
+        let (grew, popped) = dijkstra_into(
             &mut self.t1,
             &mut self.heap,
             g,
@@ -346,7 +376,10 @@ impl SearchArena {
             t,
             &mut cost,
             &mut filter,
-        ) as u64;
+            &h,
+        );
+        self.allocs += grew as u64;
+        self.settled[0] += popped;
         if !self.t1.reached(t) {
             return None;
         }
@@ -357,11 +390,13 @@ impl SearchArena {
             self.mask.set(e.index(), true);
         }
 
-        // Pass 2: residual graph with reduced costs under the capped
-        // potentials pi(v) = min(d(v), d(t)). A tentative node's label is at
-        // least d(t) (t was the heap minimum) and an unreached node's is
-        // infinite, so both take d(t), and arcs into them stay in the
-        // residual: pass 2 may need nodes pass 1 never settled.
+        // Pass 2: residual graph with reduced costs under the potentials
+        // pi(v) = min(d(v), d(t) - h(v)). A tentative node's label is at
+        // least d(t) - h(v) (t was the queue minimum) and an unreached
+        // node's is infinite, so both take d(t) - h(v), and arcs into them
+        // stay in the residual: pass 2 may need nodes pass 1 never settled.
+        // Arcs into nodes with h = inf are left out: those nodes cannot
+        // reach t, not even through a reversed P1 arc.
         let n = g.node_count();
         self.resid.clear_edges();
         if self.resid.node_count() < n {
@@ -387,8 +422,12 @@ impl SearchArena {
                     },
                 );
             } else {
-                let pi_u = self.t1.dist(u.index()).min(d_t);
-                let pi_v = self.t1.dist(v.index()).min(d_t);
+                let h_v = h(v.index());
+                if h_v == f64::INFINITY {
+                    continue;
+                }
+                let pi_u = self.t1.dist(u.index()).min(d_t - h(u.index()));
+                let pi_v = self.t1.dist(v.index()).min(d_t - h_v);
                 // Floating-point noise can push a tight edge to -epsilon.
                 let red = (cost(e) + pi_u - pi_v).max(0.0);
                 self.resid.add_edge(
@@ -403,7 +442,7 @@ impl SearchArena {
             }
         }
         let (t2, resid) = (&mut self.t2, &self.resid);
-        let grew = dijkstra_into(
+        let (grew, popped) = dijkstra_into(
             t2,
             &mut self.heap,
             resid,
@@ -411,15 +450,20 @@ impl SearchArena {
             t,
             |e| resid.edge(e).reduced,
             |_| true,
+            |_| 0.0,
         );
         self.allocs += grew as u64;
+        self.settled[1] += popped;
         if !self.t2.reached(t) {
             return None;
         }
         let p2 = self.t2.path_to(&self.resid, t).expect("t is reached");
 
         // Interleaving removal: cancel (e, reverse(e)) pairs. The mask
-        // currently holds P1's edges and becomes the surviving set.
+        // holds P1's edges, and a cancelled one leaves it; the survivors are
+        // pass 2's forward arcs plus P1's uncancelled ones.
+        let cap = self.survivors.capacity();
+        self.survivors.clear();
         for &re in &p2.edges {
             let arc = self.resid.edge(re);
             if arc.reversed {
@@ -430,21 +474,42 @@ impl SearchArena {
                     !self.mask.get(arc.orig.index()),
                     "forward arc duplicates P1 edge"
                 );
-                self.mask.set(arc.orig.index(), true);
+                self.survivors.push(arc.orig);
             }
         }
+        for &e in &p1.edges {
+            if self.mask.get(e.index()) {
+                self.survivors.push(e);
+            }
+        }
+        self.allocs += (self.survivors.capacity() != cap) as u64;
+        Some(self.decompose(n, s, t, |e| g.src(e), |e| g.dst(e), cost))
+    }
 
-        // Decompose the surviving edge set into two s->t paths by walking.
+    /// Splits the surviving arcs into the two `s -> t` paths by walking
+    /// from `s` (every interior node has equal in/out degree). The arcs are
+    /// pushed onto their tails' out-lists in ascending arc id, the order a
+    /// scan over every arc would push them in, which fixes both the walk's
+    /// choice at each node and the summation order of the total; only the
+    /// survivors' out-lists are touched.
+    fn decompose(
+        &mut self,
+        n: usize,
+        s: NodeId,
+        t: NodeId,
+        src: impl Fn(EdgeId) -> NodeId,
+        dst: impl Fn(EdgeId) -> NodeId,
+        mut cost: impl FnMut(EdgeId) -> f64,
+    ) -> crate::suurballe::DisjointPair {
         if self.out_lists.len() < n {
             self.out_lists.resize_with(n, Vec::new);
             self.allocs += 1;
         }
+        self.survivors.sort_unstable();
         let mut total = 0.0;
-        for e in g.edge_ids() {
-            if self.mask.get(e.index()) {
-                self.out_lists[g.src(e).index()].push(e);
-                total += cost(e);
-            }
+        for &e in &self.survivors {
+            self.out_lists[src(e).index()].push(e);
+            total += cost(e);
         }
         let out_lists = &mut self.out_lists;
         let mut walk = || -> Path {
@@ -455,7 +520,7 @@ impl SearchArena {
                     .pop()
                     .expect("balanced edge set cannot strand a walk before t");
                 edges.push(e);
-                at = g.dst(e);
+                at = dst(e);
             }
             Path {
                 src: s,
@@ -466,13 +531,15 @@ impl SearchArena {
         let a = walk();
         let b = walk();
         debug_assert!(
-            self.out_lists.iter().all(|l| l.is_empty()),
+            self.survivors
+                .iter()
+                .all(|&e| self.out_lists[src(e).index()].is_empty()),
             "leftover edges after extracting two paths (zero-cost cycle?)"
         );
         // Defensive in release builds: a zero-cost cycle must not leak edges
         // into the next search served by this arena.
-        for l in &mut self.out_lists {
-            l.clear();
+        for &e in &self.survivors {
+            self.out_lists[src(e).index()].clear();
         }
         let (first, second) = if a.cost(&mut cost) <= b.cost(&mut cost) {
             (a, b)
@@ -480,31 +547,32 @@ impl SearchArena {
             (b, a)
         };
         debug_assert!(!first.shares_edge_with(&second));
-        Some(crate::suurballe::DisjointPair {
+        crate::suurballe::DisjointPair {
             paths: [first, second],
             total_cost: total,
-        })
+        }
     }
 
     /// [`SearchArena::edge_disjoint_pair`] over a [`FlatView`]: identical
-    /// algorithm, identical tie-breaking, bit-identical results — but every
-    /// traversal runs over contiguous CSR arrays instead of pointer-chased
-    /// adjacency lists, and the Suurballe residual graph is an overlay on
-    /// the forward slots instead of a materialised graph. `pass1_done`
-    /// fires once after the pass-1 tree and P1 extraction, the observation
-    /// point for per-pass timing.
+    /// algorithm, identical tie-breaking, bit-identical results under the
+    /// same bound `h` — but every traversal runs over contiguous CSR arrays
+    /// instead of pointer-chased adjacency lists, and the Suurballe residual
+    /// graph is an overlay on the forward slots instead of a materialised
+    /// graph. `pass1_done` fires once after the pass-1 tree and P1
+    /// extraction, the observation point for per-pass timing.
     pub fn edge_disjoint_pair_flat(
         &mut self,
         g: &FlatView<'_>,
         s: NodeId,
         t: NodeId,
+        h: impl Fn(usize) -> f64,
         pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, None, s, t, pass1_done)
+        self.flat_pair_impl(g, None, s, t, h, pass1_done)
     }
 
     /// [`SearchArena::edge_disjoint_pair_flat`] under certified integer
-    /// weights: both Dijkstra passes run on the monotone bucket queue with
+    /// weights and bound: both passes run on the monotone bucket queue with
     /// `u64` keys (falling back to the d-ary heap when a pass's key window
     /// exceeds `BUCKET_SPAN_CAP`). Results are bit-identical to the f64
     /// path.
@@ -514,9 +582,10 @@ impl SearchArena {
         int: &IntWeights<'_>,
         s: NodeId,
         t: NodeId,
+        h: impl Fn(usize) -> f64,
         pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, Some(int), s, t, pass1_done)
+        self.flat_pair_impl(g, Some(int), s, t, h, pass1_done)
     }
 
     fn flat_pair_impl(
@@ -525,6 +594,7 @@ impl SearchArena {
         int: Option<&IntWeights<'_>>,
         s: NodeId,
         t: NodeId,
+        h: impl Fn(usize) -> f64,
         mut pass1_done: impl FnMut(),
     ) -> Option<crate::suurballe::DisjointPair> {
         let n = g.node_count();
@@ -538,56 +608,47 @@ impl SearchArena {
         if s == t {
             return None;
         }
-
-        // ---- Pass 1: Dijkstra from s over enabled arcs, stopped when t is
-        // popped (as the pointer path does); `d_t` is d(t) in cost units.
+        if let Some(iw) = int {
+            debug_assert_eq!(iw.key.len(), m);
+            // Exactness guard: every distance is a sum of < n keys, A* keys
+            // and potentials add a bound, and residual reduced costs add two
+            // potentials — all must stay exactly representable in f64.
+            debug_assert!(
+                (n as u64 + 2)
+                    .saturating_mul(iw.max_key.max(1))
+                    .saturating_add(iw.max_bound_key.saturating_mul(2))
+                    < (1 << 52),
+                "integer keys too large for exact f64 mirroring"
+            );
+        }
+        // ---- Pass 1: A* from s over enabled arcs under h, stopped when t
+        // is popped (as the pointer path does). Queue keys are d(v) + h(v);
+        // the tree holds d(v) in cost units. Nodes with h = inf are never
+        // labelled. The source's key is 0, below every later key.
         let mut d_t = None;
+        let mut popped = 0u64;
         self.allocs += self.t1.begin(n, s) as u64;
         self.t1.set(s.index(), 0.0, None);
-        match int {
-            None => {
-                self.heap.ensure_capacity(n);
-                self.heap.clear();
-                self.heap.insert(s.index(), 0.0);
-                while let Some((u, du)) = self.heap.pop_min() {
-                    if u == t.index() {
-                        d_t = Some(du);
-                        break;
-                    }
-                    for slot in g.out_range(u) {
-                        if !g.slot_enabled[slot] {
-                            continue;
-                        }
-                        let w = g.slot_weight[slot];
-                        debug_assert!(w >= 0.0, "negative arc weight {w} in slot {slot}");
-                        let v = g.heads[slot] as usize;
-                        let nd = du + w;
-                        if nd < self.t1.dist(v) {
-                            self.t1
-                                .set(v, nd, Some(EdgeId::from(g.slot_arc[slot] as usize)));
-                            self.heap.insert_or_decrease(v, nd);
-                        }
-                    }
-                }
-            }
-            Some(iw) => {
-                debug_assert_eq!(iw.key.len(), m);
-                // Exactness guard: every distance is a sum of < n keys, and
-                // residual reduced costs add two distances — all must stay
-                // exactly representable in f64.
-                debug_assert!(
-                    (n as u64 + 2).saturating_mul(iw.max_key.max(1)) < (1 << 52),
-                    "integer keys too large for exact f64 mirroring"
-                );
-                let inv_scale = 1.0 / (1u64 << iw.scale_shift) as f64;
+        // A key rises by at most w + h(v) - h(u) <= max_key + max_bound_key
+        // per arc, which bounds the live window.
+        let bucket1 = int.and_then(|iw| {
+            let span1 = iw.max_key + iw.max_bound_key + 1;
+            (span1 <= BUCKET_SPAN_CAP).then_some((iw, span1))
+        });
+        match bucket1 {
+            Some((iw, span1)) => {
+                let scale = (1u64 << iw.scale_shift) as f64;
+                let inv_scale = 1.0 / scale;
                 self.bucket.clear();
-                self.allocs += self.bucket.ensure(n, iw.max_key + 1) as u64;
+                self.allocs += self.bucket.ensure(n, span1) as u64;
                 self.bucket.insert(s.index(), 0);
-                while let Some((u, du)) = self.bucket.pop_min() {
+                while let Some((u, _)) = self.bucket.pop_min() {
+                    popped += 1;
                     if u == t.index() {
-                        d_t = Some(du as f64 * inv_scale);
+                        d_t = Some(self.t1.dist(u));
                         break;
                     }
+                    let du = (self.t1.dist(u) * scale) as u64;
                     for slot in g.out_range(u) {
                         if !g.slot_enabled[slot] {
                             continue;
@@ -599,14 +660,50 @@ impl SearchArena {
                         // f64 path's distances in cost units.
                         let ndf = nd as f64 * inv_scale;
                         if ndf < self.t1.dist(v) {
+                            let h_v = h(v);
+                            if h_v == f64::INFINITY {
+                                continue;
+                            }
                             self.t1
                                 .set(v, ndf, Some(EdgeId::from(g.slot_arc[slot] as usize)));
-                            self.bucket.insert_or_decrease(v, nd);
+                            self.bucket.insert_or_decrease(v, nd + (h_v * scale) as u64);
+                        }
+                    }
+                }
+            }
+            None => {
+                self.heap.ensure_capacity(n);
+                self.heap.clear();
+                self.heap.insert(s.index(), 0.0);
+                while let Some((u, _)) = self.heap.pop_min() {
+                    popped += 1;
+                    if u == t.index() {
+                        d_t = Some(self.t1.dist(u));
+                        break;
+                    }
+                    let du = self.t1.dist(u);
+                    for slot in g.out_range(u) {
+                        if !g.slot_enabled[slot] {
+                            continue;
+                        }
+                        let w = g.slot_weight[slot];
+                        debug_assert!(w >= 0.0, "negative arc weight {w} in slot {slot}");
+                        let v = g.heads[slot] as usize;
+                        let nd = du + w;
+                        if nd < self.t1.dist(v) {
+                            let h_v = h(v);
+                            if h_v == f64::INFINITY {
+                                continue;
+                            }
+                            self.t1
+                                .set(v, nd, Some(EdgeId::from(g.slot_arc[slot] as usize)));
+                            self.heap.insert_or_decrease(v, nd + h_v);
                         }
                     }
                 }
             }
         }
+        self.settled[0] += popped;
         let d_t = d_t?;
         let p1 = self.t1.path_to_flat(g.src, t).expect("t is reached");
         self.allocs += self.mask.begin(m) as u64;
@@ -619,11 +716,11 @@ impl SearchArena {
 
         // ---- Pass 2 runs directly over the CSR with a residual overlay ----
         // (no residual graph is materialised). The residual is: every
-        // enabled unmasked forward arc at reduced cost
-        // `(w + pi(u) - pi(v)).max(0)` under the capped potentials
-        // `pi(v) = min(d(v), d(t))` (tentative and unreached nodes take
-        // d(t), exactly as in the pointer path), plus each P1 arc reversed
-        // at reduced cost 0. P1 is a simple path, so a
+        // enabled unmasked forward arc into a node with finite h, at reduced
+        // cost `(w + pi(u) - pi(v)).max(0)` under the potentials
+        // `pi(v) = min(d(v), d(t) - h(v))` (tentative and unreached nodes
+        // take d(t) - h(v), exactly as in the pointer path), plus each P1
+        // arc reversed at reduced cost 0. P1 is a simple path, so a
         // node has at most one masked in-arc — at most one reversed arc —
         // and merging it into the forward slot scan by ascending original
         // arc id reproduces the pointer path's residual insertion order,
@@ -637,12 +734,13 @@ impl SearchArena {
             self.rev_at[g.dst[e.index()] as usize] = e.index() as u32;
         }
 
+        popped = 0;
         self.allocs += self.t2.begin(n, s) as u64;
         let bucket2 = int.and_then(|iw| {
             let scale = (1u64 << iw.scale_shift) as f64;
-            // Potentials lie in [0, d(t)], so reduced keys never exceed
-            // max_key + d(t) in key units.
-            let span2 = iw.max_key + (d_t * scale) as u64 + 1;
+            // Potentials lie in [min(0, d(t) - max h), d(t)], so reduced
+            // keys never exceed max_key + max(d(t), max h) in key units.
+            let span2 = iw.max_key + ((d_t * scale) as u64).max(iw.max_bound_key) + 1;
             (span2 <= BUCKET_SPAN_CAP).then_some((scale, span2))
         });
         match bucket2 {
@@ -654,10 +752,11 @@ impl SearchArena {
                 self.t2.set(s.index(), 0.0, None);
                 self.bucket.insert(s.index(), 0);
                 while let Some((u, du)) = self.bucket.pop_min() {
+                    popped += 1;
                     if u == t.index() {
                         break;
                     }
-                    let pi_u = self.t1.dist(u).min(d_t);
+                    let pi_u = self.t1.dist(u).min(d_t - h(u));
                     let mut pending_rev = self.rev_at[u];
                     for slot in g.out_range(u) {
                         if (pending_rev as usize) < g.slot_arc[slot] as usize {
@@ -674,9 +773,14 @@ impl SearchArena {
                             continue;
                         }
                         let v = g.heads[slot] as usize;
+                        let h_v = h(v);
+                        if h_v == f64::INFINITY {
+                            continue;
+                        }
                         // Floating-point noise can push a tight edge to
                         // -epsilon; clamp exactly as the pointer path does.
-                        let red = (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t)).max(0.0);
+                        let red =
+                            (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t - h_v)).max(0.0);
                         let rk = (red * scale) as u64;
                         let nd = du + rk;
                         let ndf = nd as f64;
@@ -703,10 +807,11 @@ impl SearchArena {
                 self.t2.set(s.index(), 0.0, None);
                 self.heap.insert(s.index(), 0.0);
                 while let Some((u, du)) = self.heap.pop_min() {
+                    popped += 1;
                     if u == t.index() {
                         break;
                     }
-                    let pi_u = self.t1.dist(u).min(d_t);
+                    let pi_u = self.t1.dist(u).min(d_t - h(u));
                     let mut pending_rev = self.rev_at[u];
                     for slot in g.out_range(u) {
                         if (pending_rev as usize) < g.slot_arc[slot] as usize {
@@ -722,7 +827,12 @@ impl SearchArena {
                             continue;
                         }
                         let v = g.heads[slot] as usize;
-                        let red = (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t)).max(0.0);
+                        let h_v = h(v);
+                        if h_v == f64::INFINITY {
+                            continue;
+                        }
+                        let red =
+                            (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t - h_v)).max(0.0);
                         let nd = du + red;
                         if nd < self.t2.dist(v) {
                             let a = g.slot_arc[slot] as usize;
@@ -741,6 +851,7 @@ impl SearchArena {
                 }
             }
         }
+        self.settled[1] += popped;
         // The overlay is per-request state: clear it before any return.
         for &e in &p1.edges {
             self.rev_at[g.dst[e.index()] as usize] = u32::MAX;
@@ -750,8 +861,9 @@ impl SearchArena {
         }
 
         // Interleaving removal straight off the pass-2 predecessor codes:
-        // cancel (e, reverse(e)) pairs. The mask currently holds P1's edges
-        // and becomes the surviving set.
+        // cancel (e, reverse(e)) pairs, as the pointer path does.
+        let cap = self.survivors.capacity();
+        self.survivors.clear();
         let mut at = t.index();
         while at != s.index() {
             let code = self
@@ -766,67 +878,36 @@ impl SearchArena {
                 at = g.dst[a] as usize;
             } else {
                 debug_assert!(!self.mask.get(a), "forward arc duplicates P1 edge");
-                self.mask.set(a, true);
+                self.survivors.push(EdgeId::from(a));
                 at = g.src[a] as usize;
             }
         }
-
-        // Decompose the surviving edge set into two s->t paths by walking.
-        if self.out_lists.len() < n {
-            self.out_lists.resize_with(n, Vec::new);
-            self.allocs += 1;
-        }
-        let mut total = 0.0;
-        for a in 0..m {
-            if self.mask.get(a) {
-                self.out_lists[g.src[a] as usize].push(EdgeId::from(a));
-                total += g.weight[a];
+        for &e in &p1.edges {
+            if self.mask.get(e.index()) {
+                self.survivors.push(e);
             }
         }
-        let out_lists = &mut self.out_lists;
-        let mut walk = || -> Path {
-            let mut edges = Vec::new();
-            let mut at = s;
-            while at != t {
-                let e = out_lists[at.index()]
-                    .pop()
-                    .expect("balanced edge set cannot strand a walk before t");
-                edges.push(e);
-                at = NodeId::from(g.dst[e.index()] as usize);
-            }
-            Path {
-                src: s,
-                dst: t,
-                edges,
-            }
-        };
-        let a = walk();
-        let b = walk();
-        debug_assert!(
-            self.out_lists.iter().all(|l| l.is_empty()),
-            "leftover edges after extracting two paths (zero-cost cycle?)"
-        );
-        for l in &mut self.out_lists {
-            l.clear();
-        }
-        let mut cost = |e: EdgeId| g.weight[e.index()];
-        let (first, second) = if a.cost(&mut cost) <= b.cost(&mut cost) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        debug_assert!(!first.shares_edge_with(&second));
-        Some(crate::suurballe::DisjointPair {
-            paths: [first, second],
-            total_cost: total,
-        })
+        self.allocs += (self.survivors.capacity() != cap) as u64;
+        Some(self.decompose(
+            n,
+            s,
+            t,
+            |e| NodeId::from(g.src[e.index()] as usize),
+            |e| NodeId::from(g.dst[e.index()] as usize),
+            |e| g.weight[e.index()],
+        ))
     }
 }
 
-/// Dijkstra into a [`TreeBank`], stopped when `target` is popped: the exact
-/// relaxation loop of [`dijkstra_generic`](crate::dijkstra::dijkstra_generic)
-/// with the default 4-ary heap, writing into reused buffers. Returns
-/// whether the tree bank had to grow (an allocation event).
+/// A* into a [`TreeBank`] under the sink bound `h`, stopped when `target`
+/// is popped: the relaxation loop of
+/// [`dijkstra_generic`](crate::dijkstra::dijkstra_generic) with the default
+/// 4-ary heap keyed by `d(v) + h(v)`, writing into reused buffers. Nodes
+/// with `h = inf` are never labelled, and the source's key is 0. Under
+/// `h ≡ 0` this is Dijkstra's exact operation sequence. Returns whether the
+/// tree bank had to grow (an allocation event) and how many nodes were
+/// popped.
+#[allow(clippy::too_many_arguments)]
 fn dijkstra_into<N, E>(
     bank: &mut TreeBank,
     heap: &mut DaryHeap<f64, 4>,
@@ -835,18 +916,22 @@ fn dijkstra_into<N, E>(
     target: NodeId,
     mut cost: impl FnMut(EdgeId) -> f64,
     mut filter: impl FnMut(EdgeId) -> bool,
-) -> bool {
+    h: impl Fn(usize) -> f64,
+) -> (bool, u64) {
     let n = g.node_count();
     let grew = bank.begin(n, source);
     heap.ensure_capacity(n);
     heap.clear();
     bank.set(source.index(), 0.0, None);
     heap.insert(source.index(), 0.0);
-    while let Some((u_idx, du)) = heap.pop_min() {
+    let mut popped = 0u64;
+    while let Some((u_idx, _)) = heap.pop_min() {
+        popped += 1;
         let u = NodeId::from(u_idx);
         if u == target {
             break;
         }
+        let du = bank.dist(u_idx);
         for &e in g.out_edges(u) {
             if !filter(e) {
                 continue;
@@ -856,12 +941,16 @@ fn dijkstra_into<N, E>(
             let v = g.dst(e);
             let nd = du + w;
             if nd < bank.dist(v.index()) {
+                let h_v = h(v.index());
+                if h_v == f64::INFINITY {
+                    continue;
+                }
                 bank.set(v.index(), nd, Some(e));
-                heap.insert_or_decrease(v.index(), nd);
+                heap.insert_or_decrease(v.index(), nd + h_v);
             }
         }
     }
-    grew
+    (grew, popped)
 }
 
 #[cfg(test)]
@@ -910,7 +999,7 @@ mod tests {
             let banned = EdgeId::from(rng.gen_range(0..g.edge_count().max(1)));
             let filter = |e: EdgeId| e != banned;
             let base = edge_disjoint_pair_filtered(&g, s, t, |e| g.weight(e), filter);
-            let fast = arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), filter);
+            let fast = arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), filter, |_| 0.0);
             match (base, fast) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -928,14 +1017,29 @@ mod tests {
     fn alloc_events_plateau_after_warmup() {
         let mut arena = SearchArena::new();
         let g = topology::ring(24, 1.0);
+        let unguided = |_| 0.0;
         arena
-            .edge_disjoint_pair(&g, NodeId(0), NodeId(12), |e| g.weight(e), |_| true)
+            .edge_disjoint_pair(
+                &g,
+                NodeId(0),
+                NodeId(12),
+                |e| g.weight(e),
+                |_| true,
+                unguided,
+            )
             .unwrap();
         let after_warmup = arena.alloc_events();
         assert!(after_warmup > 0, "first search must grow the buffers");
         for _ in 0..10 {
             arena
-                .edge_disjoint_pair(&g, NodeId(0), NodeId(12), |e| g.weight(e), |_| true)
+                .edge_disjoint_pair(
+                    &g,
+                    NodeId(0),
+                    NodeId(12),
+                    |e| g.weight(e),
+                    |_| true,
+                    unguided,
+                )
                 .unwrap();
         }
         assert_eq!(arena.alloc_events(), after_warmup);
@@ -1024,11 +1128,14 @@ mod tests {
             }
         }
 
-        fn int(&self) -> IntWeights<'_> {
+        /// The integer view for a search whose finite bound values are at
+        /// most `max_bound` (in cost units).
+        fn int(&self, max_bound: f64) -> IntWeights<'_> {
             IntWeights {
                 key: &self.key,
                 scale_shift: TEST_SHIFT,
                 max_key: self.max_key,
+                max_bound_key: (max_bound * (1u64 << TEST_SHIFT) as f64) as u64,
             }
         }
     }
@@ -1064,10 +1171,17 @@ mod tests {
             let t = NodeId::from(rng.gen_range(0..n));
             let banned = EdgeId::from(rng.gen_range(0..g.edge_count().max(1)));
             let flat = FlatArrays::build(&g, |e| e != banned);
-            let base = ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |e| e != banned);
-            let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, || {});
-            let int_pair =
-                int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {});
+            let base =
+                ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |e| e != banned, |_| 0.0);
+            let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, |_| 0.0, || {});
+            let int_pair = int_arena.edge_disjoint_pair_flat_int(
+                &flat.view(),
+                &flat.int(0.0),
+                s,
+                t,
+                |_| 0.0,
+                || {},
+            );
             assert_same_pair(&base, &f64_pair, &format!("flat f64, trial {trial}"));
             assert_same_pair(&base, &int_pair, &format!("flat int, trial {trial}"));
         }
@@ -1144,90 +1258,172 @@ mod tests {
         (Some(pair), d)
     }
 
-    /// Stopping pass 1 at `t` with potentials capped at `d(t)` finds a
-    /// minimum-cost pair: the total-cost bits and the feasibility of all
-    /// three entry points match the exhaustive reference, over repeated
-    /// solves on one arena per entry point. The trials must include pairs
-    /// that differ from the reference's (cost ties) and second paths
-    /// through nodes farther than `d(t)`, which pass 1 never settles.
+    /// Distance from every node to `t` (reverse Dijkstra), `None` where `t`
+    /// is unreachable: the exact sink bound the guided tests scale.
+    fn distances_to(g: &DiGraph<(), f64>, t: NodeId) -> Vec<Option<f64>> {
+        let mut rev: DiGraph<(), f64> = DiGraph::new();
+        for _ in g.node_ids() {
+            rev.add_node(());
+        }
+        for e in g.edge_ids() {
+            rev.add_edge(g.dst(e), g.src(e), g.weight(e));
+        }
+        let tree = crate::dijkstra::dijkstra(&rev, t, |e| rev.weight(e));
+        g.node_ids().map(|v| tree.distance(v)).collect()
+    }
+
+    /// Runs the pointer, CSR f64 and CSR integer searches under one bound
+    /// and checks that they agree bit for bit; returns the pointer pair.
+    fn three_way(
+        arenas: &mut [SearchArena; 3],
+        g: &DiGraph<(), f64>,
+        flat: &FlatArrays,
+        s: NodeId,
+        t: NodeId,
+        h: &[f64],
+        ctx: &str,
+    ) -> Option<crate::suurballe::DisjointPair> {
+        let max_bound = h
+            .iter()
+            .copied()
+            .filter(|x| x.is_finite())
+            .fold(0.0, f64::max);
+        let [ptr_arena, flat_arena, int_arena] = arenas;
+        let ptr = ptr_arena.edge_disjoint_pair(g, s, t, |e| g.weight(e), |_| true, |v| h[v]);
+        let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, |v| h[v], || {});
+        let int_pair = int_arena.edge_disjoint_pair_flat_int(
+            &flat.view(),
+            &flat.int(max_bound),
+            s,
+            t,
+            |v| h[v],
+            || {},
+        );
+        assert_same_pair(&ptr, &f64_pair, &format!("flat f64, {ctx}"));
+        assert_same_pair(&ptr, &int_pair, &format!("flat int, {ctx}"));
+        ptr
+    }
+
+    /// The sorted edge set of a pair (paths differ only among ties).
+    fn edge_set(p: &crate::suurballe::DisjointPair) -> Vec<EdgeId> {
+        let mut all: Vec<EdgeId> = p
+            .paths
+            .iter()
+            .flat_map(|x| x.edges.iter().copied())
+            .collect();
+        all.sort();
+        all
+    }
+
+    /// Stopping pass 1 at `t` finds a minimum-cost pair, unguided and under
+    /// the consistent sink bounds `h = λ·dist(v → t)` for `λ ∈ {0, ½, 1}`
+    /// (`h = ∞` where `t` is unreachable): the total-cost bits and the
+    /// feasibility of all three entry points match the exhaustive
+    /// reference, and the three agree on edges under every bound, over
+    /// repeated solves on one arena per entry point. The trials must
+    /// include pairs that differ from the reference's and guided pairs that
+    /// differ from the unguided one (cost ties), unguided second paths
+    /// through nodes farther than `d(t)` and guided ones through nodes with
+    /// `d(v) + h(v) > d(t)`, which pass 1 never settles, and nodes pruned
+    /// by `h = ∞` that plain Dijkstra settles before `t`. The last 100
+    /// trials are sparse, so some nodes cannot reach `t`.
     #[test]
     fn early_exit_matches_exhaustive_suurballe() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x3A3A);
-        let mut ptr_arena = SearchArena::new();
-        let mut flat_arena = SearchArena::new();
-        let mut int_arena = SearchArena::new();
+        let mut arenas = [SearchArena::new(), SearchArena::new(), SearchArena::new()];
         let (mut routed, mut differ, mut beyond_cap) = (0, 0, 0);
-        for trial in 0..150 {
+        let (mut guided_differ, mut beyond_bound, mut pruned) = (0, 0, 0);
+        for trial in 0..250 {
             let n = rng.gen_range(4..14);
             let levels = if trial % 2 == 0 { 20 } else { 3 };
-            let g = random_graph_halves(&mut rng, n, 0.4, levels);
+            let p = if trial < 150 { 0.4 } else { 0.2 };
+            let g = random_graph_halves(&mut rng, n, p, levels);
             let flat = FlatArrays::build(&g, |_| true);
             for solve in 0..12 {
                 let ctx = format!("trial {trial} solve {solve}");
                 let s = NodeId::from(rng.gen_range(0..n));
                 let t = NodeId::from(rng.gen_range(0..n));
                 let (reference, d) = exhaustive_pair(&g, s, t);
-                let ptr = ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true);
-                let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, || {});
-                let int_pair =
-                    int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {});
-                for (label, got) in [
-                    ("pointer", &ptr),
-                    ("flat f64", &f64_pair),
-                    ("flat int", &int_pair),
-                ] {
-                    match (&reference, got) {
+                let to_t = distances_to(&g, t);
+                let unguided = vec![0.0; n];
+                let mut bounds = vec![("unguided".to_string(), unguided)];
+                for lambda in [0.0, 0.5, 1.0] {
+                    let h = to_t
+                        .iter()
+                        .map(|x| x.map_or(f64::INFINITY, |x| lambda * x))
+                        .collect();
+                    bounds.push((format!("lambda {lambda}"), h));
+                }
+                let mut pairs = Vec::new();
+                for (bound, h) in &bounds {
+                    let ctx = format!("{bound}, {ctx}");
+                    let got = three_way(&mut arenas, &g, &flat, s, t, h, &ctx);
+                    match (&reference, &got) {
                         (None, None) => {}
                         (Some(r), Some(p)) => {
-                            assert_eq!(
-                                r.total_cost.to_bits(),
-                                p.total_cost.to_bits(),
-                                "{label}, {ctx}"
-                            );
-                            assert!(p.is_edge_disjoint(), "{label}, {ctx}");
+                            assert_eq!(r.total_cost.to_bits(), p.total_cost.to_bits(), "{ctx}");
+                            assert!(p.is_edge_disjoint(), "{ctx}");
                             let mut sum = 0.0;
                             for path in &p.paths {
-                                assert_eq!((path.src, path.dst), (s, t), "{label}, {ctx}");
-                                assert_eq!(g.src(path.edges[0]), s, "{label}, {ctx}");
+                                assert_eq!((path.src, path.dst), (s, t), "{ctx}");
+                                assert_eq!(g.src(path.edges[0]), s, "{ctx}");
                                 for w in path.edges.windows(2) {
-                                    assert_eq!(g.dst(w[0]), g.src(w[1]), "{label}, {ctx}");
+                                    assert_eq!(g.dst(w[0]), g.src(w[1]), "{ctx}");
                                 }
-                                assert_eq!(g.dst(*path.edges.last().unwrap()), t, "{label}, {ctx}");
+                                assert_eq!(g.dst(*path.edges.last().unwrap()), t, "{ctx}");
                                 sum += path.cost(|e| g.weight(e));
                             }
-                            assert_eq!(sum, p.total_cost, "{label}, {ctx}");
+                            assert_eq!(sum, p.total_cost, "{ctx}");
                         }
-                        _ => panic!("{label}, {ctx}: feasibility disagrees"),
+                        _ => panic!("{ctx}: feasibility disagrees"),
                     }
+                    pairs.push(got);
                 }
-                assert_same_pair(&ptr, &f64_pair, &ctx);
-                assert_same_pair(&ptr, &int_pair, &ctx);
-                let (Some(r), Some(p)) = (&reference, &ptr) else {
+                let Some(r) = &reference else {
                     continue;
                 };
+                let d_t = d[t.index()].expect("t is reached");
+                if g.node_ids()
+                    .any(|v| to_t[v.index()].is_none() && d[v.index()].is_some_and(|dv| dv < d_t))
+                {
+                    pruned += 1;
+                }
+                let unguided = pairs[0].as_ref().expect("feasible");
                 routed += 1;
-                let edge_set = |p: &crate::suurballe::DisjointPair| {
-                    let mut all: Vec<EdgeId> = p
-                        .paths
-                        .iter()
-                        .flat_map(|x| x.edges.iter().copied())
-                        .collect();
-                    all.sort();
-                    all
-                };
-                if edge_set(r) != edge_set(p) {
+                if edge_set(r) != edge_set(unguided) {
                     differ += 1;
                 }
-                let d_t = d[t.index()].expect("t is reached");
                 let far = |e: &EdgeId| d[g.dst(*e).index()].is_some_and(|dv| dv > d_t);
-                if p.paths.iter().any(|x| x.edges.iter().any(far)) {
+                if unguided.paths.iter().any(|x| x.edges.iter().any(far)) {
                     beyond_cap += 1;
+                }
+                for ((_, h), pair) in bounds.iter().zip(&pairs).skip(1) {
+                    let pair = pair.as_ref().expect("feasible");
+                    if edge_set(pair) != edge_set(unguided) {
+                        guided_differ += 1;
+                    }
+                    let unsettled = |e: &EdgeId| {
+                        let v = g.dst(*e).index();
+                        d[v].is_some_and(|dv| dv + h[v] > d_t)
+                    };
+                    if pair.paths.iter().any(|x| x.edges.iter().any(unsettled)) {
+                        beyond_bound += 1;
+                    }
                 }
             }
         }
         assert!(routed >= 500, "only {routed} routed solves");
         assert!(differ > 0, "no solve picked a different equal-cost pair");
         assert!(beyond_cap > 0, "no pair crossed a node beyond d(t)");
+        assert!(
+            guided_differ > 0,
+            "no guided pair differed from the unguided one"
+        );
+        assert!(
+            beyond_bound > 0,
+            "no guided pair crossed a node pass 1 left unsettled"
+        );
+        assert!(pruned > 0, "no solve pruned a node plain Dijkstra settles");
     }
 
     /// Pass 2 reaches nodes pass 1 never settled: `s -> t` costs 1, so
@@ -1239,16 +1435,64 @@ mod tests {
         // s = 0, t = 1, a = 2, b = 3.
         let g = DiGraph::weighted(4, &[(0, 1, 1.0), (0, 2, 5.0), (2, 3, 2.0), (3, 1, 3.0)]);
         let flat = FlatArrays::build(&g, |_| true);
+        let unguided = |_| 0.0;
         let pairs = [
-            SearchArena::new().edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true),
-            SearchArena::new().edge_disjoint_pair_flat(&flat.view(), s, t, || {}),
-            SearchArena::new().edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), s, t, || {}),
+            SearchArena::new().edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true, unguided),
+            SearchArena::new().edge_disjoint_pair_flat(&flat.view(), s, t, unguided, || {}),
+            SearchArena::new().edge_disjoint_pair_flat_int(
+                &flat.view(),
+                &flat.int(0.0),
+                s,
+                t,
+                unguided,
+                || {},
+            ),
         ];
         for pair in pairs {
             let pair = pair.expect("two edge-disjoint paths exist");
             assert_eq!(pair.total_cost, 11.0);
             assert_eq!(pair.paths[0].edges, vec![EdgeId(0)]);
             assert_eq!(pair.paths[1].edges, vec![EdgeId(1), EdgeId(2), EdgeId(3)]);
+        }
+    }
+
+    /// The bound prunes what plain Dijkstra settles: `s -> x -> y` is a
+    /// cheap dead end (`h = ∞` on `x` and `y`), so unguided pass 1 settles
+    /// both before `t`, while the guided one pops only `s`, `a` and `t`
+    /// (`b` ties with `t` at key 2 and loses on id). Every entry point
+    /// finds the same pair and pins the settled counts per pass: 6 + 3
+    /// unguided, 3 + 3 guided.
+    #[test]
+    fn bound_prunes_nodes_plain_dijkstra_settles() {
+        let (s, t) = (NodeId(0), NodeId(1));
+        // s = 0, t = 1, a = 2, b = 3, x = 4, y = 5.
+        let g = DiGraph::weighted(
+            6,
+            &[
+                (0, 2, 1.0),
+                (2, 1, 1.0),
+                (0, 3, 1.0),
+                (3, 1, 1.0),
+                (0, 4, 0.5),
+                (4, 5, 0.5),
+            ],
+        );
+        let flat = FlatArrays::build(&g, |_| true);
+        let exact: Vec<f64> = distances_to(&g, t)
+            .iter()
+            .map(|x| x.unwrap_or(f64::INFINITY))
+            .collect();
+        assert_eq!(exact, [2.0, 0.0, 1.0, 1.0, f64::INFINITY, f64::INFINITY]);
+        for (h, settled) in [(vec![0.0; 6], [6, 3]), (exact, [3, 3])] {
+            let mut arenas = [SearchArena::new(), SearchArena::new(), SearchArena::new()];
+            let pair = three_way(&mut arenas, &g, &flat, s, t, &h, "hand-built")
+                .expect("two edge-disjoint paths exist");
+            assert_eq!(pair.total_cost, 4.0);
+            assert_eq!(pair.paths[0].edges, vec![EdgeId(2), EdgeId(3)]);
+            assert_eq!(pair.paths[1].edges, vec![EdgeId(0), EdgeId(1)]);
+            for arena in &arenas {
+                assert_eq!(arena.settled(), settled, "bound {h:?}");
+            }
         }
     }
 
@@ -1259,15 +1503,16 @@ mod tests {
     fn flat_searches_stop_allocating() {
         let g = topology::ring(24, 1.0);
         let flat = FlatArrays::build(&g, |_| true);
+        let int = flat.int(0.0);
         let mut arena = SearchArena::new();
         arena
-            .edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), NodeId(0), NodeId(12), || {})
+            .edge_disjoint_pair_flat_int(&flat.view(), &int, NodeId(0), NodeId(12), |_| 0.0, || {})
             .unwrap();
         let after_warmup = arena.alloc_events();
         for i in 0..10 {
             let t = NodeId::from(6 + i);
             arena
-                .edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), NodeId(0), t, || {})
+                .edge_disjoint_pair_flat_int(&flat.view(), &int, NodeId(0), t, |_| 0.0, || {})
                 .unwrap();
         }
         assert_eq!(arena.alloc_events(), after_warmup);
@@ -1286,6 +1531,7 @@ mod tests {
                     NodeId::from(n / 2),
                     |e| g.weight(e),
                     |_| true,
+                    |_| 0.0,
                 )
                 .expect("ring always has two disjoint paths");
             assert!(pair.is_edge_disjoint());

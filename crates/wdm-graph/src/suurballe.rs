@@ -5,22 +5,29 @@
 //! approximation algorithms run it on the auxiliary graphs `G'`, `G_c` and
 //! `G_rc`. The implementation uses the potential (reduced-cost)
 //! formulation so both passes are plain Dijkstra runs on non-negative
-//! weights:
+//! weights, guided by a *sink bound* `h`: a consistent lower bound on each
+//! node's remaining cost to `t` (`h(t) = 0`, `h(u) ≤ c(e) + h(v)` on every
+//! edge, `∞` where `t` is unreachable). The auxiliary-graph searches pass
+//! the physical distance to the sink; the generic entry points below pass
+//! `h ≡ 0`, which makes every step the unguided one.
 //!
-//! 1. Dijkstra from `s`, stopped when `t` is popped, gives a shortest
-//!    path `P1` and the potentials `π(v) = min(d(v), d(t))`: settled nodes
-//!    keep their exact distance, and tentative or unreached nodes, which
-//!    are at least `d(t)` away, take `d(t)`.
-//! 2. Every remaining edge `(u, v)` gets reduced cost
-//!    `c(e) + π(u) − π(v) ≥ 0` (capping at `d(t)` keeps the potentials
+//! 1. A* from `s` under `h`, stopped when `t` is popped, gives a shortest
+//!    path `P1`. A settled node `v` keeps its exact distance `d(v)`, with
+//!    `d(v) + h(v) ≤ d(t)`; every other node is at least `d(t) − h(v)`
+//!    away. Nodes with `h = ∞` are never labelled.
+//! 2. The potentials are `π(v) = min(d(v), d(t) − h(v))`. Every remaining
+//!    edge `(u, v)` into a node with finite `h` gets reduced cost
+//!    `c(e) + π(u) − π(v) ≥ 0` (consistency of `h` keeps the potentials
 //!    feasible), including edges into nodes step 1 never settled; the
 //!    edges of `P1` are removed and replaced by zero-cost reversals (`P1`'s
 //!    nodes are all settled, so its edges are tight and their reversals
-//!    cost exactly 0).
+//!    cost exactly 0). Beyond the settled region the reduced costs are
+//!    `c(e) − h(u) + h(v)`: pass 2 is guided by the same bound.
 //! 3. A second Dijkstra, stopped at `t`, finds `P2'` in that residual
 //!    graph. These are the successive-shortest-path conditions for a
 //!    two-unit min-cost flow, so the pair has minimum total cost; only the
-//!    choice among equal-cost pairs depends on where step 1 stopped.
+//!    choice among equal-cost pairs depends on `h` and on where step 1
+//!    stopped.
 //! 4. Interleaving removal: edges of `P1` whose reversals `P2'` used cancel
 //!    (the `E_intersect` step of the paper's pseudocode); the surviving edge
 //!    set decomposes into the two edge-disjoint paths, recovered by walking
@@ -81,8 +88,9 @@ pub fn edge_disjoint_pair_filtered<N, E>(
     filter: impl FnMut(EdgeId) -> bool,
 ) -> Option<DisjointPair> {
     // The algorithm lives in `SearchArena` so hot loops can reuse the
-    // working buffers; a one-shot call just uses a throwaway arena.
-    SearchArena::new().edge_disjoint_pair(g, s, t, cost, filter)
+    // working buffers; a one-shot call just uses a throwaway arena. A
+    // generic graph has no sink bound: h = 0 is plain Dijkstra.
+    SearchArena::new().edge_disjoint_pair(g, s, t, cost, filter, |_| 0.0)
 }
 
 /// [`edge_disjoint_pair_filtered`] over all edges.

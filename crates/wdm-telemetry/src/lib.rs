@@ -106,11 +106,15 @@ pub enum Counter {
     /// Daemon: optimistic commits that conflicted with a concurrent
     /// mutation and re-routed under the write lock.
     ServeConflictRetries = 29,
+    /// Nodes settled by Suurballe's pass 1 (the sink counts when popped).
+    SuurballeSettledP1 = 30,
+    /// Nodes settled by Suurballe's pass 2.
+    SuurballeSettledP2 = 31,
 }
 
 impl Counter {
     /// Number of counter slots.
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 32;
 
     /// Every variant, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -144,6 +148,8 @@ impl Counter {
         Counter::ServeDeadlineDrop,
         Counter::ServeBadRequest,
         Counter::ServeConflictRetries,
+        Counter::SuurballeSettledP1,
+        Counter::SuurballeSettledP2,
     ];
 
     /// Stable snake_case key used in snapshots and JSON output.
@@ -179,6 +185,8 @@ impl Counter {
             Counter::ServeDeadlineDrop => "serve_deadline_drop",
             Counter::ServeBadRequest => "serve_bad_request",
             Counter::ServeConflictRetries => "serve_conflict_retries",
+            Counter::SuurballeSettledP1 => "suurballe_settled_p1",
+            Counter::SuurballeSettledP2 => "suurballe_settled_p2",
         }
     }
 
@@ -215,6 +223,8 @@ impl Counter {
             Counter::ServeDeadlineDrop => "Daemon requests dropped on an expired deadline",
             Counter::ServeBadRequest => "Daemon malformed requests rejected",
             Counter::ServeConflictRetries => "Daemon commits re-routed after a conflict",
+            Counter::SuurballeSettledP1 => "Nodes settled by Suurballe pass 1",
+            Counter::SuurballeSettledP2 => "Nodes settled by Suurballe pass 2",
         }
     }
 }

@@ -45,7 +45,9 @@ pub enum Phase {
     /// Auxiliary-graph engine sync (skeleton build / dirty refresh), and
     /// the threshold ladder's per-rung flow checks over the admission rule.
     AuxRefresh,
-    /// Suurballe pass 1: shortest path on the enabled skeleton.
+    /// Suurballe pass 1: the sink bound (a reverse Dijkstra over the
+    /// admitted physical links), then the bound-guided shortest path on the
+    /// enabled skeleton.
     SuurballeP1,
     /// Suurballe pass 2: residual build + second path + decomposition.
     SuurballeP2,

@@ -203,13 +203,7 @@ fn no_disjoint_pair_in_g_prime_implies_none_in_g() {
     let net = b.build();
     let state = ResidualState::fresh(&net);
     let aux = AuxGraph::build(&net, &state, NodeId(0), NodeId(2), AuxSpec::g_prime());
-    let pair = wdm_robust_routing::graph::suurballe::edge_disjoint_pair(
-        &aux.graph,
-        aux.source,
-        aux.sink,
-        |e| aux.graph.edge(e).weight,
-    );
-    assert!(pair.is_none());
+    assert!(aux.disjoint_pair().is_none());
     let direct = RobustRouteFinder::new(&net).find(&state, NodeId(0), NodeId(2));
     assert!(direct.is_err());
 }
