@@ -89,10 +89,11 @@ fn bench_hot_path(c: &mut Criterion) {
         })
     });
 
-    // The engine, searched through its CSR arrays under the sink bound with
-    // the integer bucket queue, as production routes. Runs on a dyadic
-    // (quarter-integer cost, free conversion) instance of the same shape so
-    // the integer certificate holds on every request.
+    // The engine, searched through its CSR arrays under the sink bound, as
+    // production routes. Runs on a dyadic (quarter-integer cost, free
+    // conversion) instance of the same shape, so the integer certificate
+    // holds on every request and queue selection puts both passes on the
+    // bucket queue; `exp_aux_engine`'s f64 leg measures the d-ary heap.
     group.bench_function(BenchmarkId::new("engine_csr", "n100_d4_w8"), |b| {
         let net = {
             let mut r = rng(11);

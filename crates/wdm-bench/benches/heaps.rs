@@ -1,13 +1,13 @@
 //! Heap-engine comparison on Dijkstra workloads (the Theorem 1 constant
-//! factor: the paper cites Fibonacci heaps; we measure the practical
-//! candidates head-to-head).
+//! factor: the paper cites Fibonacci heaps; we measure the indexed d-ary
+//! heap's arities head-to-head).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
 use wdm_graph::dijkstra::dijkstra_generic;
 use wdm_graph::{topology, NodeId};
-use wdm_heap::{DaryHeap, MinQueue, PairingHeap};
+use wdm_heap::{DaryHeap, MinQueue};
 
 fn bench_dijkstra_engines(c: &mut Criterion) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
@@ -56,18 +56,6 @@ fn bench_dijkstra_engines(c: &mut Criterion) {
                 .dist[g.node_count() - 1]
             })
         });
-        group.bench_with_input(BenchmarkId::new("pairing", name), g, |b, g| {
-            b.iter(|| {
-                dijkstra_generic::<_, _, PairingHeap<f64>>(
-                    g,
-                    NodeId(0),
-                    None,
-                    |e| g.weight(e),
-                    |_| true,
-                )
-                .dist[g.node_count() - 1]
-            })
-        });
     }
     group.finish();
 }
@@ -88,52 +76,8 @@ fn bench_raw_ops(c: &mut Criterion) {
             black_box(sum)
         })
     });
-    group.bench_function("pairing", |b| {
-        b.iter(|| {
-            let mut h: PairingHeap<f64> = PairingHeap::with_capacity(n);
-            for i in 0..n {
-                h.insert(i, ((i * 2654435761) % 1000) as f64);
-            }
-            let mut sum = 0.0;
-            while let Some((_, k)) = h.pop_min() {
-                sum += k;
-            }
-            black_box(sum)
-        })
-    });
     group.finish();
 }
 
-fn bench_dial_vs_heap(c: &mut Criterion) {
-    // Integer costs: Dial's bucket queue vs the d-ary heap.
-    let g = topology::grid(40, 40, true, 1.0);
-    let int_cost = |e: wdm_graph::EdgeId| (e.index() % 16 + 1) as u64;
-    let mut group = c.benchmark_group("integer_dijkstra");
-    group.bench_function("dial_bucket", |b| {
-        b.iter(|| {
-            let (dist, _) = wdm_graph::dijkstra::dijkstra_bucket(&g, NodeId(0), 16, int_cost);
-            black_box(dist[g.node_count() - 1])
-        })
-    });
-    group.bench_function("dary4_float", |b| {
-        b.iter(|| {
-            let t = dijkstra_generic::<_, _, DaryHeap<f64, 4>>(
-                &g,
-                NodeId(0),
-                None,
-                |e| int_cost(e) as f64,
-                |_| true,
-            );
-            black_box(t.dist[g.node_count() - 1])
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_dijkstra_engines,
-    bench_raw_ops,
-    bench_dial_vs_heap
-);
+criterion_group!(benches, bench_dijkstra_engines, bench_raw_ops);
 criterion_main!(benches);

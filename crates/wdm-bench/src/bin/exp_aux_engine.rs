@@ -5,8 +5,8 @@
 //! cargo run --release -p wdm-bench --bin exp_aux_engine -- --quick # smoke
 //! ```
 //!
-//! For each network size, routes the same churn-interleaved request stream
-//! three ways and reports ns/request:
+//! For each network size and each of two cost models, routes the same
+//! churn-interleaved request stream three ways and reports ns/request:
 //!
 //! * **scratch**  — the oracle pipeline: `AuxGraph::build` over the
 //!   residual state, then its allocating Suurballe guided by the sink
@@ -14,24 +14,31 @@
 //! * **csr**      — the production path: a persistent [`AuxEngine`] synced
 //!   per request (only dirty links refreshed) and searched through its CSR
 //!   arrays by a reusable [`SearchArena`] under the same sink bound
-//!   (`AuxEngine::disjoint_pair`), with integer-scaled bucket-queue
-//!   Dijkstra;
+//!   (`AuxEngine::disjoint_pair`);
 //! * **csr unguided** — the csr pipeline with the bound left out (`h ≡ 0`),
 //!   so `guide_speedup` (unguided / csr) is what the bound buys.
 //!
 //! Every pass asserts that all three pipelines return the same total-cost
 //! bits (or the same failure) for every request.
 //!
-//! Instances use quarter-integer link costs and free conversions so the
-//! integer certificate holds on every request (same topology distribution
-//! and cost magnitudes as the continuous generator — tiers stay
-//! comparable with earlier baselines).
+//! The two legs share each size's topology and differ in costs, which
+//! decides the keys the CSR search runs on:
+//!
+//! * **integer** (`sizes`) — quarter-integer link costs and free
+//!   conversions, so the integer certificate holds on every request and
+//!   both passes run on `u64` keys and the bucket queue (the path NSFNET's
+//!   `G′` takes);
+//! * **f64** (`f64_sizes`) — continuous link costs and conversions at 0.5,
+//!   the serve-wan cost model, which never certifies, so both passes run
+//!   on `f64` keys and the d-ary heap.
+//!
+//! Each CSR pass asserts the certificate's outcome on every request.
 //!
 //! Writes the machine-readable results to `BENCH_aux_engine.json` in the
 //! working directory (the committed artifact lives at the repo root).
 
 use rand::Rng;
-use wdm_bench::{dyadic_connected_instance, rng, timed, Table};
+use wdm_bench::{dyadic_connected_instance, random_connected_instance, rng, timed, Table};
 use wdm_core::aux_engine::AuxEngine;
 use wdm_core::aux_graph::{AuxGraph, AuxSpec};
 use wdm_core::network::{ResidualState, WdmNetwork};
@@ -59,7 +66,10 @@ struct SizeResult {
 struct BenchReport {
     bench: String,
     unit: String,
+    /// The integer leg.
     sizes: Vec<SizeResult>,
+    /// The f64 leg.
+    f64_sizes: Vec<SizeResult>,
 }
 
 /// Deterministic stationary churn: toggles scripted channels so the load
@@ -131,15 +141,15 @@ fn scratch_pass(
 
 /// One CSR-pipeline pass over the identical stream: a fresh engine (so the
 /// skeleton build is charged to the pass, as in production start-up)
-/// synced per request and searched through its CSR arrays — integer
-/// bucket-queue Dijkstra when the dyadic certificate holds (always, on
-/// these instances), f64 fallback otherwise — under the sink bound, or
-/// with `h ≡ 0` when `guided` is false.
+/// synced per request and searched through its CSR arrays under the sink
+/// bound, or with `h ≡ 0` when `guided` is false. Asserts on every request
+/// that the integer certificate holds exactly when `dyadic`.
 fn csr_pass(
     net: &WdmNetwork,
     stream: &[(NodeId, NodeId)],
     seed: u64,
     guided: bool,
+    dyadic: bool,
 ) -> (Vec<Option<u64>>, f64) {
     let mut st = ResidualState::fresh(net);
     let mut churn = Churn::new(net, 256, seed ^ 2);
@@ -150,16 +160,13 @@ fn csr_pass(
         for &(s, t) in stream {
             churn.step(net, &mut st);
             eng.sync(net, &st, s, t);
+            assert_eq!(eng.int_certified(), dyadic, "integer certificate");
             let pair = if guided {
                 eng.disjoint_pair(&mut arena, || {})
             } else {
                 let (aux_s, aux_t, view) = (eng.source(), eng.sink(), eng.flat_view());
-                match eng.int_weights() {
-                    Some(iw) => {
-                        arena.edge_disjoint_pair_flat_int(&view, &iw, aux_s, aux_t, |_| 0.0, || {})
-                    }
-                    None => arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, |_| 0.0, || {}),
-                }
+                let int = eng.int_weights();
+                arena.edge_disjoint_pair_flat(&view, int.as_ref(), aux_s, aux_t, |_| 0.0, || {})
             };
             totals.push(pair.map(|p| p.total_cost.to_bits()));
         }
@@ -167,9 +174,22 @@ fn csr_pass(
     (totals, secs)
 }
 
-fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) -> SizeResult {
+/// Measures one size of one leg: the integer leg when `dyadic`, else f64.
+fn measure(
+    n: usize,
+    d: usize,
+    w: usize,
+    reqs: usize,
+    passes: usize,
+    seed: u64,
+    dyadic: bool,
+) -> SizeResult {
     let mut r = rng(seed);
-    let net = dyadic_connected_instance(&mut r, n, d, w);
+    let net = if dyadic {
+        dyadic_connected_instance(&mut r, n, d, w)
+    } else {
+        random_connected_instance(&mut r, n, d, w)
+    };
     let stream = requests(&net, reqs, seed ^ 1);
 
     // Alternate the pipelines and keep each one's fastest pass: the minimum
@@ -181,8 +201,8 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
     let mut unguided_secs = f64::INFINITY;
     for _ in 0..passes {
         let (scratch_totals, ss) = scratch_pass(&net, &stream, seed);
-        let (csr_totals, cs) = csr_pass(&net, &stream, seed, true);
-        let (unguided_totals, us) = csr_pass(&net, &stream, seed, false);
+        let (csr_totals, cs) = csr_pass(&net, &stream, seed, true, dyadic);
+        let (unguided_totals, us) = csr_pass(&net, &stream, seed, false, dyadic);
         assert_eq!(
             scratch_totals, csr_totals,
             "the scratch and CSR pipelines must return the same total cost per request"
@@ -219,6 +239,7 @@ fn main() {
 
     println!("aux-engine — scratch rebuild vs CSR engine (ns/request)\n");
     let mut table = Table::new(&[
+        "keys",
         "size",
         "m",
         "W",
@@ -228,20 +249,23 @@ fn main() {
         "csr unguided ns",
         "guide speedup",
     ]);
-    let mut sizes = Vec::new();
-    for &(n, d, w) in &[(50usize, 4usize, 8usize), (100, 4, 8), (200, 4, 8)] {
-        let res = measure(n, d, w, reqs, passes, 0xA0 + n as u64);
-        table.row(vec![
-            res.name.clone(),
-            res.links.to_string(),
-            res.wavelengths.to_string(),
-            format!("{:.0}", res.scratch_ns_per_req),
-            format!("{:.0}", res.csr_ns_per_req),
-            format!("{:.2}x", res.csr_speedup),
-            format!("{:.0}", res.csr_unguided_ns_per_req),
-            format!("{:.2}x", res.guide_speedup),
-        ]);
-        sizes.push(res);
+    let (mut sizes, mut f64_sizes) = (Vec::new(), Vec::new());
+    for (dyadic, keys, leg) in [(true, "u64", &mut sizes), (false, "f64", &mut f64_sizes)] {
+        for &(n, d, w) in &[(50usize, 4usize, 8usize), (100, 4, 8), (200, 4, 8)] {
+            let res = measure(n, d, w, reqs, passes, 0xA0 + n as u64, dyadic);
+            table.row(vec![
+                keys.to_string(),
+                res.name.clone(),
+                res.links.to_string(),
+                res.wavelengths.to_string(),
+                format!("{:.0}", res.scratch_ns_per_req),
+                format!("{:.0}", res.csr_ns_per_req),
+                format!("{:.2}x", res.csr_speedup),
+                format!("{:.0}", res.csr_unguided_ns_per_req),
+                format!("{:.2}x", res.guide_speedup),
+            ]);
+            leg.push(res);
+        }
     }
     table.print();
 
@@ -249,6 +273,7 @@ fn main() {
         bench: String::from("aux_engine"),
         unit: String::from("ns_per_request"),
         sizes,
+        f64_sizes,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     std::fs::write("BENCH_aux_engine.json", &json).expect("write BENCH_aux_engine.json");

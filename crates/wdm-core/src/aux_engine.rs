@@ -72,10 +72,13 @@ use wdm_heap::{DaryHeap, MinQueue};
 pub const SCALE_SHIFT: u32 = 6;
 
 /// Upper bound on a certified per-arc key. Keys above this (weights ≥ 1024)
-/// de-certify the arc: the bucket queue's span is `max_key + 1` in pass 1
-/// and `max_key + 1 + d(t)` in pass 2, so unbounded keys would trade heap
-/// ops for unbounded bucket scans — and the exactness argument needs
-/// headroom below 2^53 for summed distances.
+/// de-certify the arc: the bucket queue's span is
+/// `max_key + max_bound_key + 1` in pass 1 and `max_key + max(d(t), max h) + 1`
+/// in pass 2 (in key units), so unbounded keys would trade heap ops for
+/// unbounded bucket scans — and the exactness argument needs headroom
+/// below 2^53 for summed distances. A pass whose span still exceeds the
+/// search's bucket cap runs on the d-ary heap instead (the arena's queue
+/// selection).
 const KEY_CAP: u64 = 1 << 16;
 use wdm_telemetry::{
     CacheOutcome, Counter, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer,
@@ -681,9 +684,9 @@ impl AuxEngine {
 
     /// Suurballe over the enabled skeleton, synced for `(s, t)` by
     /// [`AuxEngine::sync`]: computes the sink bound, then searches the CSR
-    /// arrays under it — on the integer bucket path when every weight
-    /// certifies as dyadic (bit-identical to the f64 path), on the f64
-    /// d-ary path otherwise. `pass1_done` fires between the two passes.
+    /// arrays under it, handing over the integer keys when every weight
+    /// certifies as dyadic ([`SearchArena::edge_disjoint_pair_flat`] picks
+    /// each pass's queue). `pass1_done` fires between the two passes.
     pub fn disjoint_pair(
         &mut self,
         arena: &mut SearchArena,
@@ -691,12 +694,10 @@ impl AuxEngine {
     ) -> Option<DisjointPair> {
         self.update_bound();
         let eng: &Self = self;
-        let (source, sink, view) = (eng.source(), eng.sink(), eng.flat_view());
+        let (source, sink, view, int) =
+            (eng.source(), eng.sink(), eng.flat_view(), eng.int_weights());
         let h = |v| eng.bound(v);
-        match eng.int_weights() {
-            Some(iw) => arena.edge_disjoint_pair_flat_int(&view, &iw, source, sink, h, pass1_done),
-            None => arena.edge_disjoint_pair_flat(&view, source, sink, h, pass1_done),
-        }
+        arena.edge_disjoint_pair_flat(&view, int.as_ref(), source, sink, h, pass1_done)
     }
 
     /// `s'`.

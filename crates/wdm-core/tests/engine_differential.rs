@@ -179,16 +179,17 @@ fn check_family(
         );
     }
 
-    // Both CSR searches under the bound — the f64 d-ary path and, whenever
-    // the dyadic certificate holds, the scaled bucket path the engine then
-    // takes — must be bit-identical to each other over the same skeleton
-    // (same arc ids, same cost bits).
+    // The CSR search under the bound on f64 keys and, whenever the dyadic
+    // certificate holds, on the integer keys the engine then hands over
+    // must be bit-identical to each other over the same skeleton (same arc
+    // ids, same cost bits).
     let (aux_s, aux_t) = (eng.source(), eng.sink());
     let h = |v| eng.bound(v);
-    let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, h, || {});
-    let int_pair = eng
-        .int_weights()
-        .map(|iw| arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, h, || {}));
+    let (view, int) = (eng.flat_view(), eng.int_weights());
+    let flat_pair = arena.edge_disjoint_pair_flat(&view, None, aux_s, aux_t, h, || {});
+    let int_pair = int
+        .as_ref()
+        .map(|iw| arena.edge_disjoint_pair_flat(&view, Some(iw), aux_s, aux_t, h, || {}));
     assert_pair_bits(
         &flat_pair,
         &guided,
@@ -204,12 +205,7 @@ fn check_family(
 
     // The bound changes which equal-cost pair wins, never the optimum: the
     // unguided search (h = 0) finds the same total-cost bits.
-    let unguided = match eng.int_weights() {
-        Some(iw) => {
-            arena.edge_disjoint_pair_flat_int(&eng.flat_view(), &iw, aux_s, aux_t, |_| 0.0, || {})
-        }
-        None => arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, |_| 0.0, || {}),
-    };
+    let unguided = arena.edge_disjoint_pair_flat(&view, int.as_ref(), aux_s, aux_t, |_| 0.0, || {});
     match (&guided, &unguided) {
         (None, None) => {}
         (Some(a), Some(b)) => assert_eq!(

@@ -20,14 +20,24 @@
 //! identical relaxations in identical order with identical tie-breaking, so
 //! results are bit-for-bit equal — the allocating functions now delegate
 //! here with a fresh arena.
+//!
+//! Two Suurballe implementations live here. The pointer one,
+//! [`SearchArena::edge_disjoint_pair`] over a [`DiGraph`], is the scratch
+//! oracle's search. The flat kernel, [`SearchArena::edge_disjoint_pair_flat`]
+//! over a [`FlatView`], is the router's: each of its passes is written once,
+//! generic over its queue key, and runs either on `f64` cost keys and the
+//! d-ary heap or, when an [`IntWeights`] certificate holds and the pass's
+//! key window fits `BUCKET_SPAN_CAP`, on `u64` fixed-point keys and the
+//! bucket queue. A queue-selection step picks one per pass; both return the
+//! pointer search's pair bit for bit.
 
 use crate::{DiGraph, EdgeId, NodeId, Path};
 use wdm_heap::{BucketQueue, DaryHeap, MinQueue};
 
-/// Largest bucket span the flat integer paths will allocate (number of
-/// buckets the monotone queue keeps live). Searches whose key window exceeds
-/// this fall back to the d-ary heap — results are identical either way, only
-/// the queue engine changes.
+/// Largest bucket span the flat kernel will allocate (number of buckets the
+/// monotone queue keeps live). A pass whose key window exceeds this runs on
+/// the d-ary heap instead — results are identical either way, only the
+/// queue engine changes.
 const BUCKET_SPAN_CAP: u64 = 1 << 18;
 
 /// A generation-stamped shortest-path tree buffer (`dist` + `pred`).
@@ -147,10 +157,10 @@ impl TreeBank {
 
 /// A borrowed CSR-flattened view of a search graph: contiguous offset/head
 /// arrays for traversal plus parallel per-arc attribute arrays. This is the
-/// layout the incremental auxiliary-graph engine maintains; the flat search
-/// entry points traverse it without touching a [`DiGraph`].
+/// layout the incremental auxiliary-graph engine maintains; the flat kernel
+/// traverses it without touching a [`DiGraph`].
 ///
-/// Layout contract (debug-asserted by the search entry points):
+/// Layout contract (debug-asserted by the flat kernel):
 /// * `offsets.len() == node_count + 1`; slot range of node `v` is
 ///   `offsets[v]..offsets[v + 1]`;
 /// * `heads[slot]` is the destination node of the arc occupying `slot`, and
@@ -202,10 +212,10 @@ impl FlatView<'_> {
 
 /// Integer certification of a [`FlatView`]'s weights and of the search's
 /// sink bound: every arc weight is exactly `key[a] / 2^scale_shift` in f64,
-/// and so is every finite bound value `h(v)`. Under this contract the bucket
-/// searches below are *bit-identical* to the f64 d-ary searches: integer key
-/// order is isomorphic to f64 distance order, partial sums stay below 2^53
-/// (guarded), and both heap engines break key ties by smallest node id.
+/// and so is every finite bound value `h(v)`. Under this contract the flat
+/// kernel's `u64` instantiation is *bit-identical* to its `f64` one: integer
+/// key order is isomorphic to f64 distance order, partial sums stay below
+/// 2^53 (guarded), and both queues break key ties by smallest node id.
 #[derive(Debug, Clone, Copy)]
 pub struct IntWeights<'a> {
     /// Integer keys, *slot-ordered* (parallel to [`FlatView::heads`]);
@@ -288,8 +298,7 @@ pub struct SearchArena {
     t1: TreeBank,
     /// Pass-2 tree over the residual graph.
     t2: TreeBank,
-    heap: DaryHeap<f64, 4>,
-    bucket: BucketQueue,
+    queues: Queues,
     mask: EdgeMask,
     /// Slot-indexed twin of `mask` for the flat pass-2 scan (sequential
     /// reads); holds the same P1 edges, addressed by CSR slot.
@@ -323,8 +332,10 @@ impl SearchArena {
         Self {
             t1: TreeBank::default(),
             t2: TreeBank::default(),
-            heap: DaryHeap::with_capacity(0),
-            bucket: BucketQueue::new(0, 1),
+            queues: Queues {
+                heap: DaryHeap::with_capacity(0),
+                bucket: BucketQueue::new(0, 1),
+            },
             mask: EdgeMask::default(),
             mask_slot: EdgeMask::default(),
             resid: DiGraph::new(),
@@ -370,7 +381,7 @@ impl SearchArena {
         // node v is at least d(t) - h(v) away.
         let (grew, popped) = dijkstra_into(
             &mut self.t1,
-            &mut self.heap,
+            &mut self.queues.heap,
             g,
             s,
             t,
@@ -444,7 +455,7 @@ impl SearchArena {
         let (t2, resid) = (&mut self.t2, &self.resid);
         let (grew, popped) = dijkstra_into(
             t2,
-            &mut self.heap,
+            &mut self.queues.heap,
             resid,
             s,
             t,
@@ -558,37 +569,12 @@ impl SearchArena {
     /// same bound `h` — but every traversal runs over contiguous CSR arrays
     /// instead of pointer-chased adjacency lists, and the Suurballe residual
     /// graph is an overlay on the forward slots instead of a materialised
-    /// graph. `pass1_done` fires once after the pass-1 tree and P1
-    /// extraction, the observation point for per-pass timing.
+    /// graph. Each pass runs on the queue `Queues::select` picks: `u64` keys
+    /// on the bucket queue when `int` certifies the weights and the pass's
+    /// key window fits, `f64` keys on the d-ary heap otherwise; the pair is
+    /// the same either way. `pass1_done` fires once after the pass-1 tree
+    /// and P1 extraction, the observation point for per-pass timing.
     pub fn edge_disjoint_pair_flat(
-        &mut self,
-        g: &FlatView<'_>,
-        s: NodeId,
-        t: NodeId,
-        h: impl Fn(usize) -> f64,
-        pass1_done: impl FnMut(),
-    ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, None, s, t, h, pass1_done)
-    }
-
-    /// [`SearchArena::edge_disjoint_pair_flat`] under certified integer
-    /// weights and bound: both passes run on the monotone bucket queue with
-    /// `u64` keys (falling back to the d-ary heap when a pass's key window
-    /// exceeds `BUCKET_SPAN_CAP`). Results are bit-identical to the f64
-    /// path.
-    pub fn edge_disjoint_pair_flat_int(
-        &mut self,
-        g: &FlatView<'_>,
-        int: &IntWeights<'_>,
-        s: NodeId,
-        t: NodeId,
-        h: impl Fn(usize) -> f64,
-        pass1_done: impl FnMut(),
-    ) -> Option<crate::suurballe::DisjointPair> {
-        self.flat_pair_impl(g, Some(int), s, t, h, pass1_done)
-    }
-
-    fn flat_pair_impl(
         &mut self,
         g: &FlatView<'_>,
         int: Option<&IntWeights<'_>>,
@@ -621,88 +607,15 @@ impl SearchArena {
                 "integer keys too large for exact f64 mirroring"
             );
         }
-        // ---- Pass 1: A* from s over enabled arcs under h, stopped when t
-        // is popped (as the pointer path does). Queue keys are d(v) + h(v);
-        // the tree holds d(v) in cost units. Nodes with h = inf are never
-        // labelled. The source's key is 0, below every later key.
-        let mut d_t = None;
-        let mut popped = 0u64;
+        // ---- Pass 1. An A* key rises by at most w + h(v) - h(u) <=
+        // max_key + max_bound_key per arc, which bounds the live window.
         self.allocs += self.t1.begin(n, s) as u64;
-        self.t1.set(s.index(), 0.0, None);
-        // A key rises by at most w + h(v) - h(u) <= max_key + max_bound_key
-        // per arc, which bounds the live window.
-        let bucket1 = int.and_then(|iw| {
-            let span1 = iw.max_key + iw.max_bound_key + 1;
-            (span1 <= BUCKET_SPAN_CAP).then_some((iw, span1))
-        });
-        match bucket1 {
-            Some((iw, span1)) => {
-                let scale = (1u64 << iw.scale_shift) as f64;
-                let inv_scale = 1.0 / scale;
-                self.bucket.clear();
-                self.allocs += self.bucket.ensure(n, span1) as u64;
-                self.bucket.insert(s.index(), 0);
-                while let Some((u, _)) = self.bucket.pop_min() {
-                    popped += 1;
-                    if u == t.index() {
-                        d_t = Some(self.t1.dist(u));
-                        break;
-                    }
-                    let du = (self.t1.dist(u) * scale) as u64;
-                    for slot in g.out_range(u) {
-                        if !g.slot_enabled[slot] {
-                            continue;
-                        }
-                        let v = g.heads[slot] as usize;
-                        let nd = du + iw.key[slot];
-                        // Exact (nd < n * max_key < 2^53), and scaling by a
-                        // power of two keeps the order: the tree holds the
-                        // f64 path's distances in cost units.
-                        let ndf = nd as f64 * inv_scale;
-                        if ndf < self.t1.dist(v) {
-                            let h_v = h(v);
-                            if h_v == f64::INFINITY {
-                                continue;
-                            }
-                            self.t1
-                                .set(v, ndf, Some(EdgeId::from(g.slot_arc[slot] as usize)));
-                            self.bucket.insert_or_decrease(v, nd + (h_v * scale) as u64);
-                        }
-                    }
-                }
-            }
-            None => {
-                self.heap.ensure_capacity(n);
-                self.heap.clear();
-                self.heap.insert(s.index(), 0.0);
-                while let Some((u, _)) = self.heap.pop_min() {
-                    popped += 1;
-                    if u == t.index() {
-                        d_t = Some(self.t1.dist(u));
-                        break;
-                    }
-                    let du = self.t1.dist(u);
-                    for slot in g.out_range(u) {
-                        if !g.slot_enabled[slot] {
-                            continue;
-                        }
-                        let w = g.slot_weight[slot];
-                        debug_assert!(w >= 0.0, "negative arc weight {w} in slot {slot}");
-                        let v = g.heads[slot] as usize;
-                        let nd = du + w;
-                        if nd < self.t1.dist(v) {
-                            let h_v = h(v);
-                            if h_v == f64::INFINITY {
-                                continue;
-                            }
-                            self.t1
-                                .set(v, nd, Some(EdgeId::from(g.slot_arc[slot] as usize)));
-                            self.heap.insert_or_decrease(v, nd + h_v);
-                        }
-                    }
-                }
-            }
-        }
+        let span1 = |iw: &IntWeights<'_>| iw.max_key + iw.max_bound_key + 1;
+        let queue = self.queues.select(n, g, int, span1, &mut self.allocs);
+        let (d_t, popped) = match queue {
+            Queue::Bucket(q, keys) => flat_pass1(&mut self.t1, q, keys, g, s, t, &h),
+            Queue::Heap(q, keys) => flat_pass1(&mut self.t1, q, keys, g, s, t, &h),
+        };
         self.settled[0] += popped;
         let d_t = d_t?;
         let p1 = self.t1.path_to_flat(g.src, t).expect("t is reached");
@@ -714,18 +627,9 @@ impl SearchArena {
         }
         pass1_done();
 
-        // ---- Pass 2 runs directly over the CSR with a residual overlay ----
-        // (no residual graph is materialised). The residual is: every
-        // enabled unmasked forward arc into a node with finite h, at reduced
-        // cost `(w + pi(u) - pi(v)).max(0)` under the potentials
-        // `pi(v) = min(d(v), d(t) - h(v))` (tentative and unreached nodes
-        // take d(t) - h(v), exactly as in the pointer path), plus each P1
-        // arc reversed at reduced cost 0. P1 is a simple path, so a
-        // node has at most one masked in-arc — at most one reversed arc —
-        // and merging it into the forward slot scan by ascending original
-        // arc id reproduces the pointer path's residual insertion order,
-        // and therefore every relaxation tie, exactly. Pass-2 predecessor
-        // arcs are encoded as `orig_arc << 1 | reversed`.
+        // ---- Pass 2 over the residual overlay. P1 is a simple path, so a
+        // node has at most one masked in-arc, i.e. at most one reversed
+        // residual arc rooted at it.
         if self.rev_at.len() < n {
             self.rev_at.resize(n, u32::MAX);
             self.allocs += 1;
@@ -733,124 +637,23 @@ impl SearchArena {
         for &e in &p1.edges {
             self.rev_at[g.dst[e.index()] as usize] = e.index() as u32;
         }
-
-        popped = 0;
         self.allocs += self.t2.begin(n, s) as u64;
-        let bucket2 = int.and_then(|iw| {
-            let scale = (1u64 << iw.scale_shift) as f64;
-            // Potentials lie in [min(0, d(t) - max h), d(t)], so reduced
-            // keys never exceed max_key + max(d(t), max h) in key units.
-            let span2 = iw.max_key + ((d_t * scale) as u64).max(iw.max_bound_key) + 1;
-            (span2 <= BUCKET_SPAN_CAP).then_some((scale, span2))
-        });
-        match bucket2 {
-            Some((scale, span2)) => {
-                self.bucket.clear();
-                self.allocs += self.bucket.ensure(n, span2) as u64;
-                // The pass-2 tree stays in key units: only its reachability
-                // and predecessors are read.
-                self.t2.set(s.index(), 0.0, None);
-                self.bucket.insert(s.index(), 0);
-                while let Some((u, du)) = self.bucket.pop_min() {
-                    popped += 1;
-                    if u == t.index() {
-                        break;
-                    }
-                    let pi_u = self.t1.dist(u).min(d_t - h(u));
-                    let mut pending_rev = self.rev_at[u];
-                    for slot in g.out_range(u) {
-                        if (pending_rev as usize) < g.slot_arc[slot] as usize {
-                            let ra = pending_rev as usize;
-                            pending_rev = u32::MAX;
-                            let v = g.src[ra] as usize;
-                            let ndf = du as f64;
-                            if ndf < self.t2.dist(v) {
-                                self.t2.set(v, ndf, Some(EdgeId::from((ra << 1) | 1)));
-                                self.bucket.insert_or_decrease(v, du);
-                            }
-                        }
-                        if !g.slot_enabled[slot] || self.mask_slot.get(slot) {
-                            continue;
-                        }
-                        let v = g.heads[slot] as usize;
-                        let h_v = h(v);
-                        if h_v == f64::INFINITY {
-                            continue;
-                        }
-                        // Floating-point noise can push a tight edge to
-                        // -epsilon; clamp exactly as the pointer path does.
-                        let red =
-                            (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t - h_v)).max(0.0);
-                        let rk = (red * scale) as u64;
-                        let nd = du + rk;
-                        let ndf = nd as f64;
-                        if ndf < self.t2.dist(v) {
-                            let a = g.slot_arc[slot] as usize;
-                            self.t2.set(v, ndf, Some(EdgeId::from(a << 1)));
-                            self.bucket.insert_or_decrease(v, nd);
-                        }
-                    }
-                    if pending_rev != u32::MAX {
-                        let ra = pending_rev as usize;
-                        let v = g.src[ra] as usize;
-                        let ndf = du as f64;
-                        if ndf < self.t2.dist(v) {
-                            self.t2.set(v, ndf, Some(EdgeId::from((ra << 1) | 1)));
-                            self.bucket.insert_or_decrease(v, du);
-                        }
-                    }
-                }
+        // Potentials lie in [min(0, d(t) - max h), d(t)], so reduced keys
+        // never exceed max_key + max(d(t), max h) in key units.
+        let span2 = |iw: &IntWeights<'_>| {
+            let d_t_key = (d_t * (1u64 << iw.scale_shift) as f64) as u64;
+            iw.max_key + d_t_key.max(iw.max_bound_key) + 1
+        };
+        let queue = self.queues.select(n, g, int, span2, &mut self.allocs);
+        let (t1, masked, rev_at) = (&self.t1, &self.mask_slot, &self.rev_at[..]);
+        let popped = match queue {
+            Queue::Bucket(q, keys) => {
+                flat_pass2(&mut self.t2, q, keys, g, t1, d_t, masked, rev_at, s, t, &h)
             }
-            None => {
-                self.heap.ensure_capacity(n);
-                self.heap.clear();
-                self.t2.set(s.index(), 0.0, None);
-                self.heap.insert(s.index(), 0.0);
-                while let Some((u, du)) = self.heap.pop_min() {
-                    popped += 1;
-                    if u == t.index() {
-                        break;
-                    }
-                    let pi_u = self.t1.dist(u).min(d_t - h(u));
-                    let mut pending_rev = self.rev_at[u];
-                    for slot in g.out_range(u) {
-                        if (pending_rev as usize) < g.slot_arc[slot] as usize {
-                            let ra = pending_rev as usize;
-                            pending_rev = u32::MAX;
-                            let v = g.src[ra] as usize;
-                            if du < self.t2.dist(v) {
-                                self.t2.set(v, du, Some(EdgeId::from((ra << 1) | 1)));
-                                self.heap.insert_or_decrease(v, du);
-                            }
-                        }
-                        if !g.slot_enabled[slot] || self.mask_slot.get(slot) {
-                            continue;
-                        }
-                        let v = g.heads[slot] as usize;
-                        let h_v = h(v);
-                        if h_v == f64::INFINITY {
-                            continue;
-                        }
-                        let red =
-                            (g.slot_weight[slot] + pi_u - self.t1.dist(v).min(d_t - h_v)).max(0.0);
-                        let nd = du + red;
-                        if nd < self.t2.dist(v) {
-                            let a = g.slot_arc[slot] as usize;
-                            self.t2.set(v, nd, Some(EdgeId::from(a << 1)));
-                            self.heap.insert_or_decrease(v, nd);
-                        }
-                    }
-                    if pending_rev != u32::MAX {
-                        let ra = pending_rev as usize;
-                        let v = g.src[ra] as usize;
-                        if du < self.t2.dist(v) {
-                            self.t2.set(v, du, Some(EdgeId::from((ra << 1) | 1)));
-                            self.heap.insert_or_decrease(v, du);
-                        }
-                    }
-                }
+            Queue::Heap(q, keys) => {
+                flat_pass2(&mut self.t2, q, keys, g, t1, d_t, masked, rev_at, s, t, &h)
             }
-        }
+        };
         self.settled[1] += popped;
         // The overlay is per-request state: clear it before any return.
         for &e in &p1.edges {
@@ -896,6 +699,251 @@ impl SearchArena {
             |e| NodeId::from(g.dst[e.index()] as usize),
             |e| g.weight[e.index()],
         ))
+    }
+}
+
+/// A queue key of the flat kernel: `f64` cost, or `u64` fixed-point at
+/// `2^-scale_shift` under an [`IntWeights`] certificate. Both keys order
+/// the same, and the kernel's f64 arithmetic is the same under both, so the
+/// two instantiations return the same pair bit for bit.
+trait Key: Copy + PartialOrd + core::ops::Add<Output = Self> {
+    /// The key of `cost` in units of `1 / scale`.
+    fn from_cost(cost: f64, scale: f64) -> Self;
+    /// The cost of this key, in units of `1 / inv_scale`.
+    fn to_cost(self, inv_scale: f64) -> f64;
+    /// This key as an f64 in key units: pass 2's labels, which only order
+    /// its search.
+    fn label(self) -> f64;
+}
+
+impl Key for f64 {
+    #[inline]
+    fn from_cost(cost: f64, _: f64) -> f64 {
+        cost
+    }
+
+    #[inline]
+    fn to_cost(self, _: f64) -> f64 {
+        self
+    }
+
+    #[inline]
+    fn label(self) -> f64 {
+        self
+    }
+}
+
+impl Key for u64 {
+    /// Exact for every certified cost the kernel converts.
+    #[inline]
+    fn from_cost(cost: f64, scale: f64) -> u64 {
+        (cost * scale) as u64
+    }
+
+    /// Exact below 2^53 (guarded), and scaling by a power of two keeps the
+    /// order: the pass-1 tree holds the `f64` instantiation's distances.
+    #[inline]
+    fn to_cost(self, inv_scale: f64) -> f64 {
+        self as f64 * inv_scale
+    }
+
+    /// Exact below 2^53 (guarded).
+    #[inline]
+    fn label(self) -> f64 {
+        self as f64
+    }
+}
+
+/// What one instantiation of the flat kernel keys its queue with: the arc
+/// key per CSR slot and the scale of a key unit (1 for `f64` keys).
+#[derive(Clone, Copy)]
+struct Keys<'a, K> {
+    arc: &'a [K],
+    scale: f64,
+    inv_scale: f64,
+}
+
+impl<K: Key> Keys<'_, K> {
+    #[inline]
+    fn of(&self, cost: f64) -> K {
+        K::from_cost(cost, self.scale)
+    }
+
+    #[inline]
+    fn cost(&self, key: K) -> f64 {
+        key.to_cost(self.inv_scale)
+    }
+}
+
+/// The arena's two queues: the d-ary heap, which the pointer search and
+/// the flat kernel's `f64` instantiation run on, and the bucket queue of
+/// its `u64` one.
+#[derive(Debug, Clone)]
+struct Queues {
+    heap: DaryHeap<f64, 4>,
+    bucket: BucketQueue,
+}
+
+/// The queue and keys one pass of the flat kernel runs on.
+enum Queue<'a> {
+    Bucket(&'a mut BucketQueue, Keys<'a, u64>),
+    Heap(&'a mut DaryHeap<f64, 4>, Keys<'a, f64>),
+}
+
+impl Queues {
+    /// Queue selection for one flat pass over `n` nodes: the `u64` keys of
+    /// `int` on the bucket queue when they certify the weights and the
+    /// pass's key window, `span(int)` buckets, fits [`BUCKET_SPAN_CAP`];
+    /// otherwise the `f64` weights on the d-ary heap. Both queues pop in
+    /// the same `(key, id)` order, so only speed depends on the choice. The
+    /// chosen queue is emptied and sized; `allocs` counts a bucket growth.
+    fn select<'a>(
+        &'a mut self,
+        n: usize,
+        g: &FlatView<'a>,
+        int: Option<&IntWeights<'a>>,
+        span: impl FnOnce(&IntWeights<'a>) -> u64,
+        allocs: &mut u64,
+    ) -> Queue<'a> {
+        if let Some(iw) = int {
+            let span = span(iw);
+            if span <= BUCKET_SPAN_CAP {
+                self.bucket.clear();
+                *allocs += self.bucket.ensure(n, span) as u64;
+                let scale = (1u64 << iw.scale_shift) as f64;
+                let keys = Keys {
+                    arc: iw.key,
+                    scale,
+                    inv_scale: 1.0 / scale,
+                };
+                return Queue::Bucket(&mut self.bucket, keys);
+            }
+        }
+        self.heap.ensure_capacity(n);
+        self.heap.clear();
+        let keys = Keys {
+            arc: g.slot_weight,
+            scale: 1.0,
+            inv_scale: 1.0,
+        };
+        Queue::Heap(&mut self.heap, keys)
+    }
+}
+
+/// Pass 1 of the flat kernel: A* from `s` over the enabled arcs under `h`,
+/// stopped when `t` is popped (as the pointer path does). Queue keys are
+/// `d(v) + h(v)` in key units; the tree holds `d(v)` in cost units. Nodes
+/// with `h = inf` are never labelled. The source's key is 0, below every
+/// later key. Returns `d(t)`, if `t` was reached, and the nodes popped.
+fn flat_pass1<K: Key>(
+    tree: &mut TreeBank,
+    queue: &mut impl MinQueue<K>,
+    keys: Keys<'_, K>,
+    g: &FlatView<'_>,
+    s: NodeId,
+    t: NodeId,
+    h: &impl Fn(usize) -> f64,
+) -> (Option<f64>, u64) {
+    let mut popped = 0u64;
+    tree.set(s.index(), 0.0, None);
+    queue.insert(s.index(), keys.of(0.0));
+    while let Some((u, _)) = queue.pop_min() {
+        popped += 1;
+        if u == t.index() {
+            return (Some(tree.dist(u)), popped);
+        }
+        let du = keys.of(tree.dist(u));
+        for slot in g.out_range(u) {
+            if !g.slot_enabled[slot] {
+                continue;
+            }
+            debug_assert!(g.slot_weight[slot] >= 0.0, "negative weight in slot {slot}");
+            let v = g.heads[slot] as usize;
+            let nd = du + keys.arc[slot];
+            let ndf = keys.cost(nd);
+            if ndf < tree.dist(v) {
+                let h_v = h(v);
+                if h_v == f64::INFINITY {
+                    continue;
+                }
+                tree.set(v, ndf, Some(EdgeId::from(g.slot_arc[slot] as usize)));
+                queue.insert_or_decrease(v, nd + keys.of(h_v));
+            }
+        }
+    }
+    (None, popped)
+}
+
+/// Pass 2 of the flat kernel, straight over the CSR (no residual graph is
+/// materialised). The residual is every enabled arc outside P1 (`masked`,
+/// by slot) into a node with finite `h`, at reduced cost
+/// `(w + pi(u) - pi(v)).max(0)` under `pi(v) = min(d(v), d(t) - h(v))`
+/// (tentative and unreached nodes take `d(t) - h(v)`, exactly as in the
+/// pointer path), plus each P1 arc reversed at reduced cost 0. Merging the
+/// reversed arc at a node (`rev_at`) into the forward slot scan by
+/// ascending arc id reproduces the pointer path's residual insertion order,
+/// and therefore every relaxation tie. The tree's labels stay in key units
+/// (only its reachability and predecessors are read), and its predecessor
+/// arcs are encoded as `arc << 1 | reversed`. Returns the nodes popped.
+#[allow(clippy::too_many_arguments)]
+fn flat_pass2<K: Key>(
+    tree: &mut TreeBank,
+    queue: &mut impl MinQueue<K>,
+    keys: Keys<'_, K>,
+    g: &FlatView<'_>,
+    t1: &TreeBank,
+    d_t: f64,
+    masked: &EdgeMask,
+    rev_at: &[u32],
+    s: NodeId,
+    t: NodeId,
+    h: &impl Fn(usize) -> f64,
+) -> u64 {
+    let mut popped = 0u64;
+    tree.set(s.index(), 0.0, None);
+    queue.insert(s.index(), keys.of(0.0));
+    while let Some((u, du)) = queue.pop_min() {
+        popped += 1;
+        if u == t.index() {
+            break;
+        }
+        let pi_u = t1.dist(u).min(d_t - h(u));
+        let mut pending_rev = rev_at[u];
+        for slot in g.out_range(u) {
+            if (pending_rev as usize) < g.slot_arc[slot] as usize {
+                let ra = pending_rev as usize;
+                pending_rev = u32::MAX;
+                relax(tree, queue, g.src[ra] as usize, du, (ra << 1) | 1);
+            }
+            if !g.slot_enabled[slot] || masked.get(slot) {
+                continue;
+            }
+            let v = g.heads[slot] as usize;
+            let h_v = h(v);
+            if h_v == f64::INFINITY {
+                continue;
+            }
+            // Floating-point noise can push a tight edge to -epsilon; clamp
+            // exactly as the pointer path does.
+            let red = (g.slot_weight[slot] + pi_u - t1.dist(v).min(d_t - h_v)).max(0.0);
+            let a = g.slot_arc[slot] as usize;
+            relax(tree, queue, v, du + keys.of(red), a << 1);
+        }
+        if pending_rev != u32::MAX {
+            let ra = pending_rev as usize;
+            relax(tree, queue, g.src[ra] as usize, du, (ra << 1) | 1);
+        }
+    }
+    popped
+}
+
+/// Relaxes `v` to key `nd` over the pass-2 arc coded `code`.
+#[inline]
+fn relax<K: Key>(tree: &mut TreeBank, queue: &mut impl MinQueue<K>, v: usize, nd: K, code: usize) {
+    let ndf = nd.label();
+    if ndf < tree.dist(v) {
+        tree.set(v, ndf, Some(EdgeId::from(code)));
+        queue.insert_or_decrease(v, nd);
     }
 }
 
@@ -1059,10 +1107,15 @@ mod tests {
         slot_weight: Vec<f64>,
         slot_enabled: Vec<bool>,
         key: Vec<u64>,
+        /// `key` at `2^-WIDE_SHIFT`.
+        wide_key: Vec<u64>,
         max_key: u64,
     }
 
     const TEST_SHIFT: u32 = 6;
+    /// A scale at which every test weight (at least ½) keys above
+    /// `BUCKET_SPAN_CAP`.
+    const WIDE_SHIFT: u32 = 20;
 
     impl FlatArrays {
         fn build(g: &DiGraph<(), f64>, mut filter: impl FnMut(EdgeId) -> bool) -> Self {
@@ -1081,6 +1134,7 @@ mod tests {
                 slot_weight: vec![0.0; m],
                 slot_enabled: vec![false; m],
                 key: vec![0; m],
+                wide_key: vec![0; m],
                 max_key: 0,
             };
             for v in g.node_ids() {
@@ -1106,6 +1160,7 @@ mod tests {
                 f.slot_weight[slot] = f.weight[i];
                 f.slot_enabled[slot] = f.enabled[i];
                 f.key[slot] = k;
+                f.wide_key[slot] = k << (WIDE_SHIFT - TEST_SHIFT);
                 if f.enabled[i] {
                     f.max_key = f.max_key.max(k);
                 }
@@ -1131,11 +1186,23 @@ mod tests {
         /// The integer view for a search whose finite bound values are at
         /// most `max_bound` (in cost units).
         fn int(&self, max_bound: f64) -> IntWeights<'_> {
+            self.int_at(&self.key, TEST_SHIFT, max_bound)
+        }
+
+        /// [`FlatArrays::int`] at `2^-WIDE_SHIFT`: both passes' key windows
+        /// exceed `BUCKET_SPAN_CAP`, so both take the d-ary-heap fallback,
+        /// and a bucket queue sized to the cap would see keys outside its
+        /// window.
+        fn wide(&self, max_bound: f64) -> IntWeights<'_> {
+            self.int_at(&self.wide_key, WIDE_SHIFT, max_bound)
+        }
+
+        fn int_at<'a>(&self, key: &'a [u64], shift: u32, max_bound: f64) -> IntWeights<'a> {
             IntWeights {
-                key: &self.key,
-                scale_shift: TEST_SHIFT,
-                max_key: self.max_key,
-                max_bound_key: (max_bound * (1u64 << TEST_SHIFT) as f64) as u64,
+                key,
+                scale_shift: shift,
+                max_key: self.max_key << (shift - TEST_SHIFT),
+                max_bound_key: (max_bound * (1u64 << shift) as f64) as u64,
             }
         }
     }
@@ -1173,10 +1240,11 @@ mod tests {
             let flat = FlatArrays::build(&g, |e| e != banned);
             let base =
                 ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |e| e != banned, |_| 0.0);
-            let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, |_| 0.0, || {});
-            let int_pair = int_arena.edge_disjoint_pair_flat_int(
+            let f64_pair =
+                flat_arena.edge_disjoint_pair_flat(&flat.view(), None, s, t, |_| 0.0, || {});
+            let int_pair = int_arena.edge_disjoint_pair_flat(
                 &flat.view(),
-                &flat.int(0.0),
+                Some(&flat.int(0.0)),
                 s,
                 t,
                 |_| 0.0,
@@ -1272,10 +1340,12 @@ mod tests {
         g.node_ids().map(|v| tree.distance(v)).collect()
     }
 
-    /// Runs the pointer, CSR f64 and CSR integer searches under one bound
-    /// and checks that they agree bit for bit; returns the pointer pair.
-    fn three_way(
-        arenas: &mut [SearchArena; 3],
+    /// Runs the pointer search and the CSR search on f64 keys, on integer
+    /// keys, and on integer keys too wide for the bucket queue (the d-ary
+    /// heap fallback) under one bound, and checks that they agree bit for
+    /// bit; returns the pointer pair.
+    fn four_way(
+        arenas: &mut [SearchArena; 4],
         g: &DiGraph<(), f64>,
         flat: &FlatArrays,
         s: NodeId,
@@ -1288,19 +1358,18 @@ mod tests {
             .copied()
             .filter(|x| x.is_finite())
             .fold(0.0, f64::max);
-        let [ptr_arena, flat_arena, int_arena] = arenas;
+        let [ptr_arena, flat_arena, int_arena, wide_arena] = arenas;
         let ptr = ptr_arena.edge_disjoint_pair(g, s, t, |e| g.weight(e), |_| true, |v| h[v]);
-        let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, |v| h[v], || {});
-        let int_pair = int_arena.edge_disjoint_pair_flat_int(
-            &flat.view(),
-            &flat.int(max_bound),
-            s,
-            t,
-            |v| h[v],
-            || {},
-        );
+        let view = flat.view();
+        let f64_pair = flat_arena.edge_disjoint_pair_flat(&view, None, s, t, |v| h[v], || {});
+        let int = flat.int(max_bound);
+        let int_pair = int_arena.edge_disjoint_pair_flat(&view, Some(&int), s, t, |v| h[v], || {});
+        let wide = flat.wide(max_bound);
+        let wide_pair =
+            wide_arena.edge_disjoint_pair_flat(&view, Some(&wide), s, t, |v| h[v], || {});
         assert_same_pair(&ptr, &f64_pair, &format!("flat f64, {ctx}"));
         assert_same_pair(&ptr, &int_pair, &format!("flat int, {ctx}"));
+        assert_same_pair(&ptr, &wide_pair, &format!("flat int past the cap, {ctx}"));
         ptr
     }
 
@@ -1318,9 +1387,9 @@ mod tests {
     /// Stopping pass 1 at `t` finds a minimum-cost pair, unguided and under
     /// the consistent sink bounds `h = λ·dist(v → t)` for `λ ∈ {0, ½, 1}`
     /// (`h = ∞` where `t` is unreachable): the total-cost bits and the
-    /// feasibility of all three entry points match the exhaustive
-    /// reference, and the three agree on edges under every bound, over
-    /// repeated solves on one arena per entry point. The trials must
+    /// feasibility of all four searches of `four_way` match the exhaustive
+    /// reference, and the four agree on edges under every bound, over
+    /// repeated solves on one arena per search. The trials must
     /// include pairs that differ from the reference's and guided pairs that
     /// differ from the unguided one (cost ties), unguided second paths
     /// through nodes farther than `d(t)` and guided ones through nodes with
@@ -1330,7 +1399,7 @@ mod tests {
     #[test]
     fn early_exit_matches_exhaustive_suurballe() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x3A3A);
-        let mut arenas = [SearchArena::new(), SearchArena::new(), SearchArena::new()];
+        let mut arenas: [SearchArena; 4] = Default::default();
         let (mut routed, mut differ, mut beyond_cap) = (0, 0, 0);
         let (mut guided_differ, mut beyond_bound, mut pruned) = (0, 0, 0);
         for trial in 0..250 {
@@ -1357,7 +1426,7 @@ mod tests {
                 let mut pairs = Vec::new();
                 for (bound, h) in &bounds {
                     let ctx = format!("{bound}, {ctx}");
-                    let got = three_way(&mut arenas, &g, &flat, s, t, h, &ctx);
+                    let got = four_way(&mut arenas, &g, &flat, s, t, h, &ctx);
                     match (&reference, &got) {
                         (None, None) => {}
                         (Some(r), Some(p)) => {
@@ -1438,10 +1507,10 @@ mod tests {
         let unguided = |_| 0.0;
         let pairs = [
             SearchArena::new().edge_disjoint_pair(&g, s, t, |e| g.weight(e), |_| true, unguided),
-            SearchArena::new().edge_disjoint_pair_flat(&flat.view(), s, t, unguided, || {}),
-            SearchArena::new().edge_disjoint_pair_flat_int(
+            SearchArena::new().edge_disjoint_pair_flat(&flat.view(), None, s, t, unguided, || {}),
+            SearchArena::new().edge_disjoint_pair_flat(
                 &flat.view(),
-                &flat.int(0.0),
+                Some(&flat.int(0.0)),
                 s,
                 t,
                 unguided,
@@ -1459,9 +1528,9 @@ mod tests {
     /// The bound prunes what plain Dijkstra settles: `s -> x -> y` is a
     /// cheap dead end (`h = ∞` on `x` and `y`), so unguided pass 1 settles
     /// both before `t`, while the guided one pops only `s`, `a` and `t`
-    /// (`b` ties with `t` at key 2 and loses on id). Every entry point
-    /// finds the same pair and pins the settled counts per pass: 6 + 3
-    /// unguided, 3 + 3 guided.
+    /// (`b` ties with `t` at key 2 and loses on id). Every search of
+    /// `four_way`, the heap fallback included, finds the same pair and
+    /// pins the settled counts per pass: 6 + 3 unguided, 3 + 3 guided.
     #[test]
     fn bound_prunes_nodes_plain_dijkstra_settles() {
         let (s, t) = (NodeId(0), NodeId(1));
@@ -1484,8 +1553,8 @@ mod tests {
             .collect();
         assert_eq!(exact, [2.0, 0.0, 1.0, 1.0, f64::INFINITY, f64::INFINITY]);
         for (h, settled) in [(vec![0.0; 6], [6, 3]), (exact, [3, 3])] {
-            let mut arenas = [SearchArena::new(), SearchArena::new(), SearchArena::new()];
-            let pair = three_way(&mut arenas, &g, &flat, s, t, &h, "hand-built")
+            let mut arenas: [SearchArena; 4] = Default::default();
+            let pair = four_way(&mut arenas, &g, &flat, s, t, &h, "hand-built")
                 .expect("two edge-disjoint paths exist");
             assert_eq!(pair.total_cost, 4.0);
             assert_eq!(pair.paths[0].edges, vec![EdgeId(2), EdgeId(3)]);
@@ -1506,13 +1575,20 @@ mod tests {
         let int = flat.int(0.0);
         let mut arena = SearchArena::new();
         arena
-            .edge_disjoint_pair_flat_int(&flat.view(), &int, NodeId(0), NodeId(12), |_| 0.0, || {})
+            .edge_disjoint_pair_flat(
+                &flat.view(),
+                Some(&int),
+                NodeId(0),
+                NodeId(12),
+                |_| 0.0,
+                || {},
+            )
             .unwrap();
         let after_warmup = arena.alloc_events();
         for i in 0..10 {
             let t = NodeId::from(6 + i);
             arena
-                .edge_disjoint_pair_flat_int(&flat.view(), &int, NodeId(0), t, |_| 0.0, || {})
+                .edge_disjoint_pair_flat(&flat.view(), Some(&int), NodeId(0), t, |_| 0.0, || {})
                 .unwrap();
         }
         assert_eq!(arena.alloc_events(), after_warmup);

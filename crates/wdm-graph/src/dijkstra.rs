@@ -5,8 +5,8 @@
 //! pass. All variants reject negative arc weights with a debug assertion —
 //! Suurballe's second pass feeds them non-negative *reduced* costs instead.
 
-use crate::{Csr, DiGraph, EdgeId, NodeId, Path};
-use wdm_heap::{BucketQueue, DaryHeap, MinQueue};
+use crate::{DiGraph, EdgeId, NodeId, Path};
+use wdm_heap::{DaryHeap, MinQueue};
 
 /// Result of a single-source shortest-path computation.
 #[derive(Debug, Clone)]
@@ -142,69 +142,9 @@ pub fn dijkstra_filtered_to<N, E>(
     dijkstra_generic::<N, E, DaryHeap<f64, 4>>(g, source, Some(target), cost, filter)
 }
 
-/// Dijkstra over a prebuilt CSR view (hot-loop variant: contiguous arc
-/// storage, cached weights).
-pub fn dijkstra_csr(csr: &Csr, source: NodeId) -> ShortestPathTree {
-    let n = csr.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
-    let mut queue: DaryHeap<f64, 4> = DaryHeap::with_capacity(n);
-    dist[source.index()] = 0.0;
-    queue.insert(source.index(), 0.0);
-    while let Some((u_idx, du)) = queue.pop_min() {
-        for arc in csr.out_arcs(NodeId::from(u_idx)) {
-            debug_assert!(arc.weight >= 0.0);
-            let nd = du + arc.weight;
-            let v = arc.to.index();
-            if nd < dist[v] {
-                dist[v] = nd;
-                pred[v] = Some(arc.edge);
-                queue.insert_or_decrease(v, nd);
-            }
-        }
-    }
-    ShortestPathTree { source, dist, pred }
-}
-
-/// Dial's algorithm: Dijkstra with a monotone bucket queue for *integer*
-/// edge costs bounded by `max_cost`. O(m + n + C) with tiny constants —
-/// the fast path for hop-count routing and quantised link weights.
-///
-/// # Panics
-/// Debug-asserts that every returned cost is `<= max_cost`.
-#[allow(clippy::needless_range_loop)]
-pub fn dijkstra_bucket<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    max_cost: u64,
-    mut cost: impl FnMut(EdgeId) -> u64,
-) -> (Vec<u64>, Vec<Option<EdgeId>>) {
-    let n = g.node_count();
-    let mut dist = vec![u64::MAX; n];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
-    let mut queue = BucketQueue::new(n, max_cost + 1);
-    dist[source.index()] = 0;
-    queue.insert(source.index(), 0);
-    while let Some((u_idx, du)) = queue.pop_min() {
-        for &e in g.out_edges(NodeId::from(u_idx)) {
-            let w = cost(e);
-            debug_assert!(w <= max_cost, "edge cost {w} exceeds declared bound");
-            let v = g.dst(e).index();
-            let nd = du + w;
-            if nd < dist[v] {
-                dist[v] = nd;
-                pred[v] = Some(e);
-                queue.insert_or_decrease(v, nd);
-            }
-        }
-    }
-    (dist, pred)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdm_heap::PairingHeap;
 
     /// The classic CLRS example graph.
     fn sample() -> DiGraph<(), f64> {
@@ -271,67 +211,6 @@ mod tests {
         assert_eq!(t.distance(NodeId(3)), Some(5.0));
         let p = t.path_to(&g, NodeId(3)).unwrap();
         assert_eq!(p.cost(|e| g.weight(e)), 5.0);
-    }
-
-    #[test]
-    fn csr_variant_agrees_with_list_variant() {
-        let g = sample();
-        let csr = Csr::from_weighted(&g);
-        for s in g.node_ids() {
-            let a = dijkstra(&g, s, |e| g.weight(e));
-            let b = dijkstra_csr(&csr, s);
-            assert_eq!(a.dist, b.dist, "source {s:?}");
-        }
-    }
-
-    #[test]
-    fn pairing_heap_engine_agrees() {
-        let g = sample();
-        let a = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        let b = dijkstra_generic::<_, _, PairingHeap<f64>>(
-            &g,
-            NodeId(0),
-            None,
-            |e| g.weight(e),
-            |_| true,
-        );
-        assert_eq!(a.dist, b.dist);
-    }
-
-    #[test]
-    fn bucket_dial_agrees_with_float_dijkstra() {
-        let g = sample();
-        let (dist, pred) = dijkstra_bucket(&g, NodeId(0), 10, |e| g.weight(e) as u64);
-        let float = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        for (v, &d) in dist.iter().enumerate() {
-            assert_eq!(d as f64, float.dist[v]);
-        }
-        // Predecessors reconstruct valid paths.
-        let mut at = NodeId(2);
-        let mut hops = 0;
-        while at != NodeId(0) {
-            let e = pred[at.index()].unwrap();
-            at = g.src(e);
-            hops += 1;
-            assert!(hops < 10);
-        }
-    }
-
-    #[test]
-    fn bucket_hop_counts() {
-        let g = DiGraph::weighted(
-            5,
-            &[
-                (0, 1, 9.0),
-                (1, 2, 9.0),
-                (0, 3, 9.0),
-                (3, 4, 9.0),
-                (4, 2, 9.0),
-            ],
-        );
-        // Unit costs = BFS hop counts.
-        let (dist, _) = dijkstra_bucket(&g, NodeId(0), 1, |_| 1);
-        assert_eq!(dist, vec![0, 1, 2, 1, 2]);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //!
 //! * [`DiGraph`] — an adjacency-list directed multigraph with dense integer
 //!   ids ([`NodeId`], [`EdgeId`]) and typed node/edge payloads;
-//! * [`Csr`] — an immutable compressed-sparse-row view for hot traversal
-//!   loops (contiguous memory, no pointer chasing — a Rust-perf-book idiom);
 //! * shortest paths: [`dijkstra`](dijkstra::dijkstra) (generic over the
 //!   heap engine), [`bellman_ford`](bellman_ford::bellman_ford);
 //! * [`suurballe`] — Suurballe's minimum-cost pair of edge-disjoint paths
 //!   (1974), the core subroutine of the paper's `Find_Two_Paths`;
+//! * [`arena`] — [`SearchArena`], Suurballe on reused buffers, over a
+//!   [`DiGraph`] (the test oracle's search) or over a [`FlatView`], the
+//!   CSR layout the router searches;
 //! * [`johnson`] — Johnson's all-pairs shortest paths (topology stats,
 //!   cross-validation oracle);
 //! * [`ksp`] — Yen's k-shortest loopless paths (baseline policies);
@@ -26,7 +27,6 @@
 
 pub mod arena;
 pub mod bellman_ford;
-pub mod csr;
 pub mod dijkstra;
 pub mod dot;
 mod graph;
@@ -40,7 +40,6 @@ pub mod topology;
 pub mod traverse;
 
 pub use arena::{FlatView, IntWeights, SearchArena};
-pub use csr::Csr;
 pub use graph::DiGraph;
 pub use ids::{EdgeId, NodeId};
 pub use path::Path;
@@ -51,5 +50,5 @@ pub mod prelude {
     pub use crate::dijkstra::{dijkstra, dijkstra_filtered, ShortestPathTree};
     pub use crate::ksp::yen_k_shortest;
     pub use crate::suurballe::{edge_disjoint_pair, node_disjoint_pair, DisjointPair};
-    pub use crate::{Csr, DiGraph, EdgeId, NodeId, Path};
+    pub use crate::{DiGraph, EdgeId, NodeId, Path};
 }

@@ -4,9 +4,8 @@
 //! Dijkstra's extracted keys form a monotone non-decreasing sequence bounded
 //! by `max_key`. A circular array of buckets then gives O(1) insert,
 //! decrease-key, and amortised O(1 + C/n) pop — the classic Dial's algorithm
-//! queue. Used by the hop-count routing baselines and as the fast path of
-//! the CSR auxiliary-graph engine when a network's costs certify as exact
-//! dyadic rationals.
+//! queue. It is the fast path of the CSR auxiliary-graph search when a
+//! network's costs certify as exact dyadic rationals.
 //!
 //! Two hardening properties matter for that fast path:
 //!

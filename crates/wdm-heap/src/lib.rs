@@ -7,30 +7,30 @@
 //!
 //! The paper's Theorem 1 cites Fredman–Tarjan Fibonacci heaps for the
 //! `O(m + n log n)` bound. Fibonacci heaps are practically dominated by
-//! simpler structures, so this crate provides three interchangeable engines
-//! behind the [`MinQueue`] trait:
+//! simpler structures, so this crate provides the two engines the routing
+//! kernel runs on, behind the [`MinQueue`] trait:
 //!
 //! * [`DaryHeap`] — an indexed d-ary heap (default `D = 4`), the practical
 //!   workhorse: `O(log n)` everything, excellent constants and locality.
-//! * [`PairingHeap`] — amortised `o(log n)` decrease-key, the practical
-//!   stand-in for the Fibonacci heap in Theorem 1's bound.
 //! * [`BucketQueue`] — a monotone integer bucket queue, `O(1)` per operation
-//!   for bounded integer keys (used when costs are small integers).
+//!   for bounded integer keys (the kernel's path when costs certify as
+//!   fixed-point).
 //!
-//! All engines address elements by a dense `usize` id in `0..capacity`, which
+//! Both pop ties by smallest id, so a search pops the same sequence on
+//! either (`tests/heap_equivalence.rs`).
+//!
+//! Both engines address elements by a dense `usize` id in `0..capacity`, which
 //! matches the node/state indexing used by the graph crates and avoids any
 //! hashing on the hot path (a Rust-perf-book idiom).
 //!
-//! The `heaps` Criterion bench in `wdm-bench` compares the engines head to
-//! head on Dijkstra workloads.
+//! The `heaps` Criterion bench in `wdm-bench` compares d-ary heap arities
+//! on Dijkstra workloads.
 
 mod bucket;
 mod dary;
-mod pairing;
 
 pub use bucket::BucketQueue;
 pub use dary::DaryHeap;
-pub use pairing::PairingHeap;
 
 /// An addressable min-priority queue over dense integer ids.
 ///
@@ -139,10 +139,5 @@ mod trait_tests {
     #[test]
     fn dary_implements_trait_contract() {
         exercise::<DaryHeap<f64, 4>>();
-    }
-
-    #[test]
-    fn pairing_implements_trait_contract() {
-        exercise::<PairingHeap<f64>>();
     }
 }
