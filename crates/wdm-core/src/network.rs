@@ -383,18 +383,7 @@ impl serde::Deserialize for ResidualState {
             serde::Deserialize::from_value(serde::field(fields, "used", "ResidualState")?)?;
         let failed: Vec<bool> =
             serde::Deserialize::from_value(serde::field(fields, "failed", "ResidualState")?)?;
-        let links = used.len();
-        // Clocks restart at 1 with every link stamped: a consumer that
-        // synced against a *different* lineage (clock `c`) sees either a
-        // clock regression (`1 < c`, full refresh) or every link dirty
-        // (`1 > 0`), so no warm engine can silently keep stale weights
-        // after a round trip through the serialized form.
-        Ok(Self {
-            used,
-            failed,
-            clock: 1,
-            link_clock: vec![1; links],
-        })
+        Ok(Self::from_parts(used, failed))
     }
 }
 
@@ -407,6 +396,30 @@ impl ResidualState {
             clock: 0,
             link_clock: vec![0; net.link_count()],
         }
+    }
+
+    /// A state with the given semantic payload, `U(e)` and the failed flag
+    /// per link (the serialized form's `used` and `failed` lists).
+    ///
+    /// Clocks restart at 1 with every link stamped: a consumer that synced
+    /// against a *different* lineage (clock `c`) sees either a clock
+    /// regression (`1 < c`, full refresh) or every link dirty (`1 > 0`), so
+    /// no warm engine can silently keep stale weights after a round trip
+    /// through the serialized form.
+    pub fn from_parts(used: Vec<WavelengthSet>, failed: Vec<bool>) -> Self {
+        let links = used.len();
+        Self {
+            used,
+            failed,
+            clock: 1,
+            link_clock: vec![1; links],
+        }
+    }
+
+    /// Number of links the state covers.
+    #[inline]
+    pub fn link_count(&self) -> usize {
+        self.used.len()
     }
 
     /// Current value of the change clock. Starts at 0 and advances by one on

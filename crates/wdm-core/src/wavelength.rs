@@ -144,6 +144,13 @@ impl WavelengthSet {
         self.0
     }
 
+    /// The set whose backing bitmask is `bits` (the inverse of
+    /// [`bits`](Self::bits)).
+    #[inline]
+    pub const fn from_bits(bits: u64) -> Self {
+        Self(bits)
+    }
+
     /// The lowest-index wavelength, if any (first-fit assignment order).
     #[inline]
     pub fn first(self) -> Option<Wavelength> {

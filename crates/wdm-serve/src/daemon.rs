@@ -12,7 +12,7 @@
 //!                   │        │       │
 //!         route under read lock (shared state)
 //!                   │
-//!         commit under write lock ──► WAL (flushed per event)
+//!         commit under write lock ──► WAL (one write per event, no fsync)
 //! ```
 //!
 //! One [`NetProvisioner`] owns the mutation lineage — state, journal,
@@ -29,11 +29,14 @@
 //! commit moves nothing, so each warm context catches up through the
 //! ordinary dirty-link sync; no context is ever dropped.
 //!
-//! Durability: every journal event is flushed to the [`WalSink`] before
-//! the request is answered, so an answered mutation is never lost — a
-//! `kill -9` costs at most the in-flight request. Graceful shutdown
-//! (SIGTERM, or [`Control::shutdown`]) drains the queue, writes a final
-//! checkpoint anchor and the graceful-close line.
+//! Durability: every journal event is written to the [`WalSink`] (one
+//! `write` to the operating system) before the request is answered, so
+//! an answered mutation survives the daemon being killed — a `kill -9`
+//! costs at most the in-flight request. The WAL is not fsynced, so a
+//! power loss or kernel crash can still lose acknowledged mutations the
+//! page cache had not written back. Graceful shutdown (SIGTERM, or
+//! [`Control::shutdown`]) drains the queue, writes a final checkpoint
+//! anchor and the graceful-close line.
 //!
 //! # Observability (DESIGN.md §5j)
 //!
@@ -44,10 +47,11 @@
 //! flight ring (`/debug/flight`). With `--trace`, each worker additionally
 //! owns a live [`SpanBuffer`] on a shared clock domain and times the full
 //! request lifecycle — queue wait, admission, lock acquires, the route
-//! phases, commit, WAL fsync, the re-route after a conflict — draining
-//! closed spans into the [`Diag`] span ring (`/debug/trace?n=K`, Chrome
-//! `trace_event` format) after every request. At clean shutdown the
-//! flight dump is written as a `wdm trace analyze`-compatible trace file.
+//! phases, commit, the WAL append (the `wal_fsync` span), the re-route
+//! after a conflict — draining closed spans into the [`Diag`] span ring
+//! (`/debug/trace?n=K`, Chrome `trace_event` format) after every request.
+//! At clean shutdown the flight dump is written as a `wdm trace
+//! analyze`-compatible trace file.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -815,11 +819,12 @@ fn dispatch<R, W, T, CR, WT>(
     }
 }
 
-/// Closes the commit/WAL-fsync span pair for a journalled mutation that
-/// started (on the tracer clock) at `start_ns`: the WAL append+flush time
+/// Closes the commit/WAL span pair for a journalled mutation that
+/// started (on the tracer clock) at `start_ns`: the WAL encode+write time
 /// reported by the journal is carved off the tail of the measured stretch,
-/// so the two spans tile it without overlap. Also feeds the always-on
-/// fsync-latency histogram.
+/// so the two spans tile it without overlap. Also feeds the always-on WAL
+/// latency histogram. The span and histogram keep their `wal_fsync` names
+/// (the trace format), though the append is a `write`, not an fsync.
 fn close_commit_spans<W: ServeLog, T: Tracer>(
     sink: &TelemetrySink,
     tracer: &T,

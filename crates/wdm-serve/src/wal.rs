@@ -4,9 +4,18 @@
 //! the whole event log and serializes once at the end of a run — fine for
 //! a simulation, useless for a daemon that must survive being killed
 //! mid-load. [`WalSink`] is the streaming counterpart: an [`EventSink`]
-//! whose every [`record`](EventSink::record) appends one JSON line to the
-//! log file and flushes it, so the log on disk is never more than the
-//! in-flight event behind the live state.
+//! whose every [`record`](EventSink::record) hands one JSON line to the
+//! operating system in a single `write` before it returns, so the file
+//! never trails the live state by more than the in-flight event.
+//!
+//! # Durability
+//!
+//! The log is written, not synced: nothing calls `fsync`/`sync_data`. A
+//! line that `record` has returned from sits in the kernel's page cache,
+//! so it survives the daemon being killed (`kill -9`, a panic) but not a
+//! power loss or kernel crash before the kernel writes it back. Syncing
+//! (`sync_data`, with group commit so concurrent commits share one sync)
+//! is not done yet.
 //!
 //! # File format (JSONL)
 //!
@@ -24,25 +33,43 @@
 //!   --journal` files);
 //! * **event** lines carry a strictly `+1`-increasing sequence number;
 //! * **checkpoint** lines are *verification anchors*: recovery replays
-//!   events from the header and asserts its reconstructed
-//!   [`semantic_hash`](wdm_core::network::ResidualState::semantic_hash)
-//!   against every anchor, so divergence is pinned to the first bad
-//!   window rather than discovered at the end;
+//!   events from the header and checks every anchor's sequence number,
+//!   its [`semantic_hash`](wdm_core::network::ResidualState::semantic_hash)
+//!   and its state, link by link, against the replayed state, so
+//!   divergence is pinned to the first bad window rather than discovered
+//!   at the end;
 //! * the **final** line only exists after a graceful shutdown; its absence
 //!   means the process died mid-stream and [`recover`] is reconstructing
 //!   from events alone.
 //!
-//! [`recover`] tolerates exactly one torn line — a partial write at the
-//! very end of the file, the signature of a kill mid-append. Corruption
-//! anywhere else is an error.
+//! # Codec
+//!
+//! The header is read once per recovery and is written and read with
+//! serde, in the `.wdm` network format. Every other line goes through one
+//! private typed codec (`codec.rs`), which holds the full grammar. The
+//! writer encodes straight from the [`NetEvent`], the `&ResidualState` or
+//! the hash into one buffer the sink reuses. The reader decodes each line
+//! with a strict byte-level parser that accepts exactly the compact form
+//! `serde_json::to_string` writes for these records and nothing else:
+//! keys in order, no whitespace, canonical integers. So every line it
+//! accepts is also valid JSON of the same value, and logs written before
+//! the codec (`"wal":1`) read back unchanged.
+//!
+//! [`recover`] tolerates exactly one torn line: a last line that does not
+//! decode, the signature of a kill mid-append. A line that does not decode
+//! anywhere else is corruption, reported with its line number.
+
+mod codec;
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
 use wdm_core::journal::{apply_event, EventSink, NetEvent};
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_sim::policy::Policy;
+
+use codec::Line;
 
 /// Why a WAL could not be written or recovered.
 #[derive(Debug)]
@@ -73,7 +100,8 @@ pub enum WalError {
         /// The mutation error.
         detail: String,
     },
-    /// A checkpoint anchor's hash does not match the replayed state.
+    /// A checkpoint anchor's sequence number, hash or state does not match
+    /// the replayed state.
     CheckpointMismatch {
         /// The anchor's sequence number.
         seq: u64,
@@ -132,32 +160,16 @@ struct WalHeader {
     semantic_hash: u64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
-struct WalEventLine {
-    seq: u64,
-    event: NetEvent,
-}
-
-#[derive(serde::Serialize, serde::Deserialize)]
-struct WalCheckpointLine {
-    checkpoint_seq: u64,
-    state: ResidualState,
-    semantic_hash: u64,
-}
-
-#[derive(serde::Serialize, serde::Deserialize)]
-struct WalFinalLine {
-    final_seq: u64,
-    semantic_hash: u64,
-}
-
-/// The streaming [`EventSink`]: one flushed JSON line per event.
+/// The streaming [`EventSink`]: one JSON line per event, each handed to
+/// the operating system in one `write` (not synced; see the module docs).
 ///
 /// I/O errors cannot surface through [`EventSink::record`]'s signature, so
 /// they are stashed; callers poll [`WalSink::take_error`] at their
 /// convenience (the daemon checks once per mutation batch).
 pub struct WalSink {
-    out: BufWriter<File>,
+    out: File,
+    /// The line being written, reused across lines.
+    line: Vec<u8>,
     seq: u64,
     io_error: Option<std::io::Error>,
     last_write_ns: u64,
@@ -171,8 +183,7 @@ impl WalSink {
         policy: Policy,
         checkpoint: &ResidualState,
     ) -> Result<Self, WalError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
+        let mut out = File::create(path)?;
         let header = WalHeader {
             wal: 1,
             policy,
@@ -180,13 +191,13 @@ impl WalSink {
             checkpoint: checkpoint.clone(),
             semantic_hash: checkpoint.semantic_hash(),
         };
-        let line =
+        let mut line =
             serde_json::to_string(&header).map_err(|e| WalError::BadHeader(e.to_string()))?;
+        line.push('\n');
         out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
         Ok(Self {
             out,
+            line: Vec::new(),
             seq: 0,
             io_error: None,
             last_write_ns: 0,
@@ -204,52 +215,39 @@ impl WalSink {
     }
 
     /// Takes (and clears) the wall time the last [`EventSink::record`]
-    /// spent serializing, appending and flushing its journal line. The
-    /// daemon reads this right after a commit to carve the WAL-fsync
-    /// slice out of the commit span and feed the fsync-latency histogram.
+    /// spent encoding its journal line and writing it to the operating
+    /// system (a `write`, not a sync). The daemon reads this right after a
+    /// commit to carve the WAL slice out of the commit span and feed the
+    /// histogram that the trace format calls `wal_fsync`.
     pub fn take_last_write_ns(&mut self) -> u64 {
         std::mem::take(&mut self.last_write_ns)
     }
 
-    fn write_line(&mut self, line: &str) {
+    /// Encodes one line into the reused buffer and writes it, newline
+    /// included, in one call.
+    fn write_line(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.io_error.is_some() {
             return; // The log is already broken; don't mask the first error.
         }
-        let r = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|_| self.out.write_all(b"\n"))
-            .and_then(|_| self.out.flush());
-        if let Err(e) = r {
+        self.line.clear();
+        encode(&mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.line) {
             self.io_error = Some(e);
         }
     }
 
     /// Writes a checkpoint anchor for the current state.
     pub fn checkpoint(&mut self, state: &ResidualState) {
-        let line = serde_json::to_string(&WalCheckpointLine {
-            checkpoint_seq: self.seq,
-            state: state.clone(),
-            semantic_hash: state.semantic_hash(),
-        });
-        match line {
-            Ok(line) => self.write_line(&line),
-            Err(e) => {
-                self.io_error
-                    .get_or_insert(std::io::Error::other(e.to_string()));
-            }
-        }
+        let seq = self.seq;
+        self.write_line(|out| codec::encode_anchor(out, seq, state, state.semantic_hash()));
     }
 
-    /// Writes the graceful-close line and flushes. The log is complete
-    /// after this; further records would corrupt it.
+    /// Writes the graceful-close line. The log is complete after this;
+    /// further records would corrupt it.
     pub fn finalize(&mut self, state: &ResidualState) -> Result<(), WalError> {
-        let line = serde_json::to_string(&WalFinalLine {
-            final_seq: self.seq,
-            semantic_hash: state.semantic_hash(),
-        })
-        .map_err(|e| WalError::BadHeader(e.to_string()))?;
-        self.write_line(&line);
+        let seq = self.seq;
+        self.write_line(|out| codec::encode_close(out, seq, state.semantic_hash()));
         if let Some(e) = self.io_error.take() {
             return Err(WalError::Io(e));
         }
@@ -265,16 +263,8 @@ impl EventSink for WalSink {
     fn record(&mut self, event: NetEvent) {
         let t0 = std::time::Instant::now();
         self.seq += 1;
-        match serde_json::to_string(&WalEventLine {
-            seq: self.seq,
-            event,
-        }) {
-            Ok(line) => self.write_line(&line),
-            Err(e) => {
-                self.io_error
-                    .get_or_insert(std::io::Error::other(e.to_string()));
-            }
-        }
+        let seq = self.seq;
+        self.write_line(|out| codec::encode_event(out, seq, &event));
         self.last_write_ns = t0.elapsed().as_nanos() as u64;
     }
 }
@@ -354,18 +344,18 @@ impl WalRecovery {
 /// verifying each checkpoint anchor and (if present) the graceful-close
 /// hash. Tolerates one torn line at the very end of the file.
 pub fn recover(path: &Path) -> Result<WalRecovery, WalError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines: Vec<&str> = text.lines().collect();
-    // A trailing blank (from the final "\n") is not a torn line.
-    while lines.last().is_some_and(|l| l.trim().is_empty()) {
-        lines.pop();
-    }
-    let Some((&head, tail)) = lines.split_first() else {
+    let bytes = std::fs::read(path)?;
+    let blank = |b: &[u8]| b.iter().all(u8::is_ascii_whitespace);
+    if blank(&bytes) {
         return Err(WalError::BadHeader("empty file".into()));
+    }
+    let (head, mut rest) = match bytes.iter().position(|&b| b == b'\n') {
+        Some(end) => bytes.split_at(end + 1),
+        None => (&bytes[..], &[][..]),
     };
 
     let header: WalHeader =
-        serde_json::from_str(head).map_err(|e| WalError::BadHeader(e.to_string()))?;
+        serde_json::from_slice(head).map_err(|e| WalError::BadHeader(e.to_string()))?;
     if header.wal != 1 {
         return Err(WalError::BadHeader(format!(
             "unsupported wal version {}",
@@ -380,22 +370,27 @@ pub fn recover(path: &Path) -> Result<WalRecovery, WalError> {
     let mut torn_tail = false;
     let mut anchors_verified = 0usize;
 
-    for (i, raw) in tail.iter().enumerate() {
-        let lineno = i + 2; // 1-based, after the header
-        let last = i + 1 == tail.len();
-        let value = match serde_json::from_str::<serde_json::Value>(raw) {
-            Ok(v) => v,
-            Err(e) if last => {
-                // A partial append from a kill mid-write: discard.
-                let _ = e;
-                torn_tail = true;
-                break;
+    let mut lineno = 1; // 1-based; the header is line 1
+    while !rest.is_empty() {
+        lineno += 1;
+        let line = match codec::decode(rest) {
+            Ok((line, len)) => {
+                rest = rest.get(len + 1..).unwrap_or_default();
+                line
             }
-            Err(e) => {
+            // Trailing blank lines are not torn lines.
+            Err(_) if blank(rest) => break,
+            Err(detail) => {
+                let end = rest.iter().position(|&b| b == b'\n');
+                if end.is_none_or(|end| blank(&rest[end..])) {
+                    // A partial append from a kill mid-write: discard.
+                    torn_tail = true;
+                    break;
+                }
                 return Err(WalError::Corrupt {
                     line: lineno,
-                    detail: e.to_string(),
-                })
+                    detail,
+                });
             }
         };
         if final_hash.is_some() {
@@ -404,59 +399,45 @@ pub fn recover(path: &Path) -> Result<WalRecovery, WalError> {
                 detail: "records after the graceful-close line".into(),
             });
         }
-        if value.get("seq").is_some() {
-            let ev: WalEventLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
+        match line {
+            Line::Event { seq: got, event } => {
+                if got != seq + 1 {
+                    return Err(WalError::SeqGap {
+                        expected: seq + 1,
+                        got,
+                    });
+                }
+                apply_event(&mut state, &net, &event).map_err(|e| WalError::Replay {
+                    seq: got,
                     detail: e.to_string(),
                 })?;
-            if ev.seq != seq + 1 {
-                return Err(WalError::SeqGap {
-                    expected: seq + 1,
-                    got: ev.seq,
-                });
+                seq = got;
             }
-            apply_event(&mut state, &net, &ev.event).map_err(|e| WalError::Replay {
-                seq: ev.seq,
-                detail: e.to_string(),
-            })?;
-            seq = ev.seq;
-        } else if value.get("checkpoint_seq").is_some() {
-            let cp: WalCheckpointLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
-                    detail: e.to_string(),
-                })?;
-            if cp.checkpoint_seq != seq || cp.semantic_hash != state.semantic_hash() {
-                return Err(WalError::CheckpointMismatch {
-                    seq: cp.checkpoint_seq,
-                });
+            Line::Anchor {
+                seq: at,
+                state: anchored,
+                hash,
+            } => {
+                if at != seq || hash != state.semantic_hash() || anchored != state {
+                    return Err(WalError::CheckpointMismatch { seq: at });
+                }
+                anchors_verified += 1;
             }
-            anchors_verified += 1;
-        } else if value.get("final_seq").is_some() {
-            let fin: WalFinalLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
-                    detail: e.to_string(),
-                })?;
-            if fin.final_seq != seq {
-                return Err(WalError::SeqGap {
-                    expected: seq,
-                    got: fin.final_seq,
-                });
+            Line::Close { seq: at, hash } => {
+                if at != seq {
+                    return Err(WalError::SeqGap {
+                        expected: seq,
+                        got: at,
+                    });
+                }
+                if hash != state.semantic_hash() {
+                    return Err(WalError::FinalHashMismatch {
+                        recorded: hash,
+                        replayed: state.semantic_hash(),
+                    });
+                }
+                final_hash = Some(hash);
             }
-            if fin.semantic_hash != state.semantic_hash() {
-                return Err(WalError::FinalHashMismatch {
-                    recorded: fin.semantic_hash,
-                    replayed: state.semantic_hash(),
-                });
-            }
-            final_hash = Some(fin.semantic_hash);
-        } else {
-            return Err(WalError::Corrupt {
-                line: lineno,
-                detail: "unrecognized record shape".into(),
-            });
         }
     }
 
@@ -602,5 +583,88 @@ mod tests {
         std::fs::write(&path, "{\"seq\":1}\n").unwrap();
         assert!(matches!(recover(&path), Err(WalError::BadHeader(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn anchor_state_must_equal_the_replayed_state() {
+        let (path, _, _) = record_lifecycle("anchor-state", true);
+        // Rewrite the mid-stream anchor's first `used` entry and keep its
+        // hash: only the link-by-link comparison can catch the lie.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let anchor = text
+            .lines()
+            .position(|l| l.starts_with("{\"checkpoint_seq\":"))
+            .expect("an anchor line");
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let at = lines[anchor].find("\"used\":[").unwrap() + "\"used\":[".len();
+        let end = at + lines[anchor][at..].find([',', ']']).unwrap();
+        let forged = if &lines[anchor][at..end] == "1" {
+            "2"
+        } else {
+            "1"
+        };
+        lines[anchor].replace_range(at..end, forged);
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        match recover(&path) {
+            Err(WalError::CheckpointMismatch { seq: 2 }) => {}
+            other => panic!(
+                "expected CheckpointMismatch, got {:?}",
+                other.map(|r| r.seq)
+            ),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The one-torn-tail rule at every cut: a log truncated at any byte
+    /// offset is either a bad header (cut inside the header) or recovers
+    /// exactly the whole lines it kept, torn only when the cut falls
+    /// strictly inside a later line.
+    #[test]
+    fn a_log_cut_at_any_byte_recovers_its_whole_lines() {
+        let (path, _, _) = record_lifecycle("cuts", true);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        // Each line: (first byte, end of its content, content).
+        let mut lines = Vec::new();
+        let mut start = 0;
+        for (i, &b) in full.iter().enumerate() {
+            if b == b'\n' {
+                lines.push((start, i, &full[start..i]));
+                start = i + 1;
+            }
+        }
+        let header_end = lines.remove(0).1;
+        assert!(lines
+            .iter()
+            .any(|l| l.2.starts_with(b"{\"checkpoint_seq\":")));
+        assert!(lines.last().unwrap().2.starts_with(b"{\"final_seq\":"));
+
+        let cut_path = temp_path("cut");
+        let cuts = (0..header_end).step_by(61).chain(header_end..=full.len());
+        for cut in cuts {
+            std::fs::write(&cut_path, &full[..cut]).unwrap();
+            let kept = lines.iter().filter(|l| l.1 <= cut);
+            let events = kept
+                .clone()
+                .filter(|l| l.2.starts_with(b"{\"seq\":"))
+                .count();
+            let anchors = kept
+                .clone()
+                .filter(|l| l.2.starts_with(b"{\"checkpoint"))
+                .count();
+            let closed = kept.clone().any(|l| l.2.starts_with(b"{\"final_seq\":"));
+            let torn = lines.iter().any(|l| l.0 < cut && cut < l.1);
+            match recover(&cut_path) {
+                Err(WalError::BadHeader(_)) if cut < header_end => {}
+                Ok(rec) if cut >= header_end => {
+                    assert_eq!(rec.torn_tail, torn, "cut at byte {cut}");
+                    assert_eq!(rec.seq, events as u64, "cut at byte {cut}");
+                    assert_eq!(rec.anchors_verified, anchors, "cut at byte {cut}");
+                    assert_eq!(rec.final_hash.is_some(), closed, "cut at byte {cut}");
+                }
+                other => panic!("cut at byte {cut}: got {:?}", other.map(|r| r.seq)),
+            }
+        }
+        std::fs::remove_file(&cut_path).ok();
     }
 }

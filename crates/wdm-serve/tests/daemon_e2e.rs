@@ -79,15 +79,26 @@ fn thousand_mixed_requests_with_zero_lost_mutations() {
         let target = addr.to_string();
 
         // Open-loop Poisson mix: provisions with exponential holds
-        // (teardowns), plus fail/repair events. Offered load is chosen so
-        // the run comfortably clears 1000 requests.
+        // (teardowns), plus fail/repair events. The sender is sequential,
+        // so a loaded host can offer fewer than 1000 requests in one 2 s
+        // run: repeat runs on fresh seeds (at most five) until the summed
+        // offer clears 1000.
         let mut lg = LoadgenConfig::new(&target, net.node_count() as u32, net.link_count() as u32);
         lg.rate = 1500.0;
         lg.duration = 2.0;
         lg.mean_hold = 0.3;
         lg.fail_fraction = 0.02;
-        lg.seed = 7;
-        let lr = loadgen::run(&lg);
+        let (mut offered, mut ok) = (0, 0);
+        for seed in 7..12 {
+            lg.seed = seed;
+            let lr = loadgen::run(&lg);
+            assert_eq!(lr.errors, 0, "no transport errors against a live daemon");
+            offered += lr.offered;
+            ok += lr.ok;
+            if offered >= 1000 {
+                break;
+            }
+        }
 
         // A few query requests round out the mix.
         for _ in 0..10 {
@@ -112,12 +123,10 @@ fn thousand_mixed_requests_with_zero_lost_mutations() {
         let report = server.join().unwrap().expect("clean run");
 
         assert!(
-            lr.offered >= 1000,
-            "the acceptance run must offer >= 1000 requests, got {}",
-            lr.offered
+            offered >= 1000,
+            "the acceptance run must offer >= 1000 requests, got {offered}"
         );
-        assert!(lr.ok > 0, "some requests succeed");
-        assert_eq!(lr.errors, 0, "no transport errors against a live daemon");
+        assert!(ok > 0, "some requests succeed");
         // The last pre-shutdown query saw the same lineage the report
         // closed with (only the drain-phase teardowns come between; both
         // hashes come from the same journal).

@@ -1,0 +1,135 @@
+//! The WAL's on-disk format is a compatibility contract: a log an earlier
+//! build wrote must still recover, and today's writer must still write it
+//! byte for byte. `data/lifecycle.wal.jsonl` was recorded by the
+//! serde-tree writer that preceded the line codec, from the lifecycle
+//! [`record`] drives.
+
+use std::path::Path;
+
+use wdm_core::journal::{apply_event, EventSink, NetEvent};
+use wdm_core::network::{NetworkBuilder, ResidualState, WdmNetwork};
+use wdm_core::semilightpath::Hop;
+use wdm_core::wavelength::Wavelength;
+use wdm_graph::NodeId;
+use wdm_serve::wal::{self, WalSink};
+use wdm_sim::policy::Policy;
+
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/lifecycle.wal.jsonl"
+);
+/// The fixture's event count and the hash its close line records.
+const FIXTURE_EVENTS: u64 = 9;
+const FIXTURE_HASH: u64 = 0x9fa1_a7b6_5074_f24d;
+
+/// The channels of wavelength `l` along the node walk `path`.
+fn walk(net: &WdmNetwork, path: &[u32], l: u8) -> Vec<Hop> {
+    path.windows(2)
+        .map(|w| Hop {
+            edge: net
+                .graph()
+                .find_edge(NodeId(w[0]), NodeId(w[1]))
+                .expect("NSFNET link"),
+            wavelength: Wavelength(l),
+        })
+        .collect()
+}
+
+/// Records a fixed NSFNET (W = 8) lifecycle through [`WalSink`]: every
+/// event kind, a `Reconfigure` with an empty occupied list, the top
+/// wavelength, a mid-stream anchor, and the closing anchor plus
+/// graceful-close line the daemon writes at shutdown. The events are
+/// written out rather than routed, so the file does not move when routing
+/// ties do. Returns (events written, live hash).
+fn record(path: &Path) -> (u64, u64) {
+    let net = NetworkBuilder::nsfnet(8).build();
+    let mut state = ResidualState::fresh(&net);
+    let mut wal = WalSink::create(path, &net, Policy::CostOnly, &state).expect("create");
+    let log = |wal: &mut WalSink, state: &mut ResidualState, event: NetEvent| {
+        apply_event(state, &net, &event).expect("the event applies");
+        wal.record(event);
+    };
+    let primary0 = walk(&net, &[0, 1, 3, 4], 0);
+    let backup0 = walk(&net, &[0, 2, 5, 4], 3);
+    let reprotect0 = walk(&net, &[0, 7, 6, 4], 1);
+    let conn1 = [walk(&net, &[8, 11, 12], 7), walk(&net, &[8, 13, 12], 7)].concat();
+    let conn2 = [walk(&net, &[12, 13], 0), walk(&net, &[12, 11, 10, 13], 2)].concat();
+    let cut = primary0[1].edge;
+
+    let events = [
+        NetEvent::Provision {
+            id: 0,
+            channels: [primary0.clone(), backup0.clone()].concat(),
+        },
+        NetEvent::Provision {
+            id: 1,
+            channels: conn1.clone(),
+        },
+    ];
+    for event in events {
+        log(&mut wal, &mut state, event);
+    }
+    wal.checkpoint(&state);
+    let events = [
+        NetEvent::FailLink { link: cut },
+        // Switch connection 0 to its backup and protect it again.
+        NetEvent::Reconfigure {
+            id: 0,
+            released: primary0,
+            occupied: reprotect0.clone(),
+        },
+        NetEvent::Teardown {
+            id: 1,
+            channels: conn1,
+        },
+        NetEvent::RepairLink { link: cut },
+        NetEvent::Provision {
+            id: 2,
+            channels: conn2.clone(),
+        },
+        // A dropped connection: everything released, nothing occupied.
+        NetEvent::Reconfigure {
+            id: 2,
+            released: conn2,
+            occupied: Vec::new(),
+        },
+        NetEvent::Teardown {
+            id: 0,
+            channels: [backup0, reprotect0].concat(),
+        },
+    ];
+    for event in events {
+        log(&mut wal, &mut state, event);
+    }
+    wal.checkpoint(&state);
+    wal.finalize(&state).expect("finalize");
+    (wal.seq(), state.semantic_hash())
+}
+
+#[test]
+fn committed_fixture_recovers_to_its_recorded_lineage() {
+    let rec = wal::recover(Path::new(FIXTURE)).expect("the fixture recovers");
+    assert_eq!(rec.seq, FIXTURE_EVENTS);
+    assert_eq!(rec.semantic_hash(), FIXTURE_HASH);
+    assert_eq!(rec.final_hash, Some(FIXTURE_HASH));
+    assert!(rec.clean_shutdown());
+    assert!(!rec.torn_tail);
+    assert_eq!(rec.anchors_verified, 2);
+    assert_eq!(rec.policy, Policy::CostOnly);
+}
+
+#[test]
+fn writer_reproduces_the_committed_fixture_byte_for_byte() {
+    let path = std::env::temp_dir().join(format!(
+        "wdm-wal-format-{}-rerecord.jsonl",
+        std::process::id()
+    ));
+    assert_eq!(record(&path), (FIXTURE_EVENTS, FIXTURE_HASH));
+    let written = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    let committed = std::fs::read(FIXTURE).expect("read fixture");
+    assert!(
+        written == committed,
+        "the writer's bytes differ from the committed fixture"
+    );
+}
