@@ -9,8 +9,9 @@
 
 use wdm_bench::Table;
 use wdm_core::network::{NetworkBuilder, ResidualState};
-use wdm_sim::batch::{full_mesh_demands, provision_batch, BatchOrder};
+use wdm_sim::batch::{full_mesh_demands, BatchOrder};
 use wdm_sim::policy::Policy;
+use wdm_sim::sim::{run_batch, BatchConfig};
 
 fn main() {
     let a = std::f64::consts::E;
@@ -35,7 +36,7 @@ fn main() {
                 BatchOrder::ShortestFirst,
                 BatchOrder::LongestFirst,
             ] {
-                let out = provision_batch(&net, &st, &demands, policy, order);
+                let out = run_batch(&net, &st, &demands, BatchConfig { policy, order });
                 table.row(vec![
                     w.to_string(),
                     policy.name().into(),

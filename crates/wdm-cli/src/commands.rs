@@ -7,6 +7,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use wdm_core::conversion::ConversionTable;
 use wdm_core::load::load_snapshot;
 use wdm_core::network::{NetworkBuilder, ResidualState, WdmNetwork};
+use wdm_core::wavelength::MAX_WAVELENGTHS;
+use wdm_graph::dijkstra::dijkstra;
 use wdm_graph::traverse::{edge_connectivity, is_strongly_connected};
 use wdm_graph::NodeId;
 use wdm_sim::batch::{full_mesh_demands, BatchOrder};
@@ -100,6 +102,11 @@ pub fn topology(args: &Args) -> Result<(), String> {
         .positional(0)
         .ok_or("missing topology preset (nsfnet, arpanet, ring:N, grid:WxH, waxman:N)")?;
     let w: usize = args.get_or("wavelengths", 8)?;
+    if !(1..=MAX_WAVELENGTHS).contains(&w) {
+        return Err(format!(
+            "--wavelengths must be in 1..={MAX_WAVELENGTHS} (got {w})"
+        ));
+    }
     let seed: u64 = args.get_or("seed", 1)?;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
 
@@ -108,6 +115,9 @@ pub fn topology(args: &Args) -> Result<(), String> {
         "arpanet" => (wdm_graph::topology::arpanet_like(), 0.01),
         p if p.starts_with("ring:") => {
             let n: usize = p[5..].parse().map_err(|e| format!("bad ring size: {e}"))?;
+            if n < 3 {
+                return Err(format!("a ring needs at least 3 nodes (got {p})"));
+            }
             (wdm_graph::topology::ring(n, 100.0), 0.01)
         }
         p if p.starts_with("grid:") => {
@@ -116,6 +126,9 @@ pub fn topology(args: &Args) -> Result<(), String> {
                 .ok_or("grid wants WxH, e.g. grid:4x4")?;
             let gw: usize = gw.parse().map_err(|e| format!("bad grid width: {e}"))?;
             let gh: usize = gh.parse().map_err(|e| format!("bad grid height: {e}"))?;
+            if gw < 2 || gh < 2 {
+                return Err(format!("a grid needs at least 2x2 (got {p})"));
+            }
             (wdm_graph::topology::grid(gw, gh, false, 100.0), 0.01)
         }
         p if p.starts_with("waxman:") => {
@@ -157,11 +170,23 @@ pub fn info(args: &Args) -> Result<(), String> {
     );
     println!("max degree       {}", g.max_degree());
     println!("strongly conn.   {}", is_strongly_connected(g));
-    if let Some(ap) = wdm_graph::johnson::johnson_all_pairs(g, |e| net.min_link_cost(e)) {
-        if let (Some(d), Some(m)) = (ap.diameter(), ap.mean_distance()) {
-            println!("cost diameter    {d:.1}");
-            println!("mean pair cost   {m:.1}");
+    // All-pairs statistics over each link's cheapest wavelength: one
+    // Dijkstra per source (link costs are non-negative).
+    let mut diameter: Option<f64> = None;
+    let (mut sum, mut pairs) = (0.0, 0usize);
+    for s in g.node_ids() {
+        let tree = dijkstra(g, s, |e| net.min_link_cost(e));
+        for (v, &d) in tree.dist.iter().enumerate() {
+            if v != s.index() && d.is_finite() {
+                diameter = Some(diameter.map_or(d, |b: f64| b.max(d)));
+                sum += d;
+                pairs += 1;
+            }
         }
+    }
+    if let Some(d) = diameter {
+        println!("cost diameter    {d:.1}");
+        println!("mean pair cost   {:.1}", sum / pairs as f64);
     }
     println!(
         "ratio premise    {}",

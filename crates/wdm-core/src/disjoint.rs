@@ -23,7 +23,7 @@ use crate::network::{ResidualState, WdmNetwork};
 use crate::optimal_slp::{assign_wavelengths_on_path, optimal_semilightpath_filtered};
 use crate::semilightpath::{RobustRoute, Semilightpath};
 use wdm_graph::{EdgeId, NodeId};
-use wdm_telemetry::{NoopRecorder, NoopTracer, Phase, Recorder, Tracer};
+use wdm_telemetry::{Phase, Recorder, Tracer};
 
 /// Diagnostics from one §3.3 run, used by the Lemma 2 / Theorem 2
 /// experiments.
@@ -91,38 +91,17 @@ impl RouteFootprint {
 /// assert_eq!(state.network_load(&net), 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct RobustRouteFinder<'a, R: Recorder = NoopRecorder, T: Tracer = NoopTracer> {
+pub struct RobustRouteFinder<'a> {
     net: &'a WdmNetwork,
-    ctx: RouterCtx<R, T>,
+    ctx: RouterCtx,
 }
 
 impl<'a> RobustRouteFinder<'a> {
-    /// Creates an uninstrumented finder over `net`.
+    /// Creates a finder over `net`.
     pub fn new(net: &'a WdmNetwork) -> Self {
         Self {
             net,
             ctx: RouterCtx::new(),
-        }
-    }
-}
-
-impl<'a, R: Recorder> RobustRouteFinder<'a, R> {
-    /// Creates a finder over `net` whose searches report into `recorder`.
-    pub fn with_recorder(net: &'a WdmNetwork, recorder: R) -> Self {
-        Self {
-            net,
-            ctx: RouterCtx::with_recorder(recorder),
-        }
-    }
-}
-
-impl<'a, R: Recorder, T: Tracer> RobustRouteFinder<'a, R, T> {
-    /// Creates a finder over `net` reporting into `recorder` with pipeline
-    /// phases timed into `tracer`.
-    pub fn with_recorder_and_tracer(net: &'a WdmNetwork, recorder: R, tracer: T) -> Self {
-        Self {
-            net,
-            ctx: RouterCtx::with_recorder_and_tracer(recorder, tracer),
         }
     }
 

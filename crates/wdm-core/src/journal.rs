@@ -1,5 +1,5 @@
-//! Event-sourced transactional state: the append-only [`StateJournal`] and
-//! the O(Δ) undo-log [`Txn`] over [`ResidualState`].
+//! Event-sourced state: the append-only [`StateJournal`] over
+//! [`ResidualState`].
 //!
 //! The paper's dynamic model (§4) is a stream of lifecycle events —
 //! connection setup with primary+backup semilightpaths, teardown, link
@@ -14,12 +14,7 @@
 //!   change clocks included;
 //! * [`EventSink`] — the `Recorder`-style zero-cost hook: call sites guard
 //!   payload construction on [`EventSink::enabled`], so the disabled
-//!   [`NoopSink`] compiles to nothing;
-//! * [`Txn`] — a transactional fork of a `ResidualState` that records an undo
-//!   entry per successful mutation and rolls back in O(links touched)
-//!   instead of cloning the whole state, restoring the change clocks
-//!   exactly (each mutator ticks the clock once, so the reverse walk
-//!   retracts one tick per entry).
+//!   [`NoopSink`] compiles to nothing.
 //!
 //! # Journal invariants
 //!
@@ -277,188 +272,6 @@ pub fn apply_event(
     Ok(())
 }
 
-/// Undo-log entry: enough to revert one successful mutation, clock stamp
-/// included.
-#[derive(Debug, Clone, Copy)]
-enum Undo {
-    Occupied {
-        e: EdgeId,
-        l: crate::wavelength::Wavelength,
-        prev_link_clock: u64,
-    },
-    Released {
-        e: EdgeId,
-        l: crate::wavelength::Wavelength,
-        prev_link_clock: u64,
-    },
-    SetFailed {
-        e: EdgeId,
-        was_failed: bool,
-        prev_link_clock: u64,
-    },
-}
-
-/// A transactional fork of a [`ResidualState`].
-///
-/// Mutations go through the ordinary mutators and push an undo entry per
-/// success; [`rollback`](Self::rollback) walks the log in reverse and
-/// restores the state **bit-identically** — payload, per-link clock stamps
-/// and the global clock (each mutator ticks it exactly once, so the walk
-/// retracts one tick per entry). Cost is O(links touched), which is what
-/// lets the reconfiguration sweep's probes fork without cloning the O(m)
-/// `used`/`link_clock` vectors.
-///
-/// Note for warm [`RouterCtx`] holders: a rollback moves the clock
-/// *backwards*, and interleaved later mutations can re-advance it past a
-/// consumer's sync point, masking the regression detector — invalidate any
-/// context that observed the transactional state before routing again.
-///
-/// [`RouterCtx`]: crate::aux_engine::RouterCtx
-#[derive(Debug)]
-pub struct Txn<'a> {
-    state: &'a mut ResidualState,
-    undo: Vec<Undo>,
-}
-
-impl<'a> Txn<'a> {
-    /// Opens a transaction over `state`.
-    pub fn begin(state: &'a mut ResidualState) -> Self {
-        Self {
-            state,
-            undo: Vec::new(),
-        }
-    }
-
-    /// Read access to the in-progress state (routing probes borrow this).
-    #[inline]
-    pub fn state(&self) -> &ResidualState {
-        self.state
-    }
-
-    /// Number of successful mutations so far (the Δ a rollback walks).
-    #[inline]
-    pub fn touched(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Transactional [`ResidualState::occupy`].
-    pub fn occupy(
-        &mut self,
-        net: &WdmNetwork,
-        e: EdgeId,
-        l: crate::wavelength::Wavelength,
-    ) -> Result<(), StateError> {
-        let prev_link_clock = self.state.link_change_clock(e);
-        self.state.occupy(net, e, l)?;
-        self.undo.push(Undo::Occupied {
-            e,
-            l,
-            prev_link_clock,
-        });
-        Ok(())
-    }
-
-    /// Transactional [`ResidualState::release`].
-    pub fn release(
-        &mut self,
-        e: EdgeId,
-        l: crate::wavelength::Wavelength,
-    ) -> Result<(), StateError> {
-        let prev_link_clock = self.state.link_change_clock(e);
-        self.state.release(e, l)?;
-        self.undo.push(Undo::Released {
-            e,
-            l,
-            prev_link_clock,
-        });
-        Ok(())
-    }
-
-    /// Transactional [`ResidualState::fail_link`].
-    pub fn fail_link(&mut self, e: EdgeId) {
-        let prev_link_clock = self.state.link_change_clock(e);
-        let was_failed = self.state.is_failed(e);
-        self.state.fail_link(e);
-        self.undo.push(Undo::SetFailed {
-            e,
-            was_failed,
-            prev_link_clock,
-        });
-    }
-
-    /// Transactional [`ResidualState::repair_link`].
-    pub fn repair_link(&mut self, e: EdgeId) {
-        let prev_link_clock = self.state.link_change_clock(e);
-        let was_failed = self.state.is_failed(e);
-        self.state.repair_link(e);
-        self.undo.push(Undo::SetFailed {
-            e,
-            was_failed,
-            prev_link_clock,
-        });
-    }
-
-    /// Occupies `hops` in order, rolling back the hops occupied so far on
-    /// the first failure (mirrors [`Semilightpath::occupy`], but the
-    /// partial rollback stays inside this transaction's log, so the clocks
-    /// rewind exactly).
-    ///
-    /// [`Semilightpath::occupy`]: crate::semilightpath::Semilightpath::occupy
-    pub fn occupy_hops(&mut self, net: &WdmNetwork, hops: &[Hop]) -> Result<(), StateError> {
-        let mark = self.undo.len();
-        for h in hops {
-            if let Err(err) = self.occupy(net, h.edge, h.wavelength) {
-                self.unwind_to(mark);
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
-    /// Releases `hops` in order, ignoring unused channels (the
-    /// [`Semilightpath::release`] semantics).
-    ///
-    /// [`Semilightpath::release`]: crate::semilightpath::Semilightpath::release
-    pub fn release_hops(&mut self, hops: &[Hop]) {
-        for h in hops {
-            let _ = self.release(h.edge, h.wavelength);
-        }
-    }
-
-    /// Keeps every mutation.
-    pub fn commit(self) {
-        // Dropping the undo log is the commit.
-    }
-
-    /// Reverts every mutation, restoring the pre-transaction state
-    /// bit-identically (clocks included).
-    pub fn rollback(mut self) {
-        self.unwind_to(0);
-    }
-
-    fn unwind_to(&mut self, mark: usize) {
-        while self.undo.len() > mark {
-            match self.undo.pop().expect("len > mark") {
-                Undo::Occupied {
-                    e,
-                    l,
-                    prev_link_clock,
-                } => self.state.undo_occupy(e, l, prev_link_clock),
-                Undo::Released {
-                    e,
-                    l,
-                    prev_link_clock,
-                } => self.state.undo_release(e, l, prev_link_clock),
-                Undo::SetFailed {
-                    e,
-                    was_failed,
-                    prev_link_clock,
-                } => self.state.undo_set_failed(e, was_failed, prev_link_clock),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,71 +302,6 @@ mod tests {
                 "link clock {i}"
             );
         }
-    }
-
-    #[test]
-    fn txn_rollback_restores_state_and_clocks_exactly() {
-        let net = square();
-        let mut st = ResidualState::fresh(&net);
-        st.occupy(&net, EdgeId(0), Wavelength(0)).unwrap();
-        st.fail_link(EdgeId(3));
-        let before = st.clone();
-
-        let mut txn = Txn::begin(&mut st);
-        txn.occupy(&net, EdgeId(1), Wavelength(2)).unwrap();
-        txn.release(EdgeId(0), Wavelength(0)).unwrap();
-        txn.repair_link(EdgeId(3));
-        txn.fail_link(EdgeId(2));
-        // A failed mutation must not leave an undo entry.
-        assert_eq!(
-            txn.occupy(&net, EdgeId(2), Wavelength(0)),
-            Err(StateError::LinkFailed)
-        );
-        assert_eq!(txn.touched(), 4);
-        txn.rollback();
-
-        assert_bit_identical(&st, &before, &net);
-    }
-
-    #[test]
-    fn txn_commit_matches_direct_mutation() {
-        let net = square();
-        let mut direct = ResidualState::fresh(&net);
-        let mut txd = ResidualState::fresh(&net);
-
-        direct.occupy(&net, EdgeId(0), Wavelength(1)).unwrap();
-        direct.fail_link(EdgeId(5));
-
-        let mut txn = Txn::begin(&mut txd);
-        txn.occupy(&net, EdgeId(0), Wavelength(1)).unwrap();
-        txn.fail_link(EdgeId(5));
-        txn.commit();
-
-        assert_bit_identical(&direct, &txd, &net);
-    }
-
-    #[test]
-    fn txn_occupy_hops_unwinds_partial_failure() {
-        let net = square();
-        let mut st = ResidualState::fresh(&net);
-        st.occupy(&net, EdgeId(2), Wavelength(0)).unwrap();
-        let before = st.clone();
-
-        let hops = vec![
-            Hop {
-                edge: EdgeId(0),
-                wavelength: Wavelength(0),
-            },
-            Hop {
-                edge: EdgeId(2),
-                wavelength: Wavelength(0), // already used -> fails
-            },
-        ];
-        let mut txn = Txn::begin(&mut st);
-        assert_eq!(txn.occupy_hops(&net, &hops), Err(StateError::AlreadyUsed));
-        assert_eq!(txn.touched(), 0, "partial occupation unwound");
-        txn.rollback();
-        assert_bit_identical(&st, &before, &net);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::disjoint::{RobustRouteFinder, RouteFootprint};
     pub use crate::error::RoutingError;
     pub use crate::joint::find_two_paths_joint;
-    pub use crate::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal, Txn};
+    pub use crate::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal};
     pub use crate::load::{load_snapshot, LoadSnapshot};
     pub use crate::mincog::{exact_min_load_threshold, find_two_paths_mincog};
     pub use crate::multi::find_k_disjoint;

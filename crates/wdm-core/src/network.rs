@@ -556,35 +556,6 @@ impl ResidualState {
         (self.used[e.index()].count() + 1) as f64 / n as f64
     }
 
-    /// Reverts a successful [`occupy`](Self::occupy) of `λ` on `e`,
-    /// restoring the link's clock stamp and retracting the global clock by
-    /// the one tick the occupy spent. Only [`crate::journal::Txn`] calls
-    /// this, in reverse mutation order, which is what makes the retraction
-    /// exact.
-    pub(crate) fn undo_occupy(&mut self, e: EdgeId, l: Wavelength, prev_link_clock: u64) {
-        let removed = self.used[e.index()].remove(l);
-        debug_assert!(removed, "undo of an occupy that did not happen");
-        self.link_clock[e.index()] = prev_link_clock;
-        self.clock -= 1;
-    }
-
-    /// Reverts a successful [`release`](Self::release); see
-    /// [`undo_occupy`](Self::undo_occupy) for the clock contract.
-    pub(crate) fn undo_release(&mut self, e: EdgeId, l: Wavelength, prev_link_clock: u64) {
-        let inserted = self.used[e.index()].insert(l);
-        debug_assert!(inserted, "undo of a release that did not happen");
-        self.link_clock[e.index()] = prev_link_clock;
-        self.clock -= 1;
-    }
-
-    /// Reverts a [`fail_link`](Self::fail_link)/[`repair_link`](Self::repair_link)
-    /// by restoring the previous failed flag and clock stamp.
-    pub(crate) fn undo_set_failed(&mut self, e: EdgeId, was_failed: bool, prev_link_clock: u64) {
-        self.failed[e.index()] = was_failed;
-        self.link_clock[e.index()] = prev_link_clock;
-        self.clock -= 1;
-    }
-
     /// FNV-1a hash of the semantic payload (`used`, `failed`), ignoring the
     /// change clocks — the same footprint [`PartialEq`] compares and the
     /// serializer emits. `wdm replay --verify` checks recorded runs against

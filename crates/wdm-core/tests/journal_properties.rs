@@ -1,13 +1,12 @@
-//! Property-based invariants of the event journal and the transactional
-//! undo log: replay reconstructs live state bit-identically (clocks
-//! included) under arbitrary interleavings of provision / teardown /
-//! failure / repair, and a rolled-back transaction leaves no trace.
+//! Property-based invariants of the event journal: replay reconstructs
+//! live state bit-identically (clocks included) under arbitrary
+//! interleavings of provision / teardown / failure / repair.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wdm_core::conversion::ConversionTable;
-use wdm_core::journal::{EventSink, NetEvent, StateJournal, Txn};
+use wdm_core::journal::{EventSink, NetEvent, StateJournal};
 use wdm_core::network::{NetworkBuilder, ResidualState, WdmNetwork};
 use wdm_core::semilightpath::Hop;
 use wdm_core::wavelength::{Wavelength, WavelengthSet};
@@ -89,8 +88,9 @@ proptest! {
 
     /// Random interleavings of the full event vocabulary: replaying the
     /// journal over its checkpoint reproduces the live state bit-identically,
-    /// clocks included. Failed provisions (strict occupy) are unwound by the
-    /// transaction and therefore leave no trace on either lineage.
+    /// clocks included. A provision occupies its hops on a clone, which
+    /// replaces the live state only if every occupy succeeded, so a failed
+    /// provision (strict occupy) leaves no trace on either lineage.
     #[test]
     fn journal_replay_matches_direct_mutation(seed in 0u64..25_000) {
         let (net, st0) = random_net(seed);
@@ -103,9 +103,9 @@ proptest! {
             match rng.gen_range(0..6) {
                 0..=2 => {
                     let hops = random_hops(&mut rng, &net);
-                    let mut txn = Txn::begin(&mut live);
-                    if txn.occupy_hops(&net, &hops).is_ok() {
-                        txn.commit();
+                    let mut probe = live.clone();
+                    if hops.iter().all(|h| probe.occupy(&net, h.edge, h.wavelength).is_ok()) {
+                        live = probe;
                         journal.record(NetEvent::Provision {
                             id: next_id,
                             channels: hops.clone(),
@@ -139,78 +139,5 @@ proptest! {
         let replayed = journal.replay(&net).expect("recorded events must replay");
         assert_bit_identical(&replayed, &live, &net);
         prop_assert_eq!(replayed.semantic_hash(), live.semantic_hash());
-    }
-
-    /// `Txn::rollback` after an arbitrary mutation mix restores the exact
-    /// pre-transaction snapshot — payload, failure flags, and every clock.
-    #[test]
-    fn txn_rollback_is_a_perfect_undo(seed in 0u64..25_000) {
-        let (net, mut st) = random_net(seed);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x2545F4914F6CDD1D));
-        let before = st.clone();
-        let mut txn = Txn::begin(&mut st);
-        for _ in 0..40 {
-            let e = EdgeId::from(rng.gen_range(0..net.link_count()));
-            let l = Wavelength(rng.gen_range(0..net.num_wavelengths()) as u8);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    let _ = txn.occupy(&net, e, l);
-                }
-                2 => {
-                    let _ = txn.release(e, l);
-                }
-                3 => txn.fail_link(e),
-                _ => txn.repair_link(e),
-            }
-        }
-        txn.rollback();
-        assert_bit_identical(&st, &before, &net);
-    }
-
-    /// A committed transaction is indistinguishable from issuing the same
-    /// mutations directly on the state.
-    #[test]
-    fn txn_commit_equals_direct_mutation(seed in 0u64..25_000) {
-        let (net, mut direct) = random_net(seed);
-        let mut via_txn = direct.clone();
-        let ops: Vec<(u8, EdgeId, Wavelength)> = {
-            let mut rng = ChaCha8Rng::seed_from_u64(!seed);
-            (0..40)
-                .map(|_| {
-                    (
-                        rng.gen_range(0..5u8),
-                        EdgeId::from(rng.gen_range(0..net.link_count())),
-                        Wavelength(rng.gen_range(0..net.num_wavelengths()) as u8),
-                    )
-                })
-                .collect()
-        };
-        let mut txn = Txn::begin(&mut via_txn);
-        for &(op, e, l) in &ops {
-            match op {
-                0 | 1 => {
-                    let _ = txn.occupy(&net, e, l);
-                }
-                2 => {
-                    let _ = txn.release(e, l);
-                }
-                3 => txn.fail_link(e),
-                _ => txn.repair_link(e),
-            }
-        }
-        txn.commit();
-        for &(op, e, l) in &ops {
-            match op {
-                0 | 1 => {
-                    let _ = direct.occupy(&net, e, l);
-                }
-                2 => {
-                    let _ = direct.release(e, l);
-                }
-                3 => direct.fail_link(e),
-                _ => direct.repair_link(e),
-            }
-        }
-        assert_bit_identical(&via_txn, &direct, &net);
     }
 }

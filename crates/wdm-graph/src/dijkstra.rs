@@ -129,19 +129,6 @@ pub fn dijkstra_to<N, E>(
     dijkstra_generic::<N, E, DaryHeap<f64, 4>>(g, source, Some(target), cost, |_| true)
 }
 
-/// Point-to-point Dijkstra restricted to edges accepted by `filter`, with
-/// early termination at `target`. Everything settled before `target` pops
-/// is exact, so `path_to(target)` equals the unpruned run's path.
-pub fn dijkstra_filtered_to<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    cost: impl FnMut(EdgeId) -> f64,
-    filter: impl FnMut(EdgeId) -> bool,
-) -> ShortestPathTree {
-    dijkstra_generic::<N, E, DaryHeap<f64, 4>>(g, source, Some(target), cost, filter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

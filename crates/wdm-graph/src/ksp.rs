@@ -1,9 +1,9 @@
 //! Yen's algorithm for the k shortest loopless paths.
 //!
-//! Used by the baseline routing policies: a simple (pre-Suurballe) way to
-//! obtain a disjoint pair is to enumerate the k cheapest simple paths and
-//! scan for the first edge-disjoint combination. The evaluation compares
-//! this against the paper's auxiliary-graph construction.
+//! Used by the `Ksp` baseline routing policy, a simple (pre-Suurballe) way
+//! to obtain a disjoint pair: enumerate the k cheapest simple paths and
+//! scan for an edge-disjoint combination. The evaluation compares this
+//! against the paper's auxiliary-graph construction.
 
 use crate::dijkstra::dijkstra_filtered;
 use crate::{DiGraph, NodeId, Path};
@@ -99,34 +99,6 @@ pub fn yen_k_shortest<N, E>(
     accepted.into_iter().map(|(_, p)| p).collect()
 }
 
-/// Scans the `k` cheapest simple paths for the first edge-disjoint pair
-/// (a pre-Suurballe heuristic baseline). Returns the pair with the smallest
-/// combined cost among pairs found within the k-list, if any.
-pub fn ksp_disjoint_pair<N, E>(
-    g: &DiGraph<N, E>,
-    s: NodeId,
-    t: NodeId,
-    k: usize,
-    mut cost: impl FnMut(crate::EdgeId) -> f64,
-) -> Option<crate::suurballe::DisjointPair> {
-    let paths = yen_k_shortest(g, s, t, k, &mut cost);
-    let mut best: Option<(f64, usize, usize)> = None;
-    for i in 0..paths.len() {
-        for j in (i + 1)..paths.len() {
-            if !paths[i].shares_edge_with(&paths[j]) {
-                let tot = paths[i].cost(&mut cost) + paths[j].cost(&mut cost);
-                if best.is_none_or(|(b, _, _)| tot < b) {
-                    best = Some((tot, i, j));
-                }
-            }
-        }
-    }
-    best.map(|(tot, i, j)| crate::suurballe::DisjointPair {
-        paths: [paths[i].clone(), paths[j].clone()],
-        total_cost: tot,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,35 +166,6 @@ mod tests {
     fn unreachable_target_gives_empty() {
         let g = DiGraph::weighted(3, &[(0, 1, 1.0)]);
         assert!(yen_k_shortest(&g, NodeId(0), NodeId(2), 3, |e| g.weight(e)).is_empty());
-    }
-
-    #[test]
-    fn ksp_pair_finds_diamond() {
-        let g = DiGraph::weighted(4, &[(0, 1, 1.0), (1, 3, 1.0), (0, 2, 2.0), (2, 3, 2.0)]);
-        let pair = ksp_disjoint_pair(&g, NodeId(0), NodeId(3), 4, |e| g.weight(e)).unwrap();
-        assert_eq!(pair.total_cost, 6.0);
-        assert!(pair.is_edge_disjoint());
-    }
-
-    #[test]
-    fn ksp_pair_can_miss_what_suurballe_finds() {
-        // The trap: the k cheapest paths for small k all share edges.
-        let g = DiGraph::weighted(
-            4,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (0, 2, 10.0),
-                (1, 3, 10.0),
-            ],
-        );
-        // k = 2: paths are 0-1-2-3 (3) and 0-1-3 (11); they share edge 0-1.
-        let pair2 = ksp_disjoint_pair(&g, NodeId(0), NodeId(3), 2, |e| g.weight(e));
-        assert!(pair2.is_none());
-        // Larger k eventually finds the disjoint pair.
-        let pair4 = ksp_disjoint_pair(&g, NodeId(0), NodeId(3), 4, |e| g.weight(e)).unwrap();
-        assert_eq!(pair4.total_cost, 22.0);
     }
 
     #[test]

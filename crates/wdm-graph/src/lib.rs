@@ -7,31 +7,28 @@
 //!
 //! * [`DiGraph`] — an adjacency-list directed multigraph with dense integer
 //!   ids ([`NodeId`], [`EdgeId`]) and typed node/edge payloads;
-//! * shortest paths: [`dijkstra`](dijkstra::dijkstra) (generic over the
-//!   heap engine), [`bellman_ford`](bellman_ford::bellman_ford);
+//! * shortest paths: [`dijkstra`](dijkstra::dijkstra), generic over the
+//!   heap engine;
 //! * [`suurballe`] — Suurballe's minimum-cost pair of edge-disjoint paths
 //!   (1974), the core subroutine of the paper's `Find_Two_Paths`;
 //! * [`arena`] — [`SearchArena`], Suurballe on reused buffers, over a
 //!   [`DiGraph`] (the test oracle's search) or over a [`FlatView`], the
 //!   CSR layout the router searches;
-//! * [`johnson`] — Johnson's all-pairs shortest paths (topology stats,
-//!   cross-validation oracle);
-//! * [`ksp`] — Yen's k-shortest loopless paths (baseline policies);
+//! * [`ksp`] — Yen's k-shortest loopless paths (the `Ksp` baseline policy);
 //! * [`mincostflow`] — successive-shortest-path min-cost flow, used as an
-//!   independent exactness oracle for the disjoint-pair computations;
-//! * [`traverse`] — BFS/DFS, reachability, Tarjan SCC, topological sort;
+//!   independent exactness oracle for the disjoint-pair computations and
+//!   as the k-disjoint-path solver;
+//! * [`traverse`] — BFS reachability, Tarjan SCC, local edge connectivity;
 //! * [`topology`] — WAN topology generators (NSFNET, ARPANET-like, rings,
 //!   grids/tori, Waxman and Erdős–Rényi random graphs, trap/hardness
 //!   gadget families);
 //! * [`dot`] — Graphviz export for documentation and debugging.
 
 pub mod arena;
-pub mod bellman_ford;
 pub mod dijkstra;
 pub mod dot;
 mod graph;
 mod ids;
-pub mod johnson;
 pub mod ksp;
 pub mod mincostflow;
 mod path;
@@ -46,9 +43,8 @@ pub use path::Path;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
-    pub use crate::bellman_ford::bellman_ford;
     pub use crate::dijkstra::{dijkstra, dijkstra_filtered, ShortestPathTree};
     pub use crate::ksp::yen_k_shortest;
-    pub use crate::suurballe::{edge_disjoint_pair, node_disjoint_pair, DisjointPair};
+    pub use crate::suurballe::{edge_disjoint_pair, DisjointPair};
     pub use crate::{DiGraph, EdgeId, NodeId, Path};
 }

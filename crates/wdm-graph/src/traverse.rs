@@ -1,6 +1,6 @@
-//! Graph traversal utilities: BFS, DFS, reachability, strongly connected
-//! components (Tarjan), topological sort, and local edge connectivity by
-//! BFS augmentation — the 2-edge-connectivity probe that checks generated
+//! Graph traversal utilities: BFS reachability and hop distances, strongly
+//! connected components (Tarjan), and local edge connectivity by BFS
+//! augmentation — the 2-edge-connectivity probe that checks generated
 //! WAN topologies support robust routing between all node pairs, and the
 //! two-path check that decides MinCog's threshold rungs.
 
@@ -113,28 +113,6 @@ pub fn strongly_connected_components<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>
         }
     }
     components
-}
-
-/// Topological order of a DAG, or `None` if the graph has a cycle (Kahn).
-pub fn topological_sort<N, E>(g: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut indeg: Vec<usize> = (0..n).map(|v| g.in_degree(NodeId::from(v))).collect();
-    let mut queue: std::collections::VecDeque<NodeId> = (0..n)
-        .map(NodeId::from)
-        .filter(|&v| indeg[v.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &e in g.out_edges(u) {
-            let v = g.dst(e);
-            indeg[v.index()] -= 1;
-            if indeg[v.index()] == 0 {
-                queue.push_back(v);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 /// Max number of edge-disjoint `s -> t` paths (local edge connectivity).
@@ -275,25 +253,6 @@ mod tests {
     fn scc_on_strongly_connected_ring() {
         let g = DiGraph::weighted(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
         assert!(is_strongly_connected(&g));
-    }
-
-    #[test]
-    fn topo_sort_dag_and_cycle() {
-        let dag = DiGraph::weighted(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
-        let order = topological_sort(&dag).unwrap();
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, v) in order.iter().enumerate() {
-                p[v.index()] = i;
-            }
-            p
-        };
-        for e in dag.edge_ids() {
-            let (u, v) = dag.endpoints(e);
-            assert!(pos[u.index()] < pos[v.index()]);
-        }
-        let cyc = DiGraph::weighted(2, &[(0, 1, 1.0), (1, 0, 1.0)]);
-        assert!(topological_sort(&cyc).is_none());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use wdm_graph::bellman_ford::{bellman_ford, BellmanFord};
 use wdm_graph::dijkstra::{dijkstra, dijkstra_to};
 use wdm_graph::ksp::yen_k_shortest;
-use wdm_graph::suurballe::{edge_disjoint_pair, two_step_pair};
+use wdm_graph::suurballe::edge_disjoint_pair;
 use wdm_graph::traverse::{bfs_distances, edge_connectivity, reachable_from};
 use wdm_graph::{DiGraph, NodeId};
 
@@ -25,6 +24,29 @@ fn random_graph(seed: u64, max_n: u32, p: f64) -> DiGraph<(), f64> {
     DiGraph::weighted(n as usize, &arcs)
 }
 
+/// Bellman–Ford distances from `source`: an independent reference for
+/// Dijkstra (no heap, no settled set). Costs here are non-negative, so
+/// n − 1 rounds of relaxing every edge reach the fixpoint.
+fn bellman_ford(g: &DiGraph<(), f64>, source: NodeId) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.node_count()];
+    dist[source.index()] = 0.0;
+    for _ in 1..g.node_count() {
+        let mut changed = false;
+        for e in g.edge_ids() {
+            let (u, v) = g.endpoints(e);
+            let nd = dist[u.index()] + g.weight(e);
+            if nd < dist[v.index()] {
+                dist[v.index()] = nd;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    dist
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
@@ -32,13 +54,9 @@ proptest! {
     fn dijkstra_agrees_with_bellman_ford(seed in 0u64..100_000) {
         let g = random_graph(seed, 15, 0.3);
         let d = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        let bf = bellman_ford(&g, NodeId(0), |e| g.weight(e));
-        let BellmanFord::Tree(bf) = bf else {
-            return Err(TestCaseError::fail("non-negative graph reported a negative cycle"));
-        };
-        for v in 0..g.node_count() {
-            prop_assert!((d.dist[v] - bf.dist[v]).abs() < 1e-9
-                || (d.dist[v].is_infinite() && bf.dist[v].is_infinite()));
+        let bf = bellman_ford(&g, NodeId(0));
+        for (dv, bv) in d.dist.iter().zip(&bf) {
+            prop_assert!((dv - bv).abs() < 1e-9 || (dv.is_infinite() && bv.is_infinite()));
         }
     }
 
@@ -77,21 +95,6 @@ proptest! {
         let pair = edge_disjoint_pair(&g, NodeId(0), t, |e| g.weight(e));
         let k = edge_connectivity(&g, NodeId(0), t);
         prop_assert_eq!(pair.is_some(), k >= 2, "connectivity {} vs pair {:?}", k, pair.is_some());
-    }
-
-    #[test]
-    fn two_step_never_beats_suurballe(seed in 0u64..100_000) {
-        let g = random_graph(seed, 12, 0.3);
-        let t = NodeId((g.node_count() - 1) as u32);
-        let opt = edge_disjoint_pair(&g, NodeId(0), t, |e| g.weight(e));
-        let greedy = two_step_pair(&g, NodeId(0), t, |e| g.weight(e));
-        if let (Some(o), Some(gr)) = (&opt, &greedy) {
-            prop_assert!(o.total_cost <= gr.total_cost + 1e-9);
-        }
-        // If greedy succeeds, the optimum must exist too.
-        if greedy.is_some() {
-            prop_assert!(opt.is_some());
-        }
     }
 
     #[test]

@@ -9,19 +9,17 @@
 //! matter.
 //!
 //! Every demand is routed by one Suurballe-based search on the residual
-//! state its predecessors left (§3.3, §4), so a batch is a serial fold.
-//! The fold holds one [`RouterCtx`] for the whole batch: the auxiliary
-//! graphs are built on the first demand, and each later demand re-weights
-//! only the links earlier reservations changed.
+//! state its predecessors left (§3.3, §4), so a batch is a serial fold,
+//! [`crate::sim::run_batch`]. The fold holds one
+//! [`RouterCtx`](wdm_core::aux_engine::RouterCtx) for the whole batch: the
+//! auxiliary graphs are built on the first demand, and each later demand
+//! re-weights only the links earlier reservations changed.
 
-use crate::policy::{Policy, ProvisionedRoute};
-use wdm_core::aux_engine::RouterCtx;
-use wdm_core::journal::{EventSink, NetEvent, NoopSink};
-use wdm_core::load::{load_snapshot, LoadSnapshot};
+use crate::policy::ProvisionedRoute;
+use wdm_core::load::LoadSnapshot;
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::optimal_slp::optimal_semilightpath;
 use wdm_graph::NodeId;
-use wdm_telemetry::{NoopRecorder, Recorder};
 
 /// One demand of a static traffic matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -81,79 +79,10 @@ impl BatchOutcome {
     }
 }
 
-/// Provisions `demands` on a fresh copy of `state` under `policy`,
-/// processing them in `order`. Routes are reserved as they are found, so
-/// later demands see earlier reservations (sequential heuristic — the
-/// standard approach; the global ILP over all demands at once is
-/// exponential and out of scope even for the paper).
-pub fn provision_batch(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-) -> BatchOutcome {
-    provision_batch_journaled(net, state, demands, policy, order, NoopRecorder, NoopSink)
-}
-
-/// As [`provision_batch`], recording every routing call through
-/// `recorder` and appending one [`NetEvent::Provision`] per provisioned
-/// route to `journal` (`id` = the demand's index in `demands`), in
-/// processing order — replaying them over `state` reproduces the outcome's
-/// final state.
-///
-/// This is the one batch path. Routes go through [`Policy::route_ctx`] on
-/// one warm [`RouterCtx`] (carrying `recorder`), and the outcome is
-/// bit-identical to routing each demand with a cold [`Policy::route`].
-pub fn provision_batch_journaled<R: Recorder, J: EventSink>(
-    net: &WdmNetwork,
-    state: &ResidualState,
-    demands: &[Demand],
-    policy: Policy,
-    order: BatchOrder,
-    recorder: R,
-    mut journal: J,
-) -> BatchOutcome {
-    let mut st = state.clone();
-    let idx = processing_order(net, &st, demands, order);
-    let mut ctx = RouterCtx::with_recorder(recorder);
-
-    let mut provisioned = Vec::new();
-    let mut rejected = Vec::new();
-    let mut total_cost = 0.0;
-    for i in idx {
-        let d = demands[i];
-        match policy.route_ctx(&mut ctx, net, &st, d.src, d.dst) {
-            Ok(route) => {
-                route
-                    .occupy(net, &mut st)
-                    .expect("route computed against current state");
-                if journal.enabled() {
-                    journal.record(NetEvent::Provision {
-                        id: i as u64,
-                        channels: route.channels(),
-                    });
-                }
-                total_cost += route.total_cost();
-                provisioned.push((i, route));
-            }
-            Err(_) => rejected.push(i),
-        }
-    }
-    let final_load = load_snapshot(net, &st);
-    BatchOutcome {
-        provisioned,
-        rejected,
-        total_cost,
-        final_load,
-        state: st,
-    }
-}
-
 /// The demand indices in batch-processing order. Sort keys use the
 /// unprotected optimal route cost on the *initial* state (a static
 /// estimate).
-fn processing_order(
+pub(crate) fn processing_order(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],
@@ -202,6 +131,8 @@ pub fn full_mesh_demands(n: usize, k: usize) -> Vec<Demand> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Policy;
+    use crate::sim::{run_batch, BatchConfig};
     use wdm_core::network::NetworkBuilder;
 
     fn nsfnet(w: usize) -> WdmNetwork {
@@ -216,23 +147,21 @@ mod tests {
         let st16 = {
             let net = nsfnet(16);
             let st = ResidualState::fresh(&net);
-            provision_batch(
+            run_batch(
                 &net,
                 &st,
                 &full_mesh_demands(14, 1),
-                Policy::CostOnly,
-                BatchOrder::AsGiven,
+                BatchConfig::serial(Policy::CostOnly),
             )
         };
         let st64 = {
             let net = nsfnet(64);
             let st = ResidualState::fresh(&net);
-            provision_batch(
+            run_batch(
                 &net,
                 &st,
                 &full_mesh_demands(14, 1),
-                Policy::CostOnly,
-                BatchOrder::AsGiven,
+                BatchConfig::serial(Policy::CostOnly),
             )
         };
         let total = 14 * 13;
@@ -250,7 +179,7 @@ mod tests {
         let net = nsfnet(2); // tiny capacity
         let st = ResidualState::fresh(&net);
         let demands = full_mesh_demands(14, 2);
-        let out = provision_batch(&net, &st, &demands, Policy::CostOnly, BatchOrder::AsGiven);
+        let out = run_batch(&net, &st, &demands, BatchConfig::serial(Policy::CostOnly));
         assert!(!out.rejected.is_empty(), "W=2 cannot host a double mesh");
         // Everything that was accepted is a valid reservation: releasing
         // them all restores the initial state.
@@ -266,30 +195,16 @@ mod tests {
         let net = nsfnet(4);
         let st = ResidualState::fresh(&net);
         let demands = full_mesh_demands(14, 1);
-        let a = provision_batch(
-            &net,
-            &st,
-            &demands,
-            Policy::CostOnly,
-            BatchOrder::LongestFirst,
-        );
-        let b = provision_batch(
-            &net,
-            &st,
-            &demands,
-            Policy::CostOnly,
-            BatchOrder::LongestFirst,
-        );
+        let cfg = |order| BatchConfig {
+            policy: Policy::CostOnly,
+            order,
+        };
+        let a = run_batch(&net, &st, &demands, cfg(BatchOrder::LongestFirst));
+        let b = run_batch(&net, &st, &demands, cfg(BatchOrder::LongestFirst));
         assert_eq!(a.provisioned.len(), b.provisioned.len());
         assert_eq!(a.total_cost, b.total_cost);
         // Orders actually differ in processing sequence.
-        let c = provision_batch(
-            &net,
-            &st,
-            &demands,
-            Policy::CostOnly,
-            BatchOrder::ShortestFirst,
-        );
+        let c = run_batch(&net, &st, &demands, cfg(BatchOrder::ShortestFirst));
         let first_long = a.provisioned.first().map(|(i, _)| *i);
         let first_short = c.provisioned.first().map(|(i, _)| *i);
         assert_ne!(first_long, first_short);
@@ -299,7 +214,7 @@ mod tests {
     fn empty_batch_is_trivially_complete() {
         let net = nsfnet(4);
         let st = ResidualState::fresh(&net);
-        let out = provision_batch(&net, &st, &[], Policy::CostOnly, BatchOrder::AsGiven);
+        let out = run_batch(&net, &st, &[], BatchConfig::serial(Policy::CostOnly));
         assert!(out.provisioned.is_empty() && out.rejected.is_empty());
         assert_eq!(out.acceptance_ratio(0), 1.0);
         assert_eq!(out.final_load.max, 0.0);
@@ -316,7 +231,7 @@ mod tests {
                 .unwrap();
         }
         let demands = vec![Demand::new(0, 1); 3];
-        let out = provision_batch(&net, &st, &demands, Policy::CostOnly, BatchOrder::AsGiven);
+        let out = run_batch(&net, &st, &demands, BatchConfig::serial(Policy::CostOnly));
         // Routes must avoid the saturated link entirely.
         for (_, r) in &out.provisioned {
             if let ProvisionedRoute::Protected(route) = r {

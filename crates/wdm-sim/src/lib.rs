@@ -37,10 +37,7 @@ pub mod traffic;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::batch::{
-        full_mesh_demands, provision_batch, provision_batch_journaled, BatchOrder, BatchOutcome,
-        Demand,
-    };
+    pub use crate::batch::{full_mesh_demands, BatchOrder, BatchOutcome, Demand};
     pub use crate::metrics::{mean_std, Metrics, PolicyTelemetry};
     pub use crate::parallel::{
         replication_seeds, run_replications, run_replications_streaming, run_replications_telemetry,
@@ -53,7 +50,7 @@ pub mod prelude {
         SimConfig, Simulator,
     };
     pub use crate::traffic::{HoldingDist, PairSelection, TrafficModel};
-    pub use wdm_core::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal, Txn};
+    pub use wdm_core::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal};
     pub use wdm_telemetry::{
         FlightAnnotation, FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, ManualClock,
         MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder, SpanBuffer, SpanRecord,

@@ -210,8 +210,8 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
     }
 
     /// Splits the service into the pieces a direct routing call needs:
-    /// mutable context + shared state (callers inside this crate run
-    /// policies and transactions against the pair).
+    /// mutable context + mutable state (the simulator's reconfiguration
+    /// probe routes on a clone of the state and writes it back).
     pub(crate) fn ctx_and_state_mut(&mut self) -> (&mut RouterCtx<R, T>, &mut ResidualState) {
         (&mut self.ctx, &mut self.state)
     }

@@ -2,7 +2,7 @@
 //! failures with active/passive recovery, and threshold-triggered network
 //! reconfiguration.
 
-use crate::batch::{provision_batch, provision_batch_journaled, BatchOrder, BatchOutcome, Demand};
+use crate::batch::{processing_order, BatchOrder, BatchOutcome, Demand};
 use crate::events::{Event, EventQueue};
 use crate::metrics::Metrics;
 use crate::policy::{Policy, ProvisionedRoute};
@@ -14,11 +14,11 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wdm_core::aux_engine::RouterCtx;
-use wdm_core::journal::{EventSink, NetEvent, NoopSink, Txn};
+use wdm_core::journal::{EventSink, NetEvent, NoopSink};
 use wdm_core::load::load_snapshot;
 use wdm_core::network::{ResidualState, StateError, WdmNetwork};
 use wdm_core::optimal_slp::optimal_semilightpath_filtered;
-use wdm_core::semilightpath::{Hop, RobustRoute, Semilightpath};
+use wdm_core::semilightpath::{RobustRoute, Semilightpath};
 use wdm_graph::EdgeId;
 use wdm_telemetry::{
     FlightRecord, FlightRecorder, NoopRecorder, NoopTracer, Phase, Recorder, Tracer,
@@ -529,9 +529,10 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
     /// most-loaded link using the §4.2 joint algorithm until the hot link
     /// cools below the threshold (or no move helps).
     ///
-    /// Each candidate move runs in a [`Txn`], so a rejected mutation rolls
-    /// the probe back atomically; `Err` means the sweep was cut short with
-    /// the state exactly as the last completed move left it.
+    /// Each candidate move is probed on a clone of the live state, which
+    /// is written back only when the move is accepted; `Err` means the
+    /// sweep was cut short with the state exactly as the last completed
+    /// move left it.
     fn reconfigure(&mut self) -> Result<(), StateError> {
         let th = self.cfg.reconfig_threshold.expect("caller checked");
         let hot = (0..self.net.link_count())
@@ -572,22 +573,19 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
                 break;
             }
             let c = self.prov.connections().get(&id).expect("present").clone();
-            let released = c.route.channels();
-            // The probe runs inside a transaction: release the current
-            // reservation, route on the transactional state, and either
-            // commit the move or roll back to the exact pre-probe state
-            // (clocks included) in O(channels touched). Restore-after-
-            // release is therefore atomic — no re-occupy that could
-            // half-fail and strand channels.
+            // The probe runs on a clone: release the current reservation
+            // (ignoring unused channels, as a teardown does), route on the
+            // clone, and write it back only if the move is accepted. A
+            // rejected probe leaves the live state untouched.
             let (ctx, state) = self.prov.ctx_and_state_mut();
-            let mut txn = Txn::begin(state);
-            txn.release_hops(&released);
+            let mut probe = state.clone();
+            c.route.release(&mut probe);
             // Joint policy with the hot link's channels avoided implicitly by
             // its congestion weight (and the threshold filter).
             let moved = wdm_core::joint::find_two_paths_joint_ctx(
                 ctx,
                 self.net,
-                txn.state(),
+                &probe,
                 c.src,
                 c.dst,
                 wdm_core::mincog::DEFAULT_CONGESTION_BASE,
@@ -597,44 +595,35 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
             };
             let committed = match moved {
                 Ok(out) if avoids_hot(&out.route) => {
-                    let occupied: Vec<Hop> = out
-                        .route
-                        .primary
-                        .hops
-                        .iter()
-                        .chain(out.route.backup.hops.iter())
-                        .copied()
-                        .collect();
-                    if let Err(err) = txn.occupy_hops(self.net, &occupied) {
+                    if let Err(err) = out.route.occupy(self.net, &mut probe) {
                         // Defensive: the route was computed against the
-                        // transactional state, so the occupy cannot be
-                        // rejected; if it ever is, undo the whole probe and
-                        // surface the error instead of panicking with
-                        // channels stranded.
-                        txn.rollback();
+                        // probe, so the occupy cannot be rejected; if it
+                        // ever is, drop the probe (the context synced
+                        // against its clocks) and surface the error
+                        // instead of panicking.
                         ctx.invalidate();
                         return Err(err);
                     }
-                    txn.commit();
-                    Some((occupied, out.route))
+                    *state = probe;
+                    Some(ProvisionedRoute::Protected(out.route))
                 }
                 _ => {
-                    // No useful move: rewind the release. The rollback
-                    // regresses the change clock, and later mutations could
-                    // re-advance it past the router context's sync point
-                    // (masking the regression detector), so drop the warm
-                    // engines explicitly.
-                    txn.rollback();
+                    // No useful move: drop the probe. The context synced
+                    // against the probe's clocks, which run ahead of the
+                    // live state's, and later mutations could carry the
+                    // live clock past that sync point (masking the
+                    // regression detector), so drop the warm engines
+                    // explicitly.
                     ctx.invalidate();
                     None
                 }
             };
-            if let Some((occupied, route)) = committed {
+            if let Some(route) = committed {
                 if self.prov.journal_enabled() {
                     self.prov.journal_event(NetEvent::Reconfigure {
                         id,
-                        released,
-                        occupied,
+                        released: c.route.channels(),
+                        occupied: route.channels(),
                     });
                 }
                 self.metrics.reconfig_moved += 1;
@@ -642,7 +631,7 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
                     .connections_mut()
                     .get_mut(&id)
                     .expect("present")
-                    .route = ProvisionedRoute::Protected(route);
+                    .route = route;
             }
         }
         Ok(())
@@ -650,7 +639,7 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
 }
 
 /// Configuration of one batch-provisioning run: the policy/order knobs of
-/// [`crate::batch::provision_batch`].
+/// [`run_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchConfig {
     /// Provisioning policy.
@@ -669,31 +658,71 @@ impl BatchConfig {
     }
 }
 
-/// Batch entry point: [`crate::batch::provision_batch`] under `cfg`.
+/// Provisions `demands` on a fresh copy of `state` under `cfg.policy`,
+/// processing them in `cfg.order`. Routes are reserved as they are found,
+/// so later demands see earlier reservations (sequential heuristic — the
+/// standard approach; the global ILP over all demands at once is
+/// exponential and out of scope even for the paper).
 pub fn run_batch(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],
     cfg: BatchConfig,
 ) -> BatchOutcome {
-    provision_batch(net, state, demands, cfg.policy, cfg.order)
+    run_batch_journaled(net, state, demands, cfg, NoopRecorder, NoopSink).0
 }
 
 /// As [`run_batch`], recording every routing call through `recorder` and
 /// appending one [`NetEvent::Provision`] per provisioned route to
-/// `journal` (see [`crate::batch::provision_batch_journaled`]). The outcome
-/// comes first in a pair; the second element carries nothing.
+/// `journal` (`id` = the demand's index in `demands`), in processing order
+/// — replaying them over `state` reproduces the outcome's final state. The
+/// outcome comes first in a pair; the second element carries nothing.
+///
+/// This is the one batch path. Routes go through [`Policy::route_ctx`] on
+/// one warm [`RouterCtx`] (carrying `recorder`), and the outcome is
+/// bit-identical to routing each demand with a cold [`Policy::route`].
 pub fn run_batch_journaled<R: Recorder, J: EventSink>(
     net: &WdmNetwork,
     state: &ResidualState,
     demands: &[Demand],
     cfg: BatchConfig,
     recorder: R,
-    journal: J,
+    mut journal: J,
 ) -> (BatchOutcome, ()) {
-    let out = provision_batch_journaled(
-        net, state, demands, cfg.policy, cfg.order, recorder, journal,
-    );
+    let mut st = state.clone();
+    let idx = processing_order(net, &st, demands, cfg.order);
+    let mut ctx = RouterCtx::with_recorder(recorder);
+
+    let mut provisioned = Vec::new();
+    let mut rejected = Vec::new();
+    let mut total_cost = 0.0;
+    for i in idx {
+        let d = demands[i];
+        match cfg.policy.route_ctx(&mut ctx, net, &st, d.src, d.dst) {
+            Ok(route) => {
+                route
+                    .occupy(net, &mut st)
+                    .expect("route computed against current state");
+                if journal.enabled() {
+                    journal.record(NetEvent::Provision {
+                        id: i as u64,
+                        channels: route.channels(),
+                    });
+                }
+                total_cost += route.total_cost();
+                provisioned.push((i, route));
+            }
+            Err(_) => rejected.push(i),
+        }
+    }
+    let final_load = load_snapshot(net, &st);
+    let out = BatchOutcome {
+        provisioned,
+        rejected,
+        total_cost,
+        final_load,
+        state: st,
+    };
     (out, ())
 }
 

@@ -167,8 +167,8 @@ fn check_all(net: &WdmNetwork, demands: &[Demand]) -> Result<(), TestCaseError> 
             let cold = cold_fold(net, &st, demands, policy, order);
             let sink = TelemetrySink::new();
             let mut journal = StateJournal::new(st.clone());
-            let warm =
-                provision_batch_journaled(net, &st, demands, policy, order, &sink, &mut journal);
+            let cfg = BatchConfig { policy, order };
+            let (warm, ()) = run_batch_journaled(net, &st, demands, cfg, &sink, &mut journal);
             let what = format!("{} {order:?}", policy.name());
             prop_assert_eq!(&warm.provisioned, &cold.provisioned, "{}", what);
             prop_assert_eq!(&warm.rejected, &cold.rejected, "{}", what);

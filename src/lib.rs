@@ -10,9 +10,9 @@
 //! on a single crate:
 //!
 //! * [`graph`] — directed-graph substrate: adjacency-list graphs,
-//!   Dijkstra, Bellman–Ford, Yen's k-shortest-paths, Suurballe's
-//!   disjoint-pair algorithm (with its CSR search kernel), min-cost flow,
-//!   and WAN topology generators.
+//!   Dijkstra, Yen's k-shortest-paths, Suurballe's disjoint-pair algorithm
+//!   (with its CSR search kernel), min-cost flow, and WAN topology
+//!   generators.
 //! * [`heap`] — priority queues (indexed d-ary, monotone bucket).
 //! * [`ilp`] — a small dense-simplex LP solver with 0/1 branch-and-bound,
 //!   used by the paper's exact integer-programming formulation.
