@@ -149,7 +149,6 @@ fn bench_hot_path(c: &mut Criterion) {
                 churn.step(net, &mut st);
                 let (s, t) = reqs[k % reqs.len()];
                 k += 1;
-                ctx.begin_request();
                 let route = robust_route_ctx(&mut ctx, net, &st, s, t);
                 black_box(route.ok().map(|(r, _)| r.total_cost()))
             })
@@ -173,7 +172,6 @@ fn bench_hot_path(c: &mut Criterion) {
                 churn.step(net, &mut st);
                 let (s, t) = reqs[k % reqs.len()];
                 k += 1;
-                ctx.begin_request();
                 ctx.tracer().begin_request();
                 let route = robust_route_ctx(&mut ctx, net, &st, s, t);
                 until_drain -= 1;

@@ -142,7 +142,6 @@ fn ctx_span_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (u
     let (_, secs) = timed(|| {
         for &(s, t) in stream {
             churn.step(net, &mut st);
-            ctx.begin_request();
             ctx.tracer().begin_request();
             if robust_route_ctx(&mut ctx, net, &st, s, t).is_ok() {
                 found += 1;

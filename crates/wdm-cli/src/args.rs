@@ -46,12 +46,6 @@ impl Args {
         self.positionals.get(i).map(|s| s.as_str())
     }
 
-    /// Number of positionals.
-    #[allow(dead_code)] // part of the parser's public surface, used by tests
-    pub fn positional_count(&self) -> usize {
-        self.positionals.len()
-    }
-
     /// String option.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(|s| s.as_str())
@@ -101,7 +95,7 @@ mod tests {
     fn positionals_and_options_mix() {
         let a = args(&["nsfnet", "--wavelengths", "8", "--out", "x.wdm", "--json"]);
         assert_eq!(a.positional(0), Some("nsfnet"));
-        assert_eq!(a.positional_count(), 1);
+        assert_eq!(a.positional(1), None);
         assert_eq!(a.get("wavelengths"), Some("8"));
         assert_eq!(a.get_or("wavelengths", 4usize).unwrap(), 8);
         assert_eq!(a.get_or("missing", 4usize).unwrap(), 4);

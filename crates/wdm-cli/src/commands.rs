@@ -140,6 +140,13 @@ pub fn topology(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown preset '{other}'")),
     };
+    // A random preset can draw no links at all; no reader accepts that
+    // network (full:auto below would take its cost from an empty minimum).
+    if topo.edge_count() == 0 {
+        return Err(format!(
+            "{preset} generated no links (seed {seed}); try more nodes or another --seed"
+        ));
+    }
 
     // Cheapest link (after scaling) for conv=full:auto.
     let min_cost = topo
@@ -196,8 +203,11 @@ pub fn info(args: &Args) -> Result<(), String> {
             "violated"
         }
     );
-    // Robustness: min edge connectivity over a sample of pairs (all pairs
-    // for small nets).
+    // Robustness: min edge connectivity over all pairs (none to measure
+    // below two nodes).
+    if n < 2 {
+        return Ok(());
+    }
     let mut min_conn = usize::MAX;
     let mut worst = (0u32, 0u32);
     for s in 0..n as u32 {

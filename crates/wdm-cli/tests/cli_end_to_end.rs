@@ -277,6 +277,10 @@ fn out_of_range_topology_sizes_are_clean_errors() {
         (&["nsfnet", "--wavelengths", "65"][..], "got 65"),
         (&["ring:2"][..], "ring:2"),
         (&["grid:1x3"][..], "grid:1x3"),
+        // Waxman draws no links at all for these sizes at the default seed.
+        (&["waxman:0"][..], "waxman:0"),
+        (&["waxman:1"][..], "waxman:1"),
+        (&["waxman:6"][..], "waxman:6"),
     ] {
         let out = wdm().arg("topology").args(args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} must fail");
@@ -284,6 +288,22 @@ fn out_of_range_topology_sizes_are_clean_errors() {
         assert!(err.contains(named), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?} must not panic: {err}");
     }
+}
+
+#[test]
+fn info_on_a_single_node_prints_no_pair_minimum() {
+    let net_path = tmp("one-node.wdm");
+    std::fs::write(&net_path, "wavelengths 2\nnode 0 conv=full:1\n").expect("write net");
+    let out = wdm()
+        .args(["info", "--net", net_path.to_str().expect("utf8")])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("nodes            1"), "{text}");
+    assert!(!text.contains("18446744073709551615"), "{text}");
+    assert!(!text.contains("min edge-conn."), "{text}");
 }
 
 #[test]

@@ -80,9 +80,7 @@ pub const SCALE_SHIFT: u32 = 6;
 /// search's bucket cap runs on the d-ary heap instead (the arena's queue
 /// selection).
 const KEY_CAP: u64 = 1 << 16;
-use wdm_telemetry::{
-    CacheOutcome, Counter, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer,
-};
+use wdm_telemetry::{Counter, Hist, NoopRecorder, NoopTracer, Phase, Recorder, Tracer};
 
 /// What one [`AuxEngine::sync`] call actually recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -747,46 +745,6 @@ impl AuxEngine {
     }
 }
 
-/// Per-request accumulator of what the engines and searches did, reset by
-/// [`RouterCtx::begin_request`]. One request can issue many disjoint-pair
-/// searches (threshold probes), so these are sums over the request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestStats {
-    /// Auxiliary-graph skeletons built from scratch.
-    pub skeleton_builds: u32,
-    /// Engine syncs that refreshed every link's weights.
-    pub full_refreshes: u32,
-    /// Engine syncs that refreshed only dirty links.
-    pub dirty_refreshes: u32,
-    /// Total links refreshed across the dirty syncs.
-    pub dirty_links: u32,
-    /// Engine syncs with nothing to recompute (pure skeleton reuse).
-    pub fast_syncs: u32,
-    /// Suurballe searches executed.
-    pub searches: u32,
-    /// Nodes settled by those searches' pass 1.
-    pub settled_p1: u64,
-    /// Nodes settled by those searches' pass 2.
-    pub settled_p2: u64,
-    /// Wall-clock nanoseconds spent inside those searches (sync + Suurballe).
-    pub search_ns: u64,
-}
-
-impl RequestStats {
-    /// Collapses the request's engine activity into the trace taxonomy.
-    pub fn cache_outcome(&self) -> CacheOutcome {
-        if self.skeleton_builds > 0 || self.full_refreshes > 0 {
-            CacheOutcome::FullRebuild
-        } else if self.dirty_refreshes > 0 {
-            CacheOutcome::DirtyRefresh {
-                links: self.dirty_links,
-            }
-        } else {
-            CacheOutcome::SkeletonReuse
-        }
-    }
-}
-
 /// Persistent routing context: one engine per auxiliary-graph family plus
 /// the shared [`SearchArena`]. Hold one of these per network wherever
 /// requests are routed repeatedly (the simulator owns one per run) and the
@@ -812,9 +770,6 @@ pub struct RouterCtx<R: Recorder = NoopRecorder, T: Tracer = NoopTracer> {
     pub arena: SearchArena,
     recorder: R,
     tracer: T,
-    stats: RequestStats,
-    /// Arena alloc-event total at the last [`RouterCtx::begin_request`].
-    arena_allocs_at_begin: u64,
     g_prime: Option<AuxEngine>,
     g_c: Option<AuxEngine>,
     g_c_prospective: Option<AuxEngine>,
@@ -848,8 +803,6 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             arena: SearchArena::new(),
             recorder,
             tracer,
-            stats: RequestStats::default(),
-            arena_allocs_at_begin: 0,
             g_prime: None,
             g_c: None,
             g_c_prospective: None,
@@ -867,24 +820,6 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
     /// The attached tracer.
     pub fn tracer(&self) -> &T {
         &self.tracer
-    }
-
-    /// Resets the per-request accumulator. Call once per request before
-    /// routing; [`RouterCtx::request_stats`] then describes that request.
-    pub fn begin_request(&mut self) {
-        self.stats = RequestStats::default();
-        self.arena_allocs_at_begin = self.arena.alloc_events();
-    }
-
-    /// Engine/search activity since the last [`RouterCtx::begin_request`].
-    pub fn request_stats(&self) -> RequestStats {
-        self.stats
-    }
-
-    /// Arena buffer-growth events since the last
-    /// [`RouterCtx::begin_request`].
-    pub fn request_arena_allocs(&self) -> u64 {
-        self.arena.alloc_events() - self.arena_allocs_at_begin
     }
 
     /// Invalidates every held engine (see [`AuxEngine::invalidate`]). Call
@@ -979,7 +914,7 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         // closes the pass-1 span and opens the pass-2 stamp. If pass 1
         // fails (t unreachable) it never fires and neither span records.
         let mut p2_t0 = None;
-        let settled_before = enabled.then(|| arena.settled());
+        let arena_before = enabled.then(|| (arena.settled(), arena.alloc_events()));
         let pair_opt = eng.disjoint_pair(arena, || {
             if tracing {
                 tracer.record(Phase::SuurballeP1, p1_t0);
@@ -1008,53 +943,45 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             // Pass 2 ran but found no second path: still attribute it.
             tracer.record(Phase::SuurballeP2, t0);
         }
-        if let Some([p1, p2]) = settled_before {
+        if let Some(([p1, p2], allocs)) = arena_before {
             let [now1, now2] = self.arena.settled();
-            self.record_search(built, sync, start, [now1 - p1, now2 - p2]);
+            let allocs = self.arena.alloc_events() - allocs;
+            self.record_search(built, sync, start, [now1 - p1, now2 - p2], allocs);
         }
         result
     }
 
-    /// Cold path: folds one search's engine activity into the counters and
-    /// the per-request accumulator. Only called when the recorder is live.
+    /// Cold path: folds one search's engine and arena activity into the
+    /// counters. Only called when the recorder is live.
     fn record_search(
-        &mut self,
+        &self,
         built: bool,
         sync: SyncStats,
         start: Option<std::time::Instant>,
         settled: [u64; 2],
+        arena_allocs: u64,
     ) {
         let r = &self.recorder;
-        let s = &mut self.stats;
         r.add(Counter::SuurballeSearches, 1);
-        s.searches += 1;
         r.add(Counter::SuurballeSettledP1, settled[0]);
         r.add(Counter::SuurballeSettledP2, settled[1]);
-        s.settled_p1 += settled[0];
-        s.settled_p2 += settled[1];
+        r.add(Counter::ArenaAllocEvents, arena_allocs);
         if built {
             r.add(Counter::EngineSkeletonBuilds, 1);
-            s.skeleton_builds += 1;
         }
         if sync.full {
             r.add(Counter::EngineFullRefreshes, 1);
-            s.full_refreshes += 1;
         } else if sync.links_refreshed > 0 {
             r.add(Counter::EngineDirtyRefreshes, 1);
             r.add(
                 Counter::EngineDirtyLinksRefreshed,
                 sync.links_refreshed as u64,
             );
-            s.dirty_refreshes += 1;
-            s.dirty_links += sync.links_refreshed;
         } else {
             r.add(Counter::EngineFastSyncs, 1);
-            s.fast_syncs += 1;
         }
         if let Some(t0) = start {
-            let ns = t0.elapsed().as_nanos() as u64;
-            r.observe(Hist::SearchNanos, ns);
-            s.search_ns += ns;
+            r.observe(Hist::SearchNanos, t0.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -1193,22 +1120,24 @@ mod tests {
         let (s, t, spec) = (NodeId(0), NodeId(3), AuxSpec::g_prime());
         let sink = wdm_telemetry::TelemetrySink::new();
         let mut ctx = RouterCtx::with_recorder(&sink);
-        ctx.begin_request();
         ctx.disjoint_pair(&net, &st, s, t, spec).expect("pair");
         let [p1, p2] = ctx.arena.settled();
         assert!(p1 > 0 && p2 > 0);
-        let stats = ctx.request_stats();
-        assert_eq!((stats.settled_p1, stats.settled_p2), (p1, p2));
         let snap = sink.snapshot();
         assert_eq!(snap.counters["suurballe_settled_p1"], p1);
         assert_eq!(snap.counters["suurballe_settled_p2"], p2);
+        // A cold arena grows its buffers on the first search and the
+        // counter sees every growth; a repeat search grows nothing.
+        let allocs = ctx.arena.alloc_events();
+        assert!(allocs > 0);
+        assert_eq!(snap.counters["arena_alloc_events"], allocs);
+        ctx.disjoint_pair(&net, &st, s, t, spec).expect("pair");
+        assert_eq!(ctx.arena.alloc_events(), allocs);
+        assert_eq!(sink.snapshot().counters["arena_alloc_events"], allocs);
 
         let mut quiet = RouterCtx::new();
-        quiet.begin_request();
         quiet.disjoint_pair(&net, &st, s, t, spec).expect("pair");
         assert_eq!(quiet.arena.settled(), [p1, p2]);
-        let stats = quiet.request_stats();
-        assert_eq!((stats.settled_p1, stats.settled_p2), (0, 0));
     }
 
     #[test]

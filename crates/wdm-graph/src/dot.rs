@@ -42,11 +42,6 @@ pub fn to_dot<N, E>(
     out
 }
 
-/// DOT export of a plain weighted graph with weights as edge labels.
-pub fn weighted_to_dot(g: &DiGraph<(), f64>, name: &str) -> String {
-    to_dot(g, name, |v, _| format!("{}", v.0), |_, w| format!("{w:.1}"))
-}
-
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -58,7 +53,7 @@ mod tests {
     #[test]
     fn renders_nodes_and_edges() {
         let g = DiGraph::weighted(2, &[(0, 1, 2.5)]);
-        let dot = weighted_to_dot(&g, "g");
+        let dot = to_dot(&g, "g", |v, _| format!("{}", v.0), |_, w| format!("{w:.1}"));
         assert!(dot.starts_with("digraph g {"));
         assert!(dot.contains("n0 [label=\"0\"];"));
         assert!(dot.contains("n0 -> n1 [label=\"2.5\"];"));

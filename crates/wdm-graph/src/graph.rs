@@ -75,18 +75,6 @@ impl<N, E> DiGraph<N, E> {
         id
     }
 
-    /// Adds `count` nodes of default payload, returning the first id.
-    pub fn add_nodes(&mut self, count: usize) -> NodeId
-    where
-        N: Default,
-    {
-        let first = NodeId::from(self.nodes.len());
-        for _ in 0..count {
-            self.add_node(N::default());
-        }
-        first
-    }
-
     /// Removes every edge while keeping the nodes and the allocated
     /// capacity of the edge list and per-node adjacency lists, so a scratch
     /// graph (e.g. a Suurballe residual graph) can be rebuilt without
@@ -152,22 +140,10 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[v.index()]
     }
 
-    /// Mutable payload of node `v`.
-    #[inline]
-    pub fn node_mut(&mut self, v: NodeId) -> &mut N {
-        &mut self.nodes[v.index()]
-    }
-
     /// Payload of edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> &E {
         &self.edges[e.index()].data
-    }
-
-    /// Mutable payload of edge `e`.
-    #[inline]
-    pub fn edge_mut(&mut self, e: EdgeId) -> &mut E {
-        &mut self.edges[e.index()].data
     }
 
     /// Ids of edges leaving `v` (`E_out(v)` in the paper's notation).
@@ -229,15 +205,6 @@ impl<N, E> DiGraph<N, E> {
             .find(|&e| self.dst(e) == dst)
     }
 
-    /// All parallel edges `src -> dst`.
-    pub fn find_edges(&self, src: NodeId, dst: NodeId) -> Vec<EdgeId> {
-        self.out_adj[src.index()]
-            .iter()
-            .copied()
-            .filter(|&e| self.dst(e) == dst)
-            .collect()
-    }
-
     /// Builds a new graph containing the same nodes but only the edges
     /// accepted by `keep`. Returns the graph and, for each new edge, the
     /// original edge id (`mapping[new.index()] = old id`).
@@ -276,21 +243,6 @@ impl<N, E> DiGraph<N, E> {
         }
         for r in &self.edges {
             g.add_edge(r.dst, r.src, r.data.clone());
-        }
-        g
-    }
-
-    /// Maps edge payloads, keeping structure and ids.
-    pub fn map_edges<E2>(&self, mut f: impl FnMut(EdgeId, &E) -> E2) -> DiGraph<N, E2>
-    where
-        N: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for (i, r) in self.edges.iter().enumerate() {
-            g.add_edge(r.src, r.dst, f(EdgeId::from(i), &r.data));
         }
         g
     }
@@ -355,7 +307,6 @@ mod tests {
         let e0 = g.add_edge(a, b, ());
         let e1 = g.add_edge(a, b, ());
         assert_ne!(e0, e1);
-        assert_eq!(g.find_edges(a, b), vec![e0, e1]);
         assert_eq!(g.find_edge(a, b), Some(e0));
         assert_eq!(g.find_edge(b, a), None);
     }
@@ -379,26 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn map_edges_preserves_ids() {
-        let g = DiGraph::weighted(2, &[(0, 1, 5.0)]);
-        let m = g.map_edges(|_, &w| w as i64 * 2);
-        assert_eq!(*m.edge(EdgeId(0)), 10);
-        assert_eq!(m.endpoints(EdgeId(0)), (NodeId(0), NodeId(1)));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn add_edge_checks_bounds() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
         g.add_edge(a, NodeId(9), ());
-    }
-
-    #[test]
-    fn add_nodes_bulk() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let first = g.add_nodes(4);
-        assert_eq!(first, NodeId(0));
-        assert_eq!(g.node_count(), 4);
     }
 }

@@ -18,10 +18,10 @@
 //! * [`mincostflow`] — successive-shortest-path min-cost flow, used as an
 //!   independent exactness oracle for the disjoint-pair computations and
 //!   as the k-disjoint-path solver;
-//! * [`traverse`] — BFS reachability, Tarjan SCC, local edge connectivity;
+//! * [`traverse`] — Tarjan SCC, local edge connectivity;
 //! * [`topology`] — WAN topology generators (NSFNET, ARPANET-like, rings,
-//!   grids/tori, Waxman and Erdős–Rényi random graphs, trap/hardness
-//!   gadget families);
+//!   grids/tori, Waxman and random connected graphs, trap/hardness gadget
+//!   families);
 //! * [`dot`] — Graphviz export for documentation and debugging.
 
 pub mod arena;

@@ -161,24 +161,6 @@ pub fn waxman(
     bidirect(n, &links)
 }
 
-/// Erdős–Rényi `G(n, p)` with uniform random lengths in `len_range`.
-pub fn erdos_renyi(
-    n: usize,
-    p: f64,
-    len_range: std::ops::Range<f64>,
-    rng: &mut impl Rng,
-) -> DiGraph<(), f64> {
-    let mut links = Vec::new();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p) {
-                links.push((u as u32, v as u32, rng.gen_range(len_range.clone())));
-            }
-        }
-    }
-    bidirect(n, &links)
-}
-
 /// Random connected graph with `n` nodes and exactly `m ≥ n - 1` undirected
 /// links: a random spanning tree plus random extra links. Guaranteed
 /// connected, useful for scaling sweeps with a controlled edge budget.

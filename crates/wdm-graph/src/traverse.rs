@@ -1,46 +1,10 @@
-//! Graph traversal utilities: BFS reachability and hop distances, strongly
-//! connected components (Tarjan), and local edge connectivity by BFS
-//! augmentation — the 2-edge-connectivity probe that checks generated
-//! WAN topologies support robust routing between all node pairs, and the
-//! two-path check that decides MinCog's threshold rungs.
+//! Graph traversal utilities: strongly connected components (Tarjan), and
+//! local edge connectivity by BFS augmentation — the 2-edge-connectivity
+//! probe that checks generated WAN topologies support robust routing
+//! between all node pairs, and the two-path check that decides MinCog's
+//! threshold rungs.
 
 use crate::{DiGraph, EdgeId, NodeId};
-
-/// Nodes reachable from `source` (including it), by BFS.
-pub fn reachable_from<N, E>(g: &DiGraph<N, E>, source: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &e in g.out_edges(u) {
-            let v = g.dst(e);
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    seen
-}
-
-/// BFS hop distances from `source` (`usize::MAX` = unreachable).
-pub fn bfs_distances<N, E>(g: &DiGraph<N, E>, source: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &e in g.out_edges(u) {
-            let v = g.dst(e);
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = dist[u.index()] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
 
 /// Whether every node can reach every other node (strong connectivity).
 pub fn is_strongly_connected<N, E>(g: &DiGraph<N, E>) -> bool {
@@ -213,15 +177,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn reachability_and_bfs() {
-        let g = DiGraph::weighted(4, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        let r = reachable_from(&g, NodeId(0));
-        assert_eq!(r, vec![true, true, true, false]);
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d, vec![0, 1, 2, usize::MAX]);
-    }
 
     #[test]
     fn tarjan_finds_components() {

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use wdm_graph::dijkstra::{dijkstra, dijkstra_to};
 use wdm_graph::ksp::yen_k_shortest;
 use wdm_graph::suurballe::edge_disjoint_pair;
-use wdm_graph::traverse::{bfs_distances, edge_connectivity, reachable_from};
+use wdm_graph::traverse::edge_connectivity;
 use wdm_graph::{DiGraph, NodeId};
 
 fn random_graph(seed: u64, max_n: u32, p: f64) -> DiGraph<(), f64> {
@@ -110,18 +110,6 @@ proptest! {
             for p in &pair.paths {
                 prop_assert!(p.cost(|e| g.weight(e)) + 1e-9 >= d);
             }
-        }
-    }
-
-    #[test]
-    fn bfs_reachability_consistent_with_dijkstra(seed in 0u64..100_000) {
-        let g = random_graph(seed, 15, 0.2);
-        let reach = reachable_from(&g, NodeId(0));
-        let hops = bfs_distances(&g, NodeId(0));
-        let d = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        for v in 0..g.node_count() {
-            prop_assert_eq!(reach[v], d.dist[v].is_finite());
-            prop_assert_eq!(reach[v], hops[v] != usize::MAX);
         }
     }
 }

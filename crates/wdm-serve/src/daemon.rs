@@ -65,15 +65,15 @@ use wdm_graph::{EdgeId, NodeId};
 use wdm_sim::policy::Policy;
 use wdm_sim::provisioner::{NetProvisioner, Provisioner};
 use wdm_telemetry::{
-    Counter, FlightRecord, Hist, MonotonicClock, NoopTracer, Phase, Recorder, SpanBuffer,
-    SpanRecord, TelemetrySink, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    Counter, FlightRecord, Hist, MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder,
+    SpanBuffer, SpanRecord, TelemetrySink, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
 
 use crate::admission::{AdmitError, WorkQueue};
 use crate::diag::Diag;
 use crate::http::{self, Request};
 use crate::signal;
-use crate::wal::{ServeLog, WalError, WalSink};
+use crate::wal::{WalError, WalSink};
 
 /// How the daemon runs.
 #[derive(Debug, Clone)]
@@ -395,22 +395,22 @@ pub fn run(
     })
 }
 
+/// The daemon's one provisioner. Workers route on their own instrumented
+/// contexts; the provisioner's own context serves only conflict re-routes
+/// under the write lock and records nothing. Every mutation goes to the WAL.
+type Prov<'a> = NetProvisioner<'a, NoopRecorder, WalSink, NoopTracer>;
+
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<R, W, T, WT>(
+fn worker_loop<WT: WorkerTracer>(
     net: &WdmNetwork,
     cfg: &ServeConfig,
     control: &Control,
-    prov: &RwLock<NetProvisioner<'_, R, W, T>>,
+    prov: &RwLock<Prov<'_>>,
     sink: &TelemetrySink,
     queue: &WorkQueue<TcpStream>,
     diag: &Diag,
     tracer: WT,
-) where
-    R: Recorder,
-    W: ServeLog,
-    T: Tracer,
-    WT: WorkerTracer,
-{
+) {
     let mut ctx = RouterCtx::with_recorder_and_tracer(sink, &tracer);
     loop {
         if control.crashed() {
@@ -476,25 +476,19 @@ fn worker_loop<R, W, T, WT>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn dispatch<R, W, T, CR, WT>(
+fn dispatch<WT: WorkerTracer>(
     net: &WdmNetwork,
     cfg: &ServeConfig,
-    prov: &RwLock<NetProvisioner<'_, R, W, T>>,
+    prov: &RwLock<Prov<'_>>,
     sink: &TelemetrySink,
     queue: &WorkQueue<TcpStream>,
     diag: &Diag,
     req: &Request,
     stream: &mut TcpStream,
-    ctx: &mut RouterCtx<CR, &WT>,
+    ctx: &mut RouterCtx<&TelemetrySink, &WT>,
     tracer: &WT,
     timing: &ReqTiming,
-) where
-    R: Recorder,
-    W: ServeLog,
-    T: Tracer,
-    CR: Recorder,
-    WT: WorkerTracer,
-{
+) {
     let (path, query) = match req.target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (req.target.as_str(), None),
@@ -825,10 +819,10 @@ fn dispatch<R, W, T, CR, WT>(
 /// so the two spans tile it without overlap. Also feeds the always-on WAL
 /// latency histogram. The span and histogram keep their `wal_fsync` names
 /// (the trace format), though the append is a `write`, not an fsync.
-fn close_commit_spans<W: ServeLog, T: Tracer>(
+fn close_commit_spans<T: Tracer>(
     sink: &TelemetrySink,
     tracer: &T,
-    journal: &mut W,
+    journal: &mut WalSink,
     start_ns: u64,
 ) {
     let end_ns = tracer.now_ns();
@@ -903,12 +897,7 @@ fn parse_body<T: serde::Deserialize>(
     }
 }
 
-fn maybe_checkpoint<R, W, T>(guard: &mut NetProvisioner<'_, R, W, T>, every: u64, diag: &Diag)
-where
-    R: Recorder,
-    W: ServeLog,
-    T: Tracer,
-{
+fn maybe_checkpoint(guard: &mut Prov<'_>, every: u64, diag: &Diag) {
     if every == 0 {
         return;
     }

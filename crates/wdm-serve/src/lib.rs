@@ -36,4 +36,4 @@ pub mod wal;
 pub use daemon::{run, Control, ServeConfig, ServeReport};
 pub use diag::Diag;
 pub use loadgen::{LoadgenConfig, LoadgenReport, PhaseLatency};
-pub use wal::{recover, ServeLog, WalRecovery, WalSink};
+pub use wal::{recover, WalRecovery, WalSink};

@@ -269,46 +269,6 @@ impl EventSink for WalSink {
     }
 }
 
-/// What the daemon needs from its journal beyond [`EventSink`]: sequence
-/// numbers for correlation, checkpoint anchors, the graceful close, and
-/// the stashed-error / write-latency side channels. Abstracting it (rather
-/// than naming [`WalSink`] in every signature) keeps the daemon's worker
-/// and dispatch paths generic, so tests can substitute an in-memory log.
-pub trait ServeLog: EventSink {
-    /// Events written so far (the WAL sequence number of the last event).
-    fn seq(&self) -> u64;
-    /// Writes a checkpoint anchor for `state`.
-    fn checkpoint(&mut self, state: &ResidualState);
-    /// Writes the graceful-close line; the log is complete afterwards.
-    fn finalize(&mut self, state: &ResidualState) -> Result<(), WalError>;
-    /// Takes the first stashed write error, if any.
-    fn take_error(&mut self) -> Option<std::io::Error>;
-    /// Takes (and clears) the last event append's wall time.
-    fn take_last_write_ns(&mut self) -> u64;
-}
-
-impl ServeLog for WalSink {
-    fn seq(&self) -> u64 {
-        WalSink::seq(self)
-    }
-
-    fn checkpoint(&mut self, state: &ResidualState) {
-        WalSink::checkpoint(self, state);
-    }
-
-    fn finalize(&mut self, state: &ResidualState) -> Result<(), WalError> {
-        WalSink::finalize(self, state)
-    }
-
-    fn take_error(&mut self) -> Option<std::io::Error> {
-        WalSink::take_error(self)
-    }
-
-    fn take_last_write_ns(&mut self) -> u64 {
-        WalSink::take_last_write_ns(self)
-    }
-}
-
 /// What [`recover`] reconstructed from a log file.
 pub struct WalRecovery {
     /// The network the log was recorded on.

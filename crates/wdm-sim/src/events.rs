@@ -88,11 +88,6 @@ impl EventQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Pending event count.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -115,7 +110,6 @@ mod tests {
         q.schedule(1.0, Event::Departure { conn: 7 });
         q.schedule(3.0, Event::Arrival);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(1.0));
         assert_eq!(q.next(), Some((1.0, Event::Departure { conn: 7 })));
         assert_eq!(q.next(), Some((3.0, Event::Arrival)));
         assert_eq!(q.next(), Some((5.0, Event::Arrival)));

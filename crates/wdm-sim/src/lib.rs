@@ -52,8 +52,8 @@ pub mod prelude {
     pub use crate::traffic::{HoldingDist, PairSelection, TrafficModel};
     pub use wdm_core::journal::{EventSink, NetEvent, NoopSink, ReplayError, StateJournal};
     pub use wdm_telemetry::{
-        FlightAnnotation, FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, ManualClock,
-        MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder, SpanBuffer, SpanRecord,
-        TelemetrySink, TelemetrySnapshot, Tracer,
+        FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, ManualClock, MonotonicClock,
+        NoopRecorder, NoopTracer, Phase, Recorder, SpanBuffer, SpanRecord, TelemetrySink,
+        TelemetrySnapshot, Tracer,
     };
 }

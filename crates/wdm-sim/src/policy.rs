@@ -9,7 +9,7 @@ use wdm_core::mincog::find_two_paths_mincog_ctx;
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::semilightpath::{Hop, RobustRoute, Semilightpath};
 use wdm_graph::NodeId;
-use wdm_telemetry::{Counter, Hist, Phase, Recorder, RouteTrace, Tracer};
+use wdm_telemetry::{Counter, Hist, Phase, Recorder, Tracer};
 
 /// A provisioned route: protected (primary + backup) or unprotected.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -148,13 +148,13 @@ impl Policy {
     /// baseline policies don't use auxiliary graphs and ignore `ctx`.
     ///
     /// When `ctx` carries a live [`Recorder`], every call emits the request
-    /// outcome (admission or blocking cause), cost/hop histograms and a
-    /// structured [`RouteTrace`]; with the default `NoopRecorder` all of
-    /// that compiles away. When `ctx` carries a live [`Tracer`], every call
-    /// opens a new span ordinal (`Tracer::begin_request`) and the pipeline
-    /// records its phase spans into it; the *caller* owning the surrounding
-    /// commit records the root `Phase::Request` span and the commit spans,
-    /// since routing alone can't see the decision's fate.
+    /// outcome (admission or blocking cause) and cost/hop histograms; with
+    /// the default `NoopRecorder` all of that compiles away. When `ctx`
+    /// carries a live [`Tracer`], every call opens a new span ordinal
+    /// (`Tracer::begin_request`) and the pipeline records its phase spans
+    /// into it; the *caller* owning the surrounding commit records the root
+    /// `Phase::Request` span and the commit spans, since routing alone can't
+    /// see the decision's fate.
     pub fn route_ctx<R: Recorder, T: Tracer>(
         &self,
         ctx: &mut RouterCtx<R, T>,
@@ -164,13 +164,9 @@ impl Policy {
         t: NodeId,
     ) -> Result<ProvisionedRoute, RoutingError> {
         let t_pro0 = ctx.tracer().now_ns();
-        let enabled = ctx.recorder().enabled();
-        if enabled {
-            ctx.begin_request();
-        }
         ctx.tracer().begin_request();
-        let start = enabled.then(std::time::Instant::now);
-        // Recorder/tracer reset costs belong to Telemetry, not to a gap
+        let start = ctx.recorder().enabled().then(std::time::Instant::now);
+        // The tracer reset belongs to Telemetry, not to a gap
         // between the daemon's read-lock acquire and the first routing span.
         let t_pro1 = ctx.tracer().now_ns();
         ctx.tracer().record_span(Phase::Telemetry, t_pro0, t_pro1);
@@ -179,7 +175,7 @@ impl Policy {
             // The recorder's own bookkeeping is serve-path wall time too;
             // self-measure it so trace attribution tiles the request.
             let t0 = ctx.tracer().now_ns();
-            record_request(ctx, s, t, &result, start);
+            record_request(ctx.recorder(), &result, start);
             ctx.tracer().record(Phase::Telemetry, t0);
         }
         result
@@ -224,16 +220,12 @@ impl Policy {
 }
 
 /// Records the outcome of one routing request (admission counters, blocking
-/// cause, cost/hop histograms, structured trace). Only called when the
-/// recorder is enabled.
-fn record_request<R: Recorder, T: Tracer>(
-    ctx: &RouterCtx<R, T>,
-    s: NodeId,
-    t: NodeId,
+/// cause, cost/hop histograms). Only called when the recorder is enabled.
+fn record_request<R: Recorder>(
+    rec: &R,
     result: &Result<ProvisionedRoute, RoutingError>,
     start: std::time::Instant,
 ) {
-    let rec = ctx.recorder();
     rec.observe(Hist::RequestNanos, start.elapsed().as_nanos() as u64);
     match result {
         Ok(route) => {
@@ -250,25 +242,6 @@ fn record_request<R: Recorder, T: Tracer>(
             if let Some(b) = backup {
                 rec.observe(Hist::BackupHops, b.len() as u64);
             }
-            let stats = ctx.request_stats();
-            rec.trace(&RouteTrace {
-                request_id: rec.next_request_id(),
-                src: s.0,
-                dst: t.0,
-                primary_wavelengths: primary
-                    .hops
-                    .iter()
-                    .map(|h| u32::from(h.wavelength.0))
-                    .collect(),
-                backup_wavelengths: backup
-                    .map(|b| b.hops.iter().map(|h| u32::from(h.wavelength.0)).collect())
-                    .unwrap_or_default(),
-                primary_cost: primary.cost,
-                backup_cost: backup.map_or(0.0, |b| b.cost),
-                cache: stats.cache_outcome(),
-                arena_allocs: ctx.request_arena_allocs(),
-                search_ns: stats.search_ns,
-            });
         }
         Err(e) => {
             rec.add(Counter::RequestsBlocked, 1);

@@ -180,11 +180,6 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         &self.ctx
     }
 
-    /// Mutable router context access.
-    pub fn ctx_mut(&mut self) -> &mut RouterCtx<R, T> {
-        &mut self.ctx
-    }
-
     /// Drops all warm engine state, so the next route runs cold. Nothing
     /// here regresses the change clocks, so provisioning never needs this;
     /// it is for callers that time cold routes.

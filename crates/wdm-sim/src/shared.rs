@@ -24,12 +24,10 @@ use std::collections::HashMap;
 use wdm_core::aux_engine::RouterCtx;
 use wdm_core::disjoint::robust_route_ctx;
 use wdm_core::error::RoutingError;
-use wdm_core::journal::{EventSink, NetEvent, NoopSink};
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_core::semilightpath::{Hop, Semilightpath};
 use wdm_core::wavelength::{Wavelength, WavelengthSet};
 use wdm_graph::{EdgeId, NodeId};
-use wdm_telemetry::{Counter, FlightRecorder, NoopRecorder, NoopTracer, Phase, Recorder, Tracer};
 
 /// One shared backup channel: the connections using it and the union of
 /// the primary links it protects.
@@ -162,13 +160,6 @@ impl SharedBackupPool {
     }
 }
 
-/// A routing decision not yet committed: the find stage's output.
-struct FoundConnection {
-    primary: Semilightpath,
-    primary_edges: Vec<EdgeId>,
-    backup: Semilightpath,
-}
-
 /// A provisioned shared-protection connection.
 #[derive(Debug, Clone)]
 pub struct SharedConnection {
@@ -188,23 +179,8 @@ pub struct SharedConnection {
 /// reservations live in the [`SharedBackupPool`]. A channel is available to
 /// a *primary* only if it is both unused and unreserved; a *backup* may
 /// additionally join compatible reservations.
-///
-/// The optional journal records the **working-state lineage only**:
-/// a [`NetEvent::Provision`] per committed primary and a
-/// [`NetEvent::Teardown`] per release. Pool reservations are *not*
-/// journaled — they live outside the [`ResidualState`] the journal's
-/// checkpoint/replay contract covers — so replaying a shared-provisioner
-/// journal reconstructs `working`, not the pool overlay. Two observability
-/// channels cover that gap: every pool mutation bumps
-/// [`Counter::PoolReserve`] / [`Counter::PoolRelease`], and with a
-/// [`FlightRecorder`] attached each mutation also leaves an annotation
-/// stamped with the provisioner's own journal sequence number, so a
-/// replay consumer can line the un-journaled pool activity up against the
-/// working-state lineage it *can* reconstruct.
-pub struct SharedProvisioner<'a, R: Recorder = NoopRecorder, J: EventSink = NoopSink> {
+pub struct SharedProvisioner<'a> {
     net: &'a WdmNetwork,
-    recorder: R,
-    journal: J,
     /// Channels taken by primaries (dedicated).
     pub working: ResidualState,
     /// Backup reservations.
@@ -212,54 +188,23 @@ pub struct SharedProvisioner<'a, R: Recorder = NoopRecorder, J: EventSink = Noop
     /// Primary edge sets per live connection (for release-time rebuilds).
     primaries: HashMap<u64, Vec<EdgeId>>,
     next_id: u64,
-    /// Events appended to `journal` so far (annotation correlation).
-    journal_seq: u64,
-    /// Optional flight recorder receiving pool-mutation annotations.
-    flight: Option<&'a FlightRecorder>,
 }
 
 impl<'a> SharedProvisioner<'a> {
-    /// A fresh provisioner over `net` (no telemetry).
+    /// A fresh provisioner over `net`.
     pub fn new(net: &'a WdmNetwork) -> Self {
-        Self::with_recorder(net, NoopRecorder)
-    }
-}
-
-impl<'a, R: Recorder> SharedProvisioner<'a, R> {
-    /// As [`SharedProvisioner::new`], recording telemetry through
-    /// `recorder` (shared vs fresh backup channels, route searches).
-    pub fn with_recorder(net: &'a WdmNetwork, recorder: R) -> Self {
-        Self::with_recorder_and_journal(net, recorder, NoopSink)
-    }
-}
-
-impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
-    /// Checks the pool's sharing invariant against the live primaries.
-    pub fn validate(&self) -> Result<usize, String> {
-        self.pool.validate(&self.primaries)
-    }
-
-    /// As [`SharedProvisioner::with_recorder`], additionally appending the
-    /// working-state lineage (primary occupies and releases) to `journal`.
-    pub fn with_recorder_and_journal(net: &'a WdmNetwork, recorder: R, journal: J) -> Self {
         Self {
             net,
-            recorder,
-            journal,
             working: ResidualState::fresh(net),
             pool: SharedBackupPool::new(),
             primaries: HashMap::new(),
             next_id: 0,
-            journal_seq: 0,
-            flight: None,
         }
     }
 
-    /// Attaches a flight recorder: every pool reserve/release from now on
-    /// leaves an annotation correlated with the journal sequence number,
-    /// covering the pool's un-journaled mutations (see the type docs).
-    pub fn attach_flight_recorder(&mut self, flight: &'a FlightRecorder) {
-        self.flight = Some(flight);
+    /// Checks the pool's sharing invariant against the live primaries.
+    pub fn validate(&self) -> Result<usize, String> {
+        self.pool.validate(&self.primaries)
     }
 
     /// The state a *routing* decision must see: working channels plus all
@@ -282,50 +227,8 @@ impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
     /// the two edge-disjoint paths on the fully-reserved view; the backup's
     /// wavelengths are then re-assigned by the sharing-aware DP.
     pub fn provision(&mut self, s: NodeId, t: NodeId) -> Result<SharedConnection, RoutingError> {
-        self.provision_traced(s, t, &NoopTracer)
-    }
-
-    /// As [`SharedProvisioner::provision`], recording spans on `tracer`:
-    /// one root [`Phase::Request`] span per call, the routing sub-phases
-    /// underneath it, and a [`Phase::Commit`] span around the working/pool
-    /// mutation when the request succeeds.
-    pub fn provision_traced<T: Tracer>(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        tracer: &T,
-    ) -> Result<SharedConnection, RoutingError> {
-        let tracing = tracer.enabled();
-        tracer.begin_request();
-        let req_t0 = tracer.now_ns();
         let routing_view = self.routing_state();
-        let mut ctx = RouterCtx::with_recorder_and_tracer(&self.recorder, tracer);
-        let found = self.find_on(&routing_view, &mut ctx, s, t);
-        let out = found.and_then(|f| {
-            let commit_t0 = tracer.now_ns();
-            let conn = self.commit_found(f);
-            if tracing {
-                tracer.record(Phase::Commit, commit_t0);
-            }
-            conn
-        });
-        if tracing {
-            tracer.record(Phase::Request, req_t0);
-        }
-        out
-    }
-
-    /// The pure *find* stage of [`SharedProvisioner::provision`]: the §3.3
-    /// route pair on `routing_view` plus the sharing-aware backup
-    /// assignment against the current pool, with no mutation.
-    fn find_on<R2: Recorder, T2: Tracer>(
-        &self,
-        routing_view: &ResidualState,
-        ctx: &mut RouterCtx<R2, T2>,
-        s: NodeId,
-        t: NodeId,
-    ) -> Result<FoundConnection, RoutingError> {
-        let (route, _) = robust_route_ctx(ctx, self.net, routing_view, s, t)?;
+        let (route, _) = robust_route_ctx(&mut RouterCtx::new(), self.net, &routing_view, s, t)?;
         let primary = route.primary;
         let primary_edges: Vec<EdgeId> = primary.edges().collect();
 
@@ -337,58 +240,17 @@ impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
         let backup = self
             .assign_backup(&backup_edges, s, &primary_edges)
             .ok_or(RoutingError::RefinementInfeasible)?;
-        Ok(FoundConnection {
-            primary,
-            primary_edges,
-            backup,
-        })
-    }
 
-    /// The *commit* stage of [`SharedProvisioner::provision`]: the primary
-    /// occupies working channels, the backup reserves (possibly shared)
-    /// pool channels.
-    fn commit_found(&mut self, found: FoundConnection) -> Result<SharedConnection, RoutingError> {
-        let FoundConnection {
-            primary,
-            primary_edges,
-            backup,
-        } = found;
+        // Commit: the primary occupies working channels, the backup
+        // reserves (possibly shared) pool channels.
         primary
             .occupy(self.net, &mut self.working)
             .map_err(|_| RoutingError::RefinementInfeasible)?;
-        if self.journal.enabled() {
-            self.journal_seq += 1;
-            self.journal.record(NetEvent::Provision {
-                id: self.next_id,
-                channels: primary.hops.clone(),
-            });
-        }
         let shared_hops = backup
             .hops
             .iter()
             .filter(|h| self.pool.is_shareable(h.edge, h.wavelength, &primary_edges))
             .count();
-        if self.recorder.enabled() {
-            self.recorder
-                .add(Counter::SharedBackupChannelsShared, shared_hops as u64);
-            self.recorder.add(
-                Counter::SharedBackupChannelsFresh,
-                (backup.hops.len() - shared_hops) as u64,
-            );
-        }
-        if self.recorder.enabled() {
-            self.recorder.add(Counter::PoolReserve, 1);
-        }
-        if let Some(fr) = self.flight {
-            fr.annotate(
-                self.journal_seq,
-                format!(
-                    "pool reserve conn={} hops={} shared={shared_hops}",
-                    self.next_id,
-                    backup.hops.len()
-                ),
-            );
-        }
         self.pool
             .reserve(self.next_id, &backup.hops, &primary_edges);
         self.primaries.insert(self.next_id, primary_edges);
@@ -499,27 +361,7 @@ impl<'a, R: Recorder, J: EventSink> SharedProvisioner<'a, R, J> {
     /// reservations.
     pub fn release(&mut self, conn: &SharedConnection) {
         conn.primary.release(&mut self.working);
-        if self.journal.enabled() {
-            self.journal_seq += 1;
-            self.journal.record(NetEvent::Teardown {
-                id: conn.id,
-                channels: conn.primary.hops.clone(),
-            });
-        }
         self.primaries.remove(&conn.id);
-        if self.recorder.enabled() {
-            self.recorder.add(Counter::PoolRelease, 1);
-        }
-        if let Some(fr) = self.flight {
-            fr.annotate(
-                self.journal_seq,
-                format!(
-                    "pool release conn={} hops={}",
-                    conn.id,
-                    conn.backup.hops.len()
-                ),
-            );
-        }
         let _ = self.pool.release(conn.id, &self.primaries);
     }
 
@@ -610,60 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_mutations_are_counted_and_annotated() {
-        use wdm_core::journal::StateJournal;
-        use wdm_telemetry::{SpanBuffer, TelemetrySink};
-
-        let net = net();
-        let sink = TelemetrySink::new();
-        let journal = StateJournal::new(ResidualState::fresh(&net));
-        let flight = FlightRecorder::new();
-        let tracer = SpanBuffer::new();
-        let mut p = SharedProvisioner::with_recorder_and_journal(&net, &sink, journal);
-        p.attach_flight_recorder(&flight);
-
-        let a = p.provision_traced(NodeId(0), NodeId(13), &tracer).unwrap();
-        let b = p.provision_traced(NodeId(2), NodeId(11), &tracer).unwrap();
-        p.release(&a);
-
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters["pool_reserve"], 2);
-        assert_eq!(snap.counters["pool_release"], 1);
-
-        // Annotations carry the journal sequence the pool mutation rode
-        // with: reserve n happens with n provisions journaled, the release
-        // after the third event (2 provisions + 1 teardown).
-        let dump = flight.dump();
-        assert_eq!(dump.annotations.len(), 3);
-        assert!(dump.annotations[0].note.starts_with("pool reserve conn=0"));
-        assert_eq!(dump.annotations[0].journal_seq, 1);
-        assert!(dump.annotations[1].note.starts_with("pool reserve conn=1"));
-        assert_eq!(dump.annotations[1].journal_seq, 2);
-        assert!(dump.annotations[2].note.starts_with("pool release conn=0"));
-        assert_eq!(dump.annotations[2].journal_seq, 3);
-
-        // Spans: one root per provision, each with a commit underneath and
-        // sub-phases that fit inside the root.
-        assert_eq!(tracer.requests_begun(), 2);
-        let recs = tracer.records();
-        assert_eq!(recs.iter().filter(|r| r.phase == Phase::Request).count(), 2);
-        assert_eq!(recs.iter().filter(|r| r.phase == Phase::Commit).count(), 2);
-        for req in 0..2u64 {
-            let root = recs
-                .iter()
-                .find(|r| r.request == req && r.phase == Phase::Request)
-                .unwrap();
-            let sub: u64 = recs
-                .iter()
-                .filter(|r| r.request == req && r.phase != Phase::Request)
-                .map(|r| r.duration_ns())
-                .sum();
-            assert!(sub <= root.duration_ns());
-        }
-        let _ = b;
-    }
-
-    #[test]
     fn release_returns_channels_and_rebuilds_unions() {
         let net = net();
         let mut p = SharedProvisioner::new(&net);
@@ -743,23 +531,19 @@ mod tests {
 
     #[test]
     fn provisioner_records_shared_vs_fresh_channels() {
-        use wdm_telemetry::TelemetrySink;
         let net = net();
-        let sink = TelemetrySink::new();
-        let mut p = SharedProvisioner::with_recorder(&net, &sink);
+        let mut p = SharedProvisioner::new(&net);
         let pairs = [(0u32, 13u32), (1, 12), (2, 11), (3, 9), (5, 10), (6, 8)];
-        for &(s, t) in &pairs {
-            let _ = p.provision(NodeId(s), NodeId(t));
-        }
-        let snap = sink.snapshot();
-        let shared = snap.counters["shared_backup_channels_shared"];
-        let fresh = snap.counters["shared_backup_channels_fresh"];
+        let conns: Vec<SharedConnection> = pairs
+            .iter()
+            .filter_map(|&(s, t)| p.provision(NodeId(s), NodeId(t)).ok())
+            .collect();
+        let hops: usize = conns.iter().map(|c| c.backup.hops.len()).sum();
+        let shared: usize = conns.iter().map(|c| c.shared_hops).sum();
         // Without releases, every fresh hop opened a distinct channel and
         // every hop (shared or fresh) is registered in the pool.
-        assert_eq!(fresh as usize, p.pool.reserved_channels());
-        assert_eq!((shared + fresh) as usize, p.pool.total_backup_hops());
-        // The underlying §3.3 searches flowed through the same recorder.
-        assert!(snap.counters["suurballe_searches"] > 0);
+        assert_eq!(hops - shared, p.pool.reserved_channels());
+        assert_eq!(hops, p.pool.total_backup_hops());
     }
 
     #[test]
@@ -819,39 +603,6 @@ mod tests {
             let e = EdgeId::from(ei);
             assert_eq!(a.link_change_clock(e), b.link_change_clock(e), "{e:?}");
         }
-    }
-
-    #[test]
-    fn journal_replays_working_state_lineage() {
-        use wdm_core::journal::StateJournal;
-        let net = net();
-        let journal = StateJournal::new(ResidualState::fresh(&net));
-        let mut p = SharedProvisioner::with_recorder_and_journal(&net, NoopRecorder, journal);
-        let mut conns = Vec::new();
-        for &(s, t) in &[(0u32, 13u32), (1, 12), (2, 11), (5, 10), (6, 8)] {
-            if let Ok(c) = p.provision(NodeId(s), NodeId(t)) {
-                conns.push(c);
-            }
-        }
-        assert!(conns.len() >= 4, "most pairs should fit");
-        p.release(&conns.swap_remove(1));
-        let _ = p.provision(NodeId(7), NodeId(0));
-
-        // Replaying the journaled lineage over the fresh checkpoint must
-        // reconstruct `working` bit-identically, clocks included (pool
-        // reservations are deliberately outside the journal's contract).
-        let replayed = p.journal.replay(&net).expect("journal replays cleanly");
-        assert_eq!(replayed, p.working);
-        assert_eq!(replayed.change_clock(), p.working.change_clock());
-        for ei in 0..net.link_count() {
-            let e = EdgeId::from(ei);
-            assert_eq!(
-                replayed.link_change_clock(e),
-                p.working.link_change_clock(e),
-                "{e:?}"
-            );
-        }
-        assert_eq!(replayed.semantic_hash(), p.working.semantic_hash());
     }
 
     #[test]

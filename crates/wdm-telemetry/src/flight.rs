@@ -6,19 +6,17 @@
 //! **journal sequence number** current when the request was decided, so
 //! `wdm replay` can reconstruct the exact working state the request saw.
 //!
-//! The ring keeps the last `capacity` requests (oldest dropped first, same
-//! unroll discipline as the trace ring). On top of it sits a one-shot
-//! **anomaly trigger**: a sliding window over the most recent requests'
-//! blocked flags; when the count in the window crosses the threshold, the
-//! recorder clones the ring *at that moment* into [`FlightAnomaly`], so
-//! the pathological neighbourhood survives even if the simulation runs on
-//! and the ring wraps past it.
+//! The ring keeps the last `capacity` requests (oldest dropped first). On
+//! top of it sits a one-shot **anomaly trigger**: a sliding window over the
+//! most recent requests' blocked flags; when the count in the window
+//! crosses the threshold, the recorder clones the ring *at that moment*
+//! into [`FlightAnomaly`], so the pathological neighbourhood survives even
+//! if the simulation runs on and the ring wraps past it.
 //!
 //! Unlike [`SpanBuffer`] (single-owner, `RefCell`), the recorder is a
 //! shared sink (`Mutex`, `Send + Sync`): one instance can receive records
-//! from the serial simulator, the daemon's worker threads and the
-//! shared-backup provisioner's annotations. Pushes are rare (one per
-//! request) so the uncontended lock is noise.
+//! from the serial simulator and the daemon's worker threads. Pushes are
+//! rare (one per request) so the uncontended lock is noise.
 //!
 //! [`Phase`]: crate::Phase
 //! [`SpanBuffer`]: crate::SpanBuffer
@@ -71,18 +69,6 @@ impl FlightRecord {
     }
 }
 
-/// A free-form annotation correlated with the request stream (e.g. the
-/// shared-backup pool reserving channels outside the journal's coverage).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FlightAnnotation {
-    /// Request ordinal current when the annotation was made.
-    pub request: u64,
-    /// Journal sequence number at annotation time.
-    pub journal_seq: u64,
-    /// What happened.
-    pub note: String,
-}
-
 /// The ring's contents captured at the moment the anomaly trigger fired.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FlightAnomaly {
@@ -101,8 +87,6 @@ pub struct FlightAnomaly {
 pub struct FlightDump {
     /// Ring contents, oldest first.
     pub records: Vec<FlightRecord>,
-    /// Annotations, in emission order (unbounded; annotations are rare).
-    pub annotations: Vec<FlightAnnotation>,
     /// The anomaly snapshot, if the trigger fired.
     pub anomaly: Option<FlightAnomaly>,
     /// Total requests pushed over the recorder's lifetime.
@@ -120,12 +104,11 @@ struct FlightInner {
     window_size: usize,
     threshold: usize,
     anomaly: Option<FlightAnomaly>,
-    annotations: Vec<FlightAnnotation>,
     total_pushed: u64,
 }
 
 impl FlightInner {
-    /// Ring contents, oldest first (same unroll as the trace ring).
+    /// Ring contents, oldest first.
     fn unrolled(&self) -> Vec<FlightRecord> {
         let mut out = Vec::with_capacity(self.records.len());
         out.extend_from_slice(&self.records[self.head..]);
@@ -176,7 +159,6 @@ impl FlightRecorder {
                 window_size: window_size.max(1),
                 threshold: threshold.max(1),
                 anomaly: None,
-                annotations: Vec::new(),
                 total_pushed: 0,
             }),
         }
@@ -214,17 +196,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Records a correlation note at the current request/journal position.
-    pub fn annotate(&self, journal_seq: u64, note: impl Into<String>) {
-        let mut b = self.inner.lock().unwrap();
-        let request = b.total_pushed;
-        b.annotations.push(FlightAnnotation {
-            request,
-            journal_seq,
-            note: note.into(),
-        });
-    }
-
     /// Total requests pushed over the recorder's lifetime.
     pub fn total_requests(&self) -> u64 {
         self.inner.lock().unwrap().total_pushed
@@ -240,7 +211,6 @@ impl FlightRecorder {
         let b = self.inner.lock().unwrap();
         FlightDump {
             records: b.unrolled(),
-            annotations: b.annotations.clone(),
             anomaly: b.anomaly.clone(),
             total_requests: b.total_pushed,
             dropped: b.total_pushed - b.records.len() as u64,
@@ -299,17 +269,6 @@ mod tests {
             fr.push(record(i, "blocked"));
         }
         assert_eq!(fr.dump().anomaly.unwrap().at_request, 3);
-    }
-
-    #[test]
-    fn annotations_carry_stream_position() {
-        let fr = FlightRecorder::new();
-        fr.push(record(0, "routed"));
-        fr.annotate(7, "pool_reserve conn=0 channels=2");
-        let dump = fr.dump();
-        assert_eq!(dump.annotations.len(), 1);
-        assert_eq!(dump.annotations[0].request, 1);
-        assert_eq!(dump.annotations[0].journal_seq, 7);
     }
 
     #[test]

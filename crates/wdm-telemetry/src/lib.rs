@@ -25,8 +25,8 @@ mod span;
 
 pub use chrome::chrome_trace_json;
 pub use flight::{
-    FlightAnnotation, FlightAnomaly, FlightDump, FlightRecord, FlightRecorder,
-    DEFAULT_ANOMALY_THRESHOLD, DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
+    FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, DEFAULT_ANOMALY_THRESHOLD,
+    DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hist::{bucket_bounds, bucket_index, AtomicHistogram, NUM_BUCKETS};
 pub use sink::TelemetrySink;
@@ -71,50 +71,42 @@ pub enum Counter {
     SuurballeSearches = 12,
     /// G_c feasibility probes issued by the §4.1 threshold search.
     ThresholdProbes = 13,
-    /// Backup channels reused from another request's backup (shared mesh).
-    SharedBackupChannelsShared = 14,
-    /// Backup channels reserved fresh by the shared-mesh provisioner.
-    SharedBackupChannelsFresh = 15,
     /// Search-arena buffer growth events (allocations on the hot path).
-    ArenaAllocEvents = 16,
-    /// Shared-backup pool channel reservations (outside journal coverage).
-    PoolReserve = 17,
-    /// Shared-backup pool channel releases (outside journal coverage).
-    PoolRelease = 18,
+    ArenaAllocEvents = 14,
     /// Daemon: provision requests that were accepted and committed.
-    ServeProvisionOk = 19,
+    ServeProvisionOk = 15,
     /// Daemon: provision requests refused by the routing policy.
-    ServeProvisionBlocked = 20,
+    ServeProvisionBlocked = 16,
     /// Daemon: teardown requests that released a live connection.
-    ServeTeardownOk = 21,
+    ServeTeardownOk = 17,
     /// Daemon: teardown requests naming an unknown connection id.
-    ServeTeardownMiss = 22,
+    ServeTeardownMiss = 18,
     /// Daemon: fail-link requests applied.
-    ServeFailLink = 23,
+    ServeFailLink = 19,
     /// Daemon: repair-link requests applied.
-    ServeRepairLink = 24,
+    ServeRepairLink = 20,
     /// Daemon: state-query requests served.
-    ServeQuery = 25,
+    ServeQuery = 21,
     /// Daemon: requests shed by admission control (bounded queue full,
     /// answered 503 + Retry-After).
-    ServeShed = 26,
+    ServeShed = 22,
     /// Daemon: requests dropped because their deadline expired while
     /// queued (answered 503).
-    ServeDeadlineDrop = 27,
+    ServeDeadlineDrop = 23,
     /// Daemon: malformed HTTP requests rejected by the listener.
-    ServeBadRequest = 28,
+    ServeBadRequest = 24,
     /// Daemon: optimistic commits that conflicted with a concurrent
     /// mutation and re-routed under the write lock.
-    ServeConflictRetries = 29,
+    ServeConflictRetries = 25,
     /// Nodes settled by Suurballe's pass 1 (the sink counts when popped).
-    SuurballeSettledP1 = 30,
+    SuurballeSettledP1 = 26,
     /// Nodes settled by Suurballe's pass 2.
-    SuurballeSettledP2 = 31,
+    SuurballeSettledP2 = 27,
 }
 
 impl Counter {
     /// Number of counter slots.
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 28;
 
     /// Every variant, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -132,11 +124,7 @@ impl Counter {
         Counter::EngineFastSyncs,
         Counter::SuurballeSearches,
         Counter::ThresholdProbes,
-        Counter::SharedBackupChannelsShared,
-        Counter::SharedBackupChannelsFresh,
         Counter::ArenaAllocEvents,
-        Counter::PoolReserve,
-        Counter::PoolRelease,
         Counter::ServeProvisionOk,
         Counter::ServeProvisionBlocked,
         Counter::ServeTeardownOk,
@@ -169,11 +157,7 @@ impl Counter {
             Counter::EngineFastSyncs => "engine_fast_syncs",
             Counter::SuurballeSearches => "suurballe_searches",
             Counter::ThresholdProbes => "threshold_probes",
-            Counter::SharedBackupChannelsShared => "shared_backup_channels_shared",
-            Counter::SharedBackupChannelsFresh => "shared_backup_channels_fresh",
             Counter::ArenaAllocEvents => "arena_alloc_events",
-            Counter::PoolReserve => "pool_reserve",
-            Counter::PoolRelease => "pool_release",
             Counter::ServeProvisionOk => "serve_provision_ok",
             Counter::ServeProvisionBlocked => "serve_provision_blocked",
             Counter::ServeTeardownOk => "serve_teardown_ok",
@@ -207,11 +191,7 @@ impl Counter {
             Counter::EngineFastSyncs => "Engine syncs that found nothing to do",
             Counter::SuurballeSearches => "Suurballe disjoint-pair searches executed",
             Counter::ThresholdProbes => "Feasibility probes issued by the threshold search",
-            Counter::SharedBackupChannelsShared => "Backup channels reused from another backup",
-            Counter::SharedBackupChannelsFresh => "Backup channels reserved fresh",
             Counter::ArenaAllocEvents => "Search-arena buffer growth events",
-            Counter::PoolReserve => "Shared-backup pool channel reservations",
-            Counter::PoolRelease => "Shared-backup pool channel releases",
             Counter::ServeProvisionOk => "Daemon provision requests accepted and committed",
             Counter::ServeProvisionBlocked => "Daemon provision requests refused by routing",
             Counter::ServeTeardownOk => "Daemon teardowns that released a connection",
@@ -255,8 +235,9 @@ pub enum Hist {
     /// Daemon: time a request spent in the admission queue before a
     /// worker picked it up, nanoseconds (nondeterministic).
     ServeQueueNanos = 7,
-    /// Daemon: WAL append + flush per journal event, nanoseconds
-    /// (nondeterministic).
+    /// Daemon: encoding one journal event's WAL line and handing it to the
+    /// operating system in one `write` (no flush or sync), nanoseconds
+    /// (nondeterministic). The name is part of the trace format.
     WalFsyncNanos = 8,
     /// Daemon: time waiting to acquire the shared provisioner lock per
     /// provision (read + write acquisition), nanoseconds
@@ -265,8 +246,10 @@ pub enum Hist {
     /// Daemon: routing-search time under the read lock per provision,
     /// nanoseconds (nondeterministic).
     ServeRouteNanos = 10,
-    /// Daemon: commit time under the write lock per provision, excluding
-    /// the WAL flush, nanoseconds (nondeterministic).
+    /// Daemon: commit time under the write lock per provision, from the
+    /// commit attempt to the closed commit span: the occupy, the WAL line
+    /// write and, after a conflict, the re-route and second commit,
+    /// nanoseconds (nondeterministic).
     ServeCommitNanos = 11,
 }
 
@@ -321,11 +304,13 @@ impl Hist {
                 "Daemon request latency from accept to response in nanoseconds"
             }
             Hist::ServeQueueNanos => "Daemon admission-queue wait in nanoseconds",
-            Hist::WalFsyncNanos => "WAL append and flush per journal event in nanoseconds",
+            Hist::WalFsyncNanos => {
+                "WAL line encode and write (no flush or sync) per journal event in nanoseconds"
+            }
             Hist::ServeLockNanos => "Provisioner lock acquisition per provision in nanoseconds",
             Hist::ServeRouteNanos => "Routing search under the read lock in nanoseconds",
             Hist::ServeCommitNanos => {
-                "Commit under the write lock excluding the WAL flush in nanoseconds"
+                "Commit under the write lock with the WAL write and any re-route in nanoseconds"
             }
         }
     }
@@ -345,49 +330,6 @@ impl Hist {
                 | Hist::ServeCommitNanos
         )
     }
-}
-
-/// How the incremental auxiliary-graph engine satisfied one request.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum CacheOutcome {
-    /// Skeleton and weights were both current; nothing recomputed.
-    SkeletonReuse,
-    /// Skeleton reused; only the listed number of dirty links re-weighted.
-    DirtyRefresh {
-        /// Links whose weights were recomputed.
-        links: u32,
-    },
-    /// Skeleton rebuilt from scratch (cold start or topology change).
-    FullRebuild,
-}
-
-/// Structured per-request trace event.
-///
-/// Node ids and wavelengths are raw indices so this crate stays
-/// dependency-free; the emitting layer owns the mapping.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RouteTrace {
-    /// Monotonic id from [`Recorder::next_request_id`].
-    pub request_id: u64,
-    /// Source node index.
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-    /// Wavelength index at each hop of the primary semilightpath.
-    pub primary_wavelengths: Vec<u32>,
-    /// Wavelength index at each hop of the backup semilightpath (empty for
-    /// unprotected routes).
-    pub backup_wavelengths: Vec<u32>,
-    /// Channel cost of the primary (Eq. 1 terms attributable to it).
-    pub primary_cost: f64,
-    /// Channel cost of the backup (0 for unprotected routes).
-    pub backup_cost: f64,
-    /// Engine cache outcome for the request's dominant engine sync.
-    pub cache: CacheOutcome,
-    /// Search-arena buffer growth events during the request.
-    pub arena_allocs: u64,
-    /// Wall-clock duration of the routing search, nanoseconds.
-    pub search_ns: u64,
 }
 
 /// The instrumentation interface the routing stack is generic over.
@@ -415,12 +357,6 @@ pub trait Recorder {
 
     /// Records `value` into `hist`.
     fn observe(&self, hist: Hist, value: u64);
-
-    /// Emits a per-request trace event.
-    fn trace(&self, event: &RouteTrace);
-
-    /// Allocates the next request id (0 when disabled).
-    fn next_request_id(&self) -> u64;
 }
 
 /// The zero-cost default: every method is an empty `#[inline(always)]`
@@ -440,14 +376,6 @@ impl Recorder for NoopRecorder {
 
     #[inline(always)]
     fn observe(&self, _hist: Hist, _value: u64) {}
-
-    #[inline(always)]
-    fn trace(&self, _event: &RouteTrace) {}
-
-    #[inline(always)]
-    fn next_request_id(&self) -> u64 {
-        0
-    }
 }
 
 /// Shared references record through the underlying recorder, so a single
@@ -466,16 +394,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     #[inline]
     fn observe(&self, hist: Hist, value: u64) {
         (**self).observe(hist, value);
-    }
-
-    #[inline]
-    fn trace(&self, event: &RouteTrace) {
-        (**self).trace(event);
-    }
-
-    #[inline]
-    fn next_request_id(&self) -> u64 {
-        (**self).next_request_id()
     }
 }
 
@@ -509,33 +427,8 @@ mod tests {
     fn noop_recorder_is_disabled() {
         let r = NoopRecorder;
         assert!(!r.enabled());
-        assert_eq!(r.next_request_id(), 0);
         // And through the blanket `&R` impl.
         let by_ref: &dyn Recorder = &&r;
         assert!(!by_ref.enabled());
-    }
-
-    #[test]
-    fn route_trace_round_trips_through_json() {
-        let t = RouteTrace {
-            request_id: 7,
-            src: 0,
-            dst: 13,
-            primary_wavelengths: vec![0, 0, 2],
-            backup_wavelengths: vec![1, 1],
-            primary_cost: 3.5,
-            backup_cost: 4.25,
-            cache: CacheOutcome::DirtyRefresh { links: 9 },
-            arena_allocs: 1,
-            search_ns: 12_345,
-        };
-        let text = serde_json::to_string(&t).unwrap();
-        let back: RouteTrace = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, t);
-        for cache in [CacheOutcome::SkeletonReuse, CacheOutcome::FullRebuild] {
-            let text = serde_json::to_string(&cache).unwrap();
-            let back: CacheOutcome = serde_json::from_str(&text).unwrap();
-            assert_eq!(back, cache);
-        }
     }
 }

@@ -1,39 +1,19 @@
-//! The live [`Recorder`]: lock-free counters + histograms, optional trace
-//! ring.
+//! The live [`Recorder`]: lock-free counters + histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hist::AtomicHistogram;
 use crate::snapshot::TelemetrySnapshot;
-use crate::{Counter, Hist, Recorder, RouteTrace};
-
-#[cfg(feature = "trace-log")]
-const DEFAULT_TRACE_CAPACITY: usize = 1024;
+use crate::{Counter, Hist, Recorder};
 
 /// A concurrent telemetry accumulator.
 ///
-/// Counters and histograms are plain atomics — safe to share across rayon
-/// workers by reference (`&TelemetrySink` implements [`Recorder`]). With the
-/// `trace-log` feature (default) the sink also keeps the most recent
-/// [`RouteTrace`] events in a bounded ring behind a mutex; tracing is off
-/// the simulator's measured path, so the lock only costs when traces are
-/// actually emitted.
+/// Counters and histograms are plain atomics — safe to share across
+/// threads by reference (`&TelemetrySink` implements [`Recorder`]).
 #[derive(Debug)]
 pub struct TelemetrySink {
     counters: [AtomicU64; Counter::COUNT],
     hists: [AtomicHistogram; Hist::COUNT],
-    next_request_id: AtomicU64,
-    #[cfg(feature = "trace-log")]
-    traces: std::sync::Mutex<TraceRing>,
-}
-
-#[cfg(feature = "trace-log")]
-#[derive(Debug)]
-struct TraceRing {
-    capacity: usize,
-    /// Insertion position for the next event once the ring is full.
-    head: usize,
-    events: Vec<RouteTrace>,
 }
 
 impl Default for TelemetrySink {
@@ -43,34 +23,11 @@ impl Default for TelemetrySink {
 }
 
 impl TelemetrySink {
-    /// An empty sink (trace ring capacity 1024 when `trace-log` is on).
+    /// An empty sink.
     pub fn new() -> Self {
         TelemetrySink {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| AtomicHistogram::default()),
-            next_request_id: AtomicU64::new(0),
-            #[cfg(feature = "trace-log")]
-            traces: std::sync::Mutex::new(TraceRing {
-                capacity: DEFAULT_TRACE_CAPACITY,
-                head: 0,
-                events: Vec::new(),
-            }),
-        }
-    }
-
-    /// An empty sink whose trace ring keeps at most `capacity` events.
-    /// Without the `trace-log` feature the capacity is ignored.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "trace-log")]
-        {
-            let mut sink = TelemetrySink::new();
-            sink.traces.get_mut().unwrap().capacity = capacity.max(1);
-            sink
-        }
-        #[cfg(not(feature = "trace-log"))]
-        {
-            let _ = capacity;
-            TelemetrySink::new()
         }
     }
 
@@ -82,24 +39,6 @@ impl TelemetrySink {
     /// Read access to one histogram.
     pub fn histogram(&self, hist: Hist) -> &AtomicHistogram {
         &self.hists[hist as usize]
-    }
-
-    /// The retained trace events, oldest first. Empty without `trace-log`.
-    pub fn traces(&self) -> Vec<RouteTrace> {
-        #[cfg(feature = "trace-log")]
-        {
-            let ring = self.traces.lock().unwrap();
-            if ring.events.len() < ring.capacity {
-                ring.events.clone()
-            } else {
-                let mut out = Vec::with_capacity(ring.capacity);
-                out.extend_from_slice(&ring.events[ring.head..]);
-                out.extend_from_slice(&ring.events[..ring.head]);
-                out
-            }
-        }
-        #[cfg(not(feature = "trace-log"))]
-        Vec::new()
     }
 
     /// Drains the current totals into an immutable, mergeable snapshot.
@@ -118,48 +57,11 @@ impl Recorder for TelemetrySink {
     fn observe(&self, hist: Hist, value: u64) {
         self.hists[hist as usize].record(value);
     }
-
-    fn trace(&self, event: &RouteTrace) {
-        #[cfg(feature = "trace-log")]
-        {
-            let mut ring = self.traces.lock().unwrap();
-            if ring.events.len() < ring.capacity {
-                ring.events.push(event.clone());
-            } else {
-                let head = ring.head;
-                ring.events[head] = event.clone();
-                ring.head = (head + 1) % ring.capacity;
-            }
-        }
-        #[cfg(not(feature = "trace-log"))]
-        let _ = event;
-    }
-
-    #[inline]
-    fn next_request_id(&self) -> u64 {
-        self.next_request_id.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheOutcome;
-
-    fn trace(id: u64) -> RouteTrace {
-        RouteTrace {
-            request_id: id,
-            src: 0,
-            dst: 1,
-            primary_wavelengths: vec![0],
-            backup_wavelengths: vec![1],
-            primary_cost: 1.0,
-            backup_cost: 1.0,
-            cache: CacheOutcome::SkeletonReuse,
-            arena_allocs: 0,
-            search_ns: 10,
-        }
-    }
 
     #[test]
     fn counters_and_histograms_accumulate() {
@@ -170,14 +72,6 @@ mod tests {
         assert_eq!(sink.counter(Counter::RequestsRouted), 5);
         assert_eq!(sink.histogram(Hist::PrimaryHops).count(), 1);
         assert!(sink.enabled());
-    }
-
-    #[test]
-    fn request_ids_are_monotonic() {
-        let sink = TelemetrySink::new();
-        assert_eq!(sink.next_request_id(), 0);
-        assert_eq!(sink.next_request_id(), 1);
-        assert_eq!(sink.next_request_id(), 2);
     }
 
     #[test]
@@ -196,24 +90,5 @@ mod tests {
         });
         assert_eq!(sink.counter(Counter::ThresholdProbes), 4000);
         assert_eq!(sink.histogram(Hist::ThresholdProbes).count(), 4000);
-    }
-
-    #[cfg(feature = "trace-log")]
-    #[test]
-    fn trace_ring_keeps_most_recent_events() {
-        let sink = TelemetrySink::with_trace_capacity(3);
-        for id in 0..5 {
-            sink.trace(&trace(id));
-        }
-        let ids: Vec<u64> = sink.traces().iter().map(|t| t.request_id).collect();
-        assert_eq!(ids, vec![2, 3, 4]);
-    }
-
-    #[cfg(not(feature = "trace-log"))]
-    #[test]
-    fn traces_are_dropped_without_the_feature() {
-        let sink = TelemetrySink::with_trace_capacity(3);
-        sink.trace(&trace(0));
-        assert!(sink.traces().is_empty());
     }
 }

@@ -222,7 +222,7 @@ pub trait Tracer {
     /// Closes a span for the current request with both endpoints supplied
     /// by the caller (clamped so `end_ns >= start_ns`). The daemon uses
     /// this to carve non-overlapping intervals out of one measured stretch
-    /// — e.g. splitting a commit into its occupy part and the WAL flush —
+    /// — e.g. splitting a commit into its occupy part and the WAL write —
     /// and to backfill spans that ended before the request was begun
     /// (queue wait).
     fn record_span(&self, phase: Phase, start_ns: u64, end_ns: u64);
