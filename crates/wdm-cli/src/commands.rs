@@ -18,7 +18,7 @@ use wdm_sim::policy::{Policy, ProvisionedRoute};
 use wdm_sim::sim::{run_batch, BatchConfig, SimConfig, Simulator};
 use wdm_sim::traffic::TrafficModel;
 use wdm_telemetry::{
-    FlightDump, FlightRecorder, NoopRecorder, Phase, SpanBuffer, TelemetrySink,
+    FlightRecorder, NoopRecorder, Phase, SpanBuffer, TelemetrySink, TraceFile,
     DEFAULT_ANOMALY_THRESHOLD, DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
 };
 
@@ -40,24 +40,6 @@ struct JournalFile {
     journal: wdm_core::journal::StateJournal,
     /// [`ResidualState::semantic_hash`] of the live run's final state.
     final_hash: u64,
-}
-
-/// On-disk format of `wdm simulate --trace` / `wdm trace analyze`: the
-/// flight-recorder dump (per-request phase latencies, outcomes, journal
-/// correlation) plus enough provenance to label the analysis.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct TraceFile {
-    /// The provisioning policy's name.
-    policy: String,
-    /// The base seed the simulation ran with.
-    seed: u64,
-    /// Phase names in `Phase as usize` index order (the key for every
-    /// record's `phase_ns` vector).
-    phases: Vec<String>,
-    /// Requests offered over the whole run (the ring may hold fewer).
-    offered: u64,
-    /// The flight-recorder dump.
-    flight: FlightDump,
 }
 
 /// Parses a `--policy` value.
@@ -401,13 +383,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
             std::fs::write(jpath, json).map_err(|e| format!("writing {jpath}: {e}"))?;
         }
         if let (Some(tpath), Some(flight)) = (trace_path, &flight) {
-            let doc = TraceFile {
-                policy: policy.name().to_string(),
-                seed,
-                phases: Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
-                offered: metrics.offered,
-                flight: flight.dump(),
-            };
+            let doc = TraceFile::new(policy.name(), seed, metrics.offered, flight.dump());
             let json = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
             std::fs::write(tpath, json).map_err(|e| format!("writing {tpath}: {e}"))?;
         }

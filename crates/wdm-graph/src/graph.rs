@@ -25,7 +25,7 @@ struct EdgeRecord<E> {
 ///
 /// * Nodes and edges are identified by dense [`NodeId`] / [`EdgeId`] indices
 ///   in insertion order; neither can be removed (algorithms that need
-///   subgraphs use edge filters or [`DiGraph::edge_subgraph`]).
+///   subgraphs use edge filters).
 /// * Parallel edges and self-loops are allowed — the WDM model needs parallel
 ///   fibres, and auxiliary-graph constructions never create self-loops but
 ///   the substrate does not forbid them.
@@ -205,48 +205,6 @@ impl<N, E> DiGraph<N, E> {
             .find(|&e| self.dst(e) == dst)
     }
 
-    /// Builds a new graph containing the same nodes but only the edges
-    /// accepted by `keep`. Returns the graph and, for each new edge, the
-    /// original edge id (`mapping[new.index()] = old id`).
-    pub fn edge_subgraph(
-        &self,
-        mut keep: impl FnMut(EdgeId) -> bool,
-    ) -> (DiGraph<N, E>, Vec<EdgeId>)
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        let mut mapping = Vec::new();
-        for (i, r) in self.edges.iter().enumerate() {
-            let e = EdgeId::from(i);
-            if keep(e) {
-                g.add_edge(r.src, r.dst, r.data.clone());
-                mapping.push(e);
-            }
-        }
-        (g, mapping)
-    }
-
-    /// The reverse graph (every edge flipped, payloads cloned, ids preserved).
-    pub fn reversed(&self) -> DiGraph<N, E>
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        for n in &self.nodes {
-            g.add_node(n.clone());
-        }
-        for r in &self.edges {
-            g.add_edge(r.dst, r.src, r.data.clone());
-        }
-        g
-    }
-
     /// Total degree of `v` (in + out).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
@@ -309,24 +267,6 @@ mod tests {
         assert_ne!(e0, e1);
         assert_eq!(g.find_edge(a, b), Some(e0));
         assert_eq!(g.find_edge(b, a), None);
-    }
-
-    #[test]
-    fn edge_subgraph_keeps_mapping() {
-        let g = DiGraph::weighted(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]);
-        let (sub, mapping) = g.edge_subgraph(|e| g.weight(e) >= 2.0);
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(mapping, vec![EdgeId(1), EdgeId(2)]);
-        assert_eq!(sub.endpoints(EdgeId(0)), (NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn reversed_flips_endpoints() {
-        let g = DiGraph::weighted(2, &[(0, 1, 5.0)]);
-        let r = g.reversed();
-        assert_eq!(r.endpoints(EdgeId(0)), (NodeId(1), NodeId(0)));
-        assert_eq!(r.weight(EdgeId(0)), 5.0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use wdm_sim::policy::Policy;
 use wdm_sim::provisioner::{NetProvisioner, Provisioner};
 use wdm_telemetry::{
     Counter, FlightRecord, Hist, MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder,
-    SpanBuffer, SpanRecord, TelemetrySink, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    SpanBuffer, SpanRecord, TelemetrySink, TraceFile, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
 
 use crate::admission::{AdmitError, WorkQueue};
@@ -251,18 +251,6 @@ struct ReqTiming {
     queue_wait_ns: u64,
 }
 
-/// On-disk shape of `--trace` output: field-compatible with the
-/// `wdm simulate --trace` file, so `wdm trace analyze` consumes daemon
-/// traces unchanged. `seed` is zero — a daemon has no replication seed.
-#[derive(serde::Serialize)]
-struct ServeTraceFile {
-    policy: String,
-    seed: u64,
-    phases: Vec<String>,
-    offered: u64,
-    flight: wdm_telemetry::FlightDump,
-}
-
 /// JSON request bodies.
 #[derive(serde::Deserialize)]
 struct ProvisionReq {
@@ -371,13 +359,12 @@ pub fn run(
         wal.checkpoint(&snapshot);
         wal.finalize(&snapshot)?;
         if let Some(path) = &cfg.trace_path {
-            let trace = ServeTraceFile {
-                policy: cfg.policy.name().to_string(),
-                seed: 0,
-                phases: Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
-                offered: diag.flight.total_requests(),
-                flight: diag.flight.dump(),
-            };
+            let trace = TraceFile::new(
+                cfg.policy.name(),
+                0,
+                diag.flight.total_requests(),
+                diag.flight.dump(),
+            );
             let text = serde_json::to_string(&trace)
                 .map_err(|e| WalError::Io(std::io::Error::other(e.to_string())))?;
             std::fs::write(path, text).map_err(WalError::Io)?;

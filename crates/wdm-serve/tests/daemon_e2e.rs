@@ -521,16 +521,16 @@ fn traced_daemon_attributes_wall_time_and_serves_debug_trace() {
         server.join().unwrap().expect("clean run");
     });
 
-    // The shutdown trace file attributes >= 95% of per-request wall time
-    // to named phases — the same math `wdm trace analyze` runs.
+    // The shutdown trace file is the one `wdm trace analyze` reads, under
+    // this build's phase layout, and it attributes >= 95% of per-request
+    // wall time to named phases — the same math the analysis runs.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("trace parses");
-    let flight: wdm_telemetry::FlightDump =
-        serde_json::from_str(&serde_json::to_string(v.get("flight").unwrap()).unwrap())
-            .expect("flight section parses");
+    let trace: wdm_telemetry::TraceFile = serde_json::from_str(&text).expect("trace parses");
+    let layout: Vec<&str> = wdm_telemetry::Phase::ALL.iter().map(|p| p.name()).collect();
+    assert_eq!(trace.phases, layout);
     let mut attributed = 0u64;
     let mut total = 0u64;
-    for r in &flight.records {
+    for r in &trace.flight.records {
         let named: u64 = r.named_phases().iter().map(|&(_, ns)| ns).sum();
         assert!(
             named <= r.total_ns,

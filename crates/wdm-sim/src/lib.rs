@@ -9,12 +9,15 @@
 //! * [`policy`] — provisioning policies: the paper's §3.3 / §4.1 / §4.2
 //!   algorithms plus the baseline strategies;
 //! * [`provisioner`] — the provisioning service: live state + warm router
-//!   context + journal behind the [`provisioner::Provisioner`] trait, the
-//!   mutation lineage both the simulator and the `wdm serve` daemon drive;
-//! * [`sim`] — the event loop: admission/blocking, wavelength occupancy,
-//!   link-failure injection with *active* (instant backup switchover) vs
-//!   *passive* (recompute on demand) recovery, and threshold-triggered
-//!   reconfiguration with move accounting;
+//!   context + journal + connection table behind the
+//!   [`provisioner::Provisioner`] trait, and every change to them:
+//!   provision, teardown, link failure with *active* (instant backup
+//!   switchover) vs *passive* (recompute on demand) recovery, repair, and
+//!   the load-driven reconfiguration sweep. It is the mutation lineage
+//!   both the simulator and the `wdm serve` daemon drive;
+//! * [`sim`] — the event loop: arrivals and departures, link-failure
+//!   injection and repair, the reconfiguration trigger, and the accounting
+//!   of blocking, recovery outcomes and reconfiguration moves;
 //! * [`metrics`] — blocking probability, route costs, recovery outcomes,
 //!   reconfiguration counts, load distributions;
 //! * [`parallel`] — rayon-powered replication sweeps (one immutable network

@@ -30,7 +30,9 @@ fn cfg(policy: Policy, seed: u64) -> SimConfig {
 fn journaled_simulation_replays_bit_identically() {
     let net = NetworkBuilder::nsfnet(8).build();
     let a = std::f64::consts::E;
-    for policy in [Policy::CostOnly, Policy::Joint { a }] {
+    // Primary-only connections are unprotected, so every cut re-routes or
+    // drops them (a `Reconfigure` with nothing occupied).
+    for policy in [Policy::CostOnly, Policy::Joint { a }, Policy::PrimaryOnly] {
         for seed in [1u64, 17, 20260805] {
             let mut journal = StateJournal::new(ResidualState::fresh(&net));
             let (metrics, final_state) = run_sim_journaled(&net, cfg(policy, seed), &mut journal);

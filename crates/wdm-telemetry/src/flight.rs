@@ -95,6 +95,37 @@ pub struct FlightDump {
     pub dropped: u64,
 }
 
+/// The `--trace` file: a flight-recorder dump plus enough provenance to
+/// label its analysis. `wdm simulate --trace` and `wdm serve --trace`
+/// write it; `wdm trace analyze` reads it.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct TraceFile {
+    /// The provisioning policy's name.
+    pub policy: String,
+    /// The base seed of the run (zero for a daemon, which has none).
+    pub seed: u64,
+    /// Phase names in `Phase as usize` index order (the key for every
+    /// record's `phase_ns` vector).
+    pub phases: Vec<String>,
+    /// Requests offered over the whole run (the ring may hold fewer).
+    pub offered: u64,
+    /// The flight-recorder dump.
+    pub flight: FlightDump,
+}
+
+impl TraceFile {
+    /// A trace of `flight`, keyed by this build's [`Phase`] layout.
+    pub fn new(policy: &str, seed: u64, offered: u64, flight: FlightDump) -> Self {
+        Self {
+            policy: policy.to_string(),
+            seed,
+            phases: Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
+            offered,
+            flight,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct FlightInner {
     capacity: usize,

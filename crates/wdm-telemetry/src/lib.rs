@@ -25,7 +25,7 @@ mod span;
 
 pub use chrome::chrome_trace_json;
 pub use flight::{
-    FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, DEFAULT_ANOMALY_THRESHOLD,
+    FlightAnomaly, FlightDump, FlightRecord, FlightRecorder, TraceFile, DEFAULT_ANOMALY_THRESHOLD,
     DEFAULT_ANOMALY_WINDOW, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hist::{bucket_bounds, bucket_index, AtomicHistogram, NUM_BUCKETS};
