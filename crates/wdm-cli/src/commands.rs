@@ -859,7 +859,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
     use std::io::Write;
     use wdm_serve::daemon::{run, Control, ServeConfig};
 
-    let net = load_network(args.require("net")?)?;
+    let net_path = args.require("net")?;
+    let net = load_network(net_path)?;
     let port: u16 = args.get_or("port", 9190)?;
     let wal_path = args.get("wal").unwrap_or("wdm-serve.wal.jsonl");
     let mut cfg = ServeConfig::new(format!("127.0.0.1:{port}"), wal_path);
@@ -868,10 +869,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
     cfg.queue_capacity = args.get_or("queue", 256)?;
     cfg.deadline = std::time::Duration::from_millis(args.get_or("deadline-ms", 2000u64)?);
     cfg.checkpoint_every = args.get_or("checkpoint-every", 256)?;
-    cfg.handle_signals = true; // SIGINT/SIGTERM drain, checkpoint, close.
-                               // --trace FILE turns on end-to-end span recording (queue wait through
-                               // WAL fsync); the file is `wdm trace analyze`-compatible and written
-                               // at clean shutdown.
+    // SIGINT/SIGTERM drain, checkpoint, close.
+    cfg.handle_signals = true;
+    // --trace FILE turns on end-to-end span recording (queue wait through
+    // the WAL write); the file is `wdm trace analyze`-compatible and
+    // written at clean shutdown.
     cfg.trace_path = args.get("trace").map(std::path::PathBuf::from);
     cfg.flight_capacity = args.get_or("flight-cap", wdm_telemetry::DEFAULT_FLIGHT_CAPACITY)?;
     if cfg.threads == 0 {
@@ -892,6 +894,13 @@ pub fn serve(args: &Args) -> Result<(), String> {
         }
         let rec = wdm_serve::wal::recover(std::path::Path::new(prev))
             .map_err(|e| format!("recovering {prev}: {e}"))?;
+        // The state indexes the recorded network's links; served on
+        // another network it would describe links that do not exist.
+        if rec.network != net {
+            return Err(format!(
+                "{prev} was recorded on another network than {net_path}"
+            ));
+        }
         eprintln!(
             "resuming from {prev}: {} event(s), hash {:#018x}{}",
             rec.seq,
@@ -928,7 +937,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         println!(
             "shutdown     {}",
             if report.clean_shutdown {
-                "clean (final checkpoint + graceful-close line flushed)"
+                "clean (final checkpoint + graceful-close line written, not synced)"
             } else {
                 "crash-style (no close line)"
             }

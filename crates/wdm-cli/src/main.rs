@@ -70,18 +70,27 @@ COMMANDS:
 
   serve     --net FILE  long-lived provisioning daemon: POST /provision
                         {src,dst} | /teardown {id} | /fail-link {link} |
-                        /repair-link {link}; GET /state /metrics /healthz
+                        /repair-link {link}; GET /state /status /metrics
+                        /healthz /debug/flight (recent requests)
+                        /debug/trace?n=N (the last N requests' spans
+                        under --trace, in Chrome trace format)
       --port P          listen on 127.0.0.1:P (default 9190; 0 picks an
                         ephemeral port, printed on startup)
       --threads N       worker threads, each with a warm router context
                         (default 4)
       --policy P        as above (default cost-only)
-      --wal FILE        write-ahead log; every mutation is flushed before
-                        its response (default wdm-serve.wal.jsonl)
+      --wal FILE        write-ahead log; every mutation is written to it
+                        (not synced to disk) before its response
+                        (default wdm-serve.wal.jsonl)
       --queue N         admission queue depth; full sheds 503 (default 256)
       --deadline-ms MS  drop requests that waited longer (default 2000)
       --checkpoint-every N  WAL checkpoint anchor cadence (default 256)
-      --resume WAL      recover a previous log and resume from its state
+      --resume WAL      recover a previous log, recorded on the same
+                        --net network, and resume from its state
+      --trace FILE      record per-request spans (queue wait through the
+                        WAL write) and write them to FILE at a clean
+                        shutdown, for 'wdm trace analyze'
+      --flight-cap N    flight-recorder ring capacity (default 512)
       --json            print the shutdown report as JSON
                         (SIGINT/SIGTERM shut down gracefully: drain,
                         final checkpoint, graceful-close line)

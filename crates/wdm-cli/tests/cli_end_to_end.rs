@@ -21,6 +21,51 @@ fn help_prints_usage() {
     assert!(text.contains("USAGE"));
     assert!(text.contains("topology"));
     assert!(text.contains("simulate"));
+
+    // The serve section lists every option `commands::serve` reads and
+    // every path the daemon answers.
+    let start = text.find("\n  serve ").expect("a serve section");
+    let end = start + text[start..].find("\n  loadgen ").expect("a next section");
+    let serve = &text[start..end];
+    let source = include_str!("../src/commands.rs");
+    let body = &source[source.find("pub fn serve(").expect("commands::serve")..];
+    let body = &body[..body.find("\npub fn ").expect("a next command")];
+    let readers = [
+        "args.get(\"",
+        "args.get_or(\"",
+        "args.require(\"",
+        "args.flag(\"",
+    ];
+    let options: Vec<&str> = readers
+        .iter()
+        .flat_map(|reader| body.match_indices(reader).map(|(at, _)| at + reader.len()))
+        .map(|at| &body[at..at + body[at..].find('"').expect("a closing quote")])
+        .collect();
+    assert!(options.len() >= 12, "found only {options:?}");
+    for option in options {
+        assert!(
+            serve.contains(&format!("--{option} ")),
+            "--{option} is missing from the serve help"
+        );
+    }
+    for path in [
+        "/provision",
+        "/teardown",
+        "/fail-link",
+        "/repair-link",
+        "/state",
+        "/status",
+        "/metrics",
+        "/healthz",
+        "/debug/flight",
+        "/debug/trace",
+    ] {
+        assert!(
+            serve.contains(path),
+            "{path} is missing from the serve help"
+        );
+    }
+    assert!(!serve.contains("flushed"), "the WAL is written, not synced");
 }
 
 #[test]
@@ -699,5 +744,84 @@ fn replay_telemetry_matches_live() {
                 "replayed telemetry diverged from live run ({policy}, seed {seed})"
             );
         }
+    }
+}
+
+/// `wdm serve --resume` refuses a log recorded on another network than
+/// `--net`, before it binds, and resumes one recorded on the same network.
+#[test]
+fn serve_resume_refuses_a_log_of_another_network() {
+    use std::io::{BufRead, Read};
+    use wdm_core::network::ResidualState;
+    use wdm_serve::wal::WalSink;
+    use wdm_sim::policy::Policy;
+
+    let nsfnet = tmp("resume-nsfnet.wdm");
+    let ring = tmp("resume-ring.wdm");
+    for (preset, w, path) in [("nsfnet", "8", &nsfnet), ("ring:6", "4", &ring)] {
+        let out = wdm()
+            .args(["topology", preset, "--wavelengths", w])
+            .arg("--out")
+            .arg(path)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    // A clean log of a daemon that served nothing on NSFNET.
+    let text = std::fs::read_to_string(&nsfnet).expect("read");
+    let net = wdm_core::io::parse_network(&text).expect("parse");
+    let old = tmp("resume-old.wal.jsonl");
+    let state = ResidualState::fresh(&net);
+    let mut wal = WalSink::create(&old, &net, Policy::CostOnly, &state).expect("create");
+    wal.finalize(&state).expect("finalize");
+    let new = tmp("resume-new.wal.jsonl");
+    std::fs::remove_file(&new).ok();
+    // Starts the daemon on `net`, reads its first line of output (the
+    // bind, or nothing when it exits first) and stops it: returns that
+    // line, its exit code (`None` when it had to be killed) and stderr.
+    let resume = |net: &PathBuf| {
+        let mut daemon = wdm()
+            .args(["serve", "--port", "0", "--threads", "1"])
+            .arg("--net")
+            .arg(net)
+            .arg("--wal")
+            .arg(&new)
+            .arg("--resume")
+            .arg(&old)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        let mut first = String::new();
+        std::io::BufReader::new(daemon.stdout.take().expect("stdout"))
+            .read_line(&mut first)
+            .expect("read");
+        daemon.kill().ok();
+        let status = daemon.wait().expect("reap");
+        let mut stderr = String::new();
+        daemon
+            .stderr
+            .take()
+            .expect("stderr")
+            .read_to_string(&mut stderr)
+            .expect("read");
+        (first, status.code(), stderr)
+    };
+
+    let (first, code, stderr) = resume(&ring);
+    assert_eq!(first, "", "the daemon served another network's log");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("recorded on another network"), "{stderr}");
+    assert!(!new.exists(), "a refused resume writes no log");
+
+    let (first, _, stderr) = resume(&nsfnet);
+    assert!(first.starts_with("serving http://"), "{first}{stderr}");
+    assert!(stderr.contains("resuming from"), "{stderr}");
+    for path in [nsfnet, ring, old, new] {
+        std::fs::remove_file(path).ok();
     }
 }

@@ -6,7 +6,7 @@ use crate::wavelength::{Wavelength, WavelengthSet, MAX_WAVELENGTHS};
 use wdm_graph::{DiGraph, EdgeId, NodeId};
 
 /// Per-node payload: the wavelength-conversion switch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NodeData {
     /// Conversion capability/cost table `c_v(·,·)`.
     pub conversion: ConversionTable,
@@ -14,7 +14,7 @@ pub struct NodeData {
 
 /// Per-link payload: the wavelength complement `Λ(e)` and traversal costs
 /// `w(e, λ)`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LinkData {
     /// Wavelengths installed on the fibre (`Λ(e)`).
     pub lambda: WavelengthSet,
@@ -57,13 +57,57 @@ impl LinkData {
 /// Mutable occupancy/failure state lives in [`ResidualState`], so many
 /// concurrent simulations can share one network (the simulator's parallel
 /// replications rely on this).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WdmNetwork {
     graph: DiGraph<NodeData, LinkData>,
     num_wavelengths: usize,
 }
 
 impl WdmNetwork {
+    /// A network from its graph and `W`, checked against what every lookup
+    /// indexes by: `W` within `1..=64`, each link's `Λ(e)` within the `W`
+    /// channels and its per-wavelength costs, if any, one per channel, and
+    /// each matrix conversion table `w × w` with `w ≥ W`. Costs are not
+    /// checked. The fallible counterpart of [`NetworkBuilder`], whose
+    /// methods assert instead, for decoders of untrusted input.
+    pub fn from_parts(
+        graph: DiGraph<NodeData, LinkData>,
+        num_wavelengths: usize,
+    ) -> Result<Self, String> {
+        if !(1..=MAX_WAVELENGTHS).contains(&num_wavelengths) {
+            return Err(format!(
+                "{num_wavelengths} wavelengths, outside 1..={MAX_WAVELENGTHS}"
+            ));
+        }
+        let channels = WavelengthSet::full(num_wavelengths);
+        for (e, _, _, link) in graph.edges_iter() {
+            if !link.lambda.is_subset_of(channels) {
+                return Err(format!("link {e} installs a wavelength beyond W"));
+            }
+            if link
+                .per_lambda
+                .as_ref()
+                .is_some_and(|costs| costs.len() != num_wavelengths)
+            {
+                return Err(format!("link {e} does not have one cost per channel"));
+            }
+        }
+        for v in graph.node_ids() {
+            if let ConversionTable::Matrix { w, costs } = &graph.node(v).conversion {
+                let w = usize::from(*w);
+                if w < num_wavelengths || costs.len() != w * w {
+                    return Err(format!(
+                        "node {v}'s conversion matrix does not cover the W channels"
+                    ));
+                }
+            }
+        }
+        Ok(Self {
+            graph,
+            num_wavelengths,
+        })
+    }
+
     /// Number of wavelengths `W` in the system-wide set `Λ`.
     #[inline]
     pub fn num_wavelengths(&self) -> usize {
@@ -610,6 +654,53 @@ mod tests {
             net.conversion_cost(NodeId(1), Wavelength(0), Wavelength(3)),
             None
         );
+    }
+
+    #[test]
+    fn from_parts_refuses_what_a_lookup_would_index_past() {
+        let net = tiny();
+        let rebuilt = |w: usize, edit: &dyn Fn(&mut DiGraph<NodeData, LinkData>)| {
+            let mut g = net.graph().clone();
+            edit(&mut g);
+            WdmNetwork::from_parts(g, w)
+        };
+        assert_eq!(rebuilt(4, &|_| {}), Ok(net.clone()));
+        // W out of range, or below a link's highest channel.
+        assert!(rebuilt(0, &|_| {}).is_err());
+        assert!(rebuilt(65, &|_| {}).is_err());
+        assert!(rebuilt(3, &|_| {}).is_err());
+        // Per-wavelength costs must cover W exactly; costs are unchecked.
+        let per_lambda = |costs: Vec<f64>| {
+            move |g: &mut DiGraph<NodeData, LinkData>| {
+                let (a, c) = (NodeId(0), NodeId(1));
+                g.add_edge(
+                    a,
+                    c,
+                    LinkData {
+                        lambda: WavelengthSet::full(4),
+                        base_cost: f64::NAN,
+                        per_lambda: Some(costs.clone()),
+                    },
+                );
+            }
+        };
+        assert!(rebuilt(4, &per_lambda(vec![1.0; 4])).is_ok());
+        assert!(rebuilt(4, &per_lambda(vec![1.0; 3])).is_err());
+        // A matrix table must be square and span W.
+        let matrix = |w: u8, len: usize| {
+            move |g: &mut DiGraph<NodeData, LinkData>| {
+                g.add_node(NodeData {
+                    conversion: ConversionTable::Matrix {
+                        w,
+                        costs: vec![f64::INFINITY; len],
+                    },
+                });
+            }
+        };
+        assert!(rebuilt(4, &matrix(4, 16)).is_ok());
+        assert!(rebuilt(4, &matrix(5, 25)).is_ok());
+        assert!(rebuilt(4, &matrix(3, 9)).is_err());
+        assert!(rebuilt(4, &matrix(4, 15)).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{EdgeId, NodeId};
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct EdgeRecord<E> {
     src: NodeId,
     dst: NodeId,
@@ -31,7 +31,7 @@ struct EdgeRecord<E> {
 ///   the substrate does not forbid them.
 /// * Both out- and in-adjacency are maintained, because the paper's
 ///   auxiliary-graph construction iterates `E_in(v) × E_out(v)` per node.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DiGraph<N = (), E = ()> {
     nodes: Vec<N>,
     edges: Vec<EdgeRecord<E>>,

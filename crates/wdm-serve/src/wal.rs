@@ -44,16 +44,19 @@
 //!
 //! # Codec
 //!
-//! The header is read once per recovery and is written and read with
-//! serde, in the `.wdm` network format. Every other line goes through one
-//! private typed codec (`codec.rs`), which holds the full grammar. The
-//! writer encodes straight from the [`NetEvent`], the `&ResidualState` or
-//! the hash into one buffer the sink reuses. The reader decodes each line
-//! with a strict byte-level parser that accepts exactly the compact form
-//! `serde_json::to_string` writes for these records and nothing else:
-//! keys in order, no whitespace, canonical integers. So every line it
-//! accepts is also valid JSON of the same value, and logs written before
-//! the codec (`"wal":1`) read back unchanged.
+//! Every line, the header included, goes through one private typed codec
+//! (`codec.rs`), which holds the full grammar. The header is the network
+//! in its JSON form, the policy, the initial state and that state's hash.
+//! The writer encodes straight from the `&WdmNetwork`, the [`NetEvent`],
+//! the `&ResidualState` or the hash into one buffer the sink reuses. The
+//! reader decodes each line with a strict byte-level parser that accepts
+//! exactly the compact form `serde_json::to_string` writes for these
+//! records and nothing else: keys in order, no whitespace, canonical
+//! numbers. So every line it accepts is also valid JSON of the same value,
+//! and logs written before the codec (`"wal":1`) read back unchanged. The
+//! header decoder also rebuilds the graph and checks its adjacency lists
+//! and the checkpoint's size against it, and [`recover`] checks the
+//! header's hash against its checkpoint.
 //!
 //! [`recover`] tolerates exactly one torn line: a last line that does not
 //! decode, the signature of a kill mid-append. A line that does not decode
@@ -151,15 +154,6 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
-struct WalHeader {
-    wal: u32,
-    policy: Policy,
-    network: WdmNetwork,
-    checkpoint: ResidualState,
-    semantic_hash: u64,
-}
-
 /// The streaming [`EventSink`]: one JSON line per event, each handed to
 /// the operating system in one `write` (not synced; see the module docs).
 ///
@@ -183,25 +177,19 @@ impl WalSink {
         policy: Policy,
         checkpoint: &ResidualState,
     ) -> Result<Self, WalError> {
-        let mut out = File::create(path)?;
-        let header = WalHeader {
-            wal: 1,
-            policy,
-            network: net.clone(),
-            checkpoint: checkpoint.clone(),
-            semantic_hash: checkpoint.semantic_hash(),
-        };
-        let mut line =
-            serde_json::to_string(&header).map_err(|e| WalError::BadHeader(e.to_string()))?;
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
-        Ok(Self {
-            out,
+        let mut sink = Self {
+            out: File::create(path)?,
             line: Vec::new(),
             seq: 0,
             io_error: None,
             last_write_ns: 0,
-        })
+        };
+        let hash = checkpoint.semantic_hash();
+        sink.write_line(|out| codec::encode_header(out, net, policy, checkpoint, hash));
+        match sink.io_error.take() {
+            Some(e) => Err(WalError::Io(e)),
+            None => Ok(sink),
+        }
     }
 
     /// Events written so far.
@@ -309,19 +297,15 @@ pub fn recover(path: &Path) -> Result<WalRecovery, WalError> {
     if blank(&bytes) {
         return Err(WalError::BadHeader("empty file".into()));
     }
-    let (head, mut rest) = match bytes.iter().position(|&b| b == b'\n') {
-        Some(end) => bytes.split_at(end + 1),
-        None => (&bytes[..], &[][..]),
-    };
-
-    let header: WalHeader =
-        serde_json::from_slice(head).map_err(|e| WalError::BadHeader(e.to_string()))?;
-    if header.wal != 1 {
+    let (header, len) = codec::decode_header(&bytes).map_err(WalError::BadHeader)?;
+    if header.hash != header.checkpoint.semantic_hash() {
         return Err(WalError::BadHeader(format!(
-            "unsupported wal version {}",
-            header.wal
+            "hash {:#x} does not match the header's checkpoint ({:#x})",
+            header.hash,
+            header.checkpoint.semantic_hash()
         )));
     }
+    let mut rest = bytes.get(len + 1..).unwrap_or_default();
 
     let net = header.network;
     let mut state = header.checkpoint;

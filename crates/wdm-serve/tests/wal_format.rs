@@ -133,3 +133,37 @@ fn writer_reproduces_the_committed_fixture_byte_for_byte() {
         "the writer's bytes differ from the committed fixture"
     );
 }
+
+/// A header whose checkpoint was edited but whose recorded hash was kept
+/// is refused. With no anchor before the cut, nothing else would notice:
+/// replay would start from the forged state and end on another hash.
+#[test]
+fn a_header_whose_checkpoint_disagrees_with_its_hash_is_refused() {
+    let fixture = std::fs::read_to_string(FIXTURE).expect("read fixture");
+    let mut lines = fixture.lines();
+    let header = lines.next().expect("a header");
+    // Flip the checkpoint's last `used` mask between 0 and 1.
+    let end = header
+        .find("],\"failed\":[")
+        .expect("the checkpoint's used list");
+    let mask = header[..end].rfind([',', '[']).expect("the last used mask") + 1;
+    let flipped = if &header[mask..end] == "0" { "1" } else { "0" };
+    let forged = format!("{}{flipped}{}", &header[..mask], &header[end..]);
+    // A crash after two events, before the first anchor.
+    let events: Vec<&str> = lines.take(2).collect();
+    assert!(events.iter().all(|l| l.starts_with("{\"seq\":")));
+    let path = std::env::temp_dir().join(format!(
+        "wdm-wal-format-{}-forged.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, format!("{forged}\n{}\n", events.join("\n"))).expect("write");
+    let recovered = wal::recover(&path);
+    std::fs::remove_file(&path).ok();
+    match recovered {
+        Err(wal::WalError::BadHeader(detail)) => assert!(detail.contains("hash"), "{detail}"),
+        other => panic!(
+            "expected BadHeader, got {:?}",
+            other.map(|r| r.semantic_hash())
+        ),
+    }
+}
