@@ -918,8 +918,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let report = std::thread::scope(|s| {
         // The daemon owns this thread until shutdown; a sidecar waits for
         // the bind and prints the resolved address (so `--port 0` works
-        // for scripts). If the bind fails, `run` returns before ever
-        // publishing and the sidecar times out silently.
+        // for scripts). If `run` fails before it serves (the port is
+        // taken, say), the wait ends when `run` returns and the sidecar
+        // prints nothing.
         s.spawn(|| {
             if let Some(addr) = control.wait_addr(std::time::Duration::from_secs(5)) {
                 println!("serving http://{addr}/ (wal: {wal_path})");

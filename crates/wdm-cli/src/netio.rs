@@ -2,16 +2,42 @@
 
 use wdm_core::io::{parse_network, write_network};
 use wdm_core::network::WdmNetwork;
+use wdm_graph::DiGraph;
 
 /// Loads a network from a path; the format is chosen by extension
-/// (`.json` = serde JSON, anything else = `.wdm` text).
+/// (`.json` = serde JSON, checked like a WAL header; anything else =
+/// `.wdm` text).
 pub fn load_network(path: &str) -> Result<WdmNetwork, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if path.ends_with(".json") {
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+        let raw = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        checked(raw).map_err(|e| format!("checking {path}: {e}"))
     } else {
         parse_network(&text).map_err(|e| format!("parsing {path}: {e}"))
     }
+}
+
+/// Checks a network serde built as the WAL header decoder checks its own:
+/// every link joins two of its nodes, the adjacency lists are the ones its
+/// links make, and [`WdmNetwork::from_parts`] accepts the graph and `W`.
+/// Serde takes all of these as written, and routing indexes by them.
+fn checked(raw: WdmNetwork) -> Result<WdmNetwork, String> {
+    let g = raw.graph();
+    let n = g.node_count();
+    let mut rebuilt = DiGraph::with_capacity(n, g.edge_count());
+    for v in g.node_ids() {
+        rebuilt.add_node(g.node(v).clone());
+    }
+    for (e, src, dst, link) in g.edges_iter() {
+        if src.index() >= n || dst.index() >= n {
+            return Err(format!("link {e} joins a node outside the network"));
+        }
+        rebuilt.add_edge(src, dst, link.clone());
+    }
+    if rebuilt != *g {
+        return Err("the adjacency lists disagree with the links".into());
+    }
+    WdmNetwork::from_parts(rebuilt, raw.num_wavelengths())
 }
 
 /// Renders a network in the requested format (`wdm`, `json` or `dot`).

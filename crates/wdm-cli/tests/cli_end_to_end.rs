@@ -825,3 +825,131 @@ fn serve_resume_refuses_a_log_of_another_network() {
         std::fs::remove_file(path).ok();
     }
 }
+
+/// A second `wdm serve` on a running daemon's port and log exits 2 at
+/// once and leaves the log alone: the daemon binds before it creates (and
+/// truncates) its WAL, and the address printer stops waiting as soon as
+/// the daemon has failed.
+#[test]
+fn serve_on_a_taken_port_exits_at_once_and_keeps_the_log() {
+    use std::io::{BufRead, Read, Write};
+    use std::time::{Duration, Instant};
+
+    let net = tmp("taken-nsfnet.wdm");
+    let out = wdm()
+        .args(["topology", "nsfnet", "--wavelengths", "8"])
+        .arg("--out")
+        .arg(&net)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let wal = tmp("taken.wal.jsonl");
+    std::fs::remove_file(&wal).ok();
+    let serve = |port: &str| {
+        let mut cmd = wdm();
+        cmd.args(["serve", "--port", port, "--threads", "1"])
+            .arg("--net")
+            .arg(&net)
+            .arg("--wal")
+            .arg(&wal);
+        cmd
+    };
+    /// Stops the first daemon if an assertion fails while it serves.
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+    let mut first = Reap(
+        serve("0")
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn"),
+    );
+    let mut stdout = std::io::BufReader::new(first.0.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read");
+    let addr = line
+        .strip_prefix("serving http://")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or_else(|| panic!("no address in {line:?}"))
+        .to_string();
+    // One provision, so the log holds an event past its header.
+    let body = r#"{"src":0,"dst":9}"#;
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    write!(
+        conn,
+        "POST /provision HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut answer = String::new();
+    conn.read_to_string(&mut answer).expect("answer");
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+
+    let port = addr.rsplit(':').next().expect("a port");
+    let started = Instant::now();
+    let second = serve(port).output().expect("spawn");
+    let took = started.elapsed();
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert_eq!(second.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("in use"), "{stderr}");
+    assert!(
+        took < Duration::from_secs(1),
+        "the second daemon took {took:?} to exit"
+    );
+
+    let term = Command::new("kill")
+        .args(["-TERM", &first.0.id().to_string()])
+        .status()
+        .expect("kill");
+    assert!(term.success());
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("read");
+    assert!(first.0.wait().expect("reap").success(), "{rest}");
+    assert!(rest.contains("clean"), "{rest}");
+    let replay = wdm()
+        .arg("replay")
+        .arg(&wal)
+        .arg("--verify")
+        .output()
+        .expect("spawn");
+    assert!(
+        replay.status.success(),
+        "the first daemon's log no longer verifies: {}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
+    for path in [net, wal] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// A JSON network gets the checks a WAL header gets: a link with fewer
+/// per-wavelength costs than W is refused up front, by name, instead of
+/// panicking when routing looks a cost up.
+#[test]
+fn a_json_network_with_too_few_per_lambda_costs_is_refused() {
+    let out = wdm()
+        .args(["topology", "ring:4", "--format", "json"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    // The export lists the edges in id order, each with its costs.
+    let json = String::from_utf8(out.stdout).expect("utf-8");
+    let uniform = "\"per_lambda\": null";
+    assert!(json.contains(uniform), "{json}");
+    let path = tmp("short-per-lambda.json");
+    std::fs::write(&path, json.replacen(uniform, "\"per_lambda\": [1.0]", 1)).expect("write");
+    let out = wdm()
+        .args(["route", "--from", "0", "--to", "2"])
+        .arg("--net")
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("link 0 "), "{stderr}");
+}

@@ -235,7 +235,10 @@ impl EventSink for StateJournal {
 
 /// Applies one event. Occupations are strict (the live run's succeeded, so
 /// a rejection means the journal and state diverged); releases ignore
-/// errors exactly like the live teardown path does.
+/// errors exactly like the live teardown path does. An event naming a link
+/// outside the network or the state, or a wavelength outside the network's
+/// `W`, is refused before anything is applied: the mutators index by these
+/// ids unchecked, and a log read from disk can hold any id.
 ///
 /// Public so streaming replays (the daemon's write-ahead log, which
 /// interleaves events with checkpoint records) apply events one at a time
@@ -245,6 +248,31 @@ pub fn apply_event(
     net: &WdmNetwork,
     event: &NetEvent,
 ) -> Result<(), StateError> {
+    let links = net.link_count().min(st.link_count());
+    let link = |e: &EdgeId| {
+        if e.index() < links {
+            Ok(())
+        } else {
+            Err(StateError::UnknownLink)
+        }
+    };
+    let hop = |h: &Hop| {
+        link(&h.edge)?;
+        if h.wavelength.index() < net.num_wavelengths() {
+            Ok(())
+        } else {
+            Err(StateError::UnknownWavelength)
+        }
+    };
+    match event {
+        NetEvent::Provision { channels, .. } | NetEvent::Teardown { channels, .. } => {
+            channels.iter().try_for_each(hop)?
+        }
+        NetEvent::FailLink { link: e } | NetEvent::RepairLink { link: e } => link(e)?,
+        NetEvent::Reconfigure {
+            released, occupied, ..
+        } => released.iter().chain(occupied).try_for_each(hop)?,
+    }
     match event {
         NetEvent::Provision { channels, .. } => {
             for h in channels {
@@ -383,6 +411,42 @@ mod tests {
         assert_eq!(err.index, 1);
         assert_eq!(err.kind, "provision");
         assert_eq!(err.source, StateError::AlreadyUsed);
+    }
+
+    #[test]
+    fn events_naming_ids_outside_the_network_apply_nothing() {
+        let net = square();
+        let hop = |edge, wavelength| Hop {
+            edge: EdgeId(edge),
+            wavelength: Wavelength(wavelength),
+        };
+        for (event, refusal) in [
+            (
+                NetEvent::FailLink { link: EdgeId(8) },
+                StateError::UnknownLink,
+            ),
+            (
+                NetEvent::Provision {
+                    id: 0,
+                    channels: vec![hop(0, 0), hop(1, 4)],
+                },
+                StateError::UnknownWavelength,
+            ),
+            (
+                NetEvent::Reconfigure {
+                    id: 0,
+                    released: vec![hop(0, 0)],
+                    occupied: vec![hop(1, 0), hop(9, 0)],
+                },
+                StateError::UnknownLink,
+            ),
+        ] {
+            let mut st = ResidualState::fresh(&net);
+            st.occupy(&net, EdgeId(0), Wavelength(0)).unwrap();
+            let before = st.clone();
+            assert_eq!(apply_event(&mut st, &net, &event), Err(refusal));
+            assert_bit_identical(&st, &before, &net);
+        }
     }
 
     #[test]

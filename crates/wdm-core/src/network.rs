@@ -360,6 +360,10 @@ pub enum StateError {
     NotUsed,
     /// The link is failed.
     LinkFailed,
+    /// The link is not one of the network's (or the state's).
+    UnknownLink,
+    /// The wavelength is outside the network's `W` channels.
+    UnknownWavelength,
 }
 
 impl std::fmt::Display for StateError {
@@ -369,6 +373,8 @@ impl std::fmt::Display for StateError {
             StateError::AlreadyUsed => "wavelength already in use on link",
             StateError::NotUsed => "wavelength not in use on link",
             StateError::LinkFailed => "link is failed",
+            StateError::UnknownLink => "link outside the network",
+            StateError::UnknownWavelength => "wavelength outside the network's W channels",
         };
         f.write_str(s)
     }

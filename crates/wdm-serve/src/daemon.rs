@@ -23,7 +23,9 @@
 //! a mutation that landed after the route was computed — then
 //! [`NetProvisioner::try_commit`] refuses it before touching anything and
 //! the worker re-routes *under the write lock*, where the state cannot
-//! move.
+//! move, on its own context: that context routed the same request moments
+//! ago, so its sync catches up only on the links the conflicting mutation
+//! changed. The provisioner's own context is never used, so never built.
 //!
 //! Every mutation moves the state's change clocks forward and a refused
 //! commit moves nothing, so each warm context catches up through the
@@ -47,22 +49,22 @@
 //! flight ring (`/debug/flight`). With `--trace`, each worker additionally
 //! owns a live [`SpanBuffer`] on a shared clock domain and times the full
 //! request lifecycle — queue wait, admission, lock acquires, the route
-//! phases, commit, the WAL append (the `wal_fsync` span), the re-route
-//! after a conflict — draining closed spans into the [`Diag`] span ring
-//! (`/debug/trace?n=K`, Chrome `trace_event` format) after every request.
-//! At clean shutdown the flight dump is written as a `wdm trace
-//! analyze`-compatible trace file.
+//! phases (a re-route's too), commit, the WAL append (the `wal_fsync`
+//! span), a commit refused by a conflict — draining closed spans into the
+//! [`Diag`] span ring (`/debug/trace?n=K`, Chrome `trace_event` format)
+//! after every request. At clean shutdown the flight dump is written as a
+//! `wdm trace analyze`-compatible trace file.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use wdm_core::aux_engine::RouterCtx;
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_graph::{EdgeId, NodeId};
-use wdm_sim::policy::Policy;
+use wdm_sim::policy::{Policy, ProvisionedRoute};
 use wdm_sim::provisioner::{NetProvisioner, Provisioner};
 use wdm_telemetry::{
     Counter, FlightRecord, Hist, MonotonicClock, NoopRecorder, NoopTracer, Phase, Recorder,
@@ -138,8 +140,29 @@ impl ServeConfig {
 pub struct Control {
     shutdown: AtomicBool,
     crash: AtomicBool,
-    addr: Mutex<Option<SocketAddr>>,
-    addr_ready: Condvar,
+    listening: Mutex<Listening>,
+    listening_changed: Condvar,
+}
+
+/// How far [`run`] has got, as [`Control::wait_addr`] sees it.
+#[derive(Default)]
+enum Listening {
+    /// Not bound yet.
+    #[default]
+    Starting,
+    /// Serving on this address.
+    At(SocketAddr),
+    /// [`run`] has returned, whether it served or failed first.
+    Gone,
+}
+
+/// Marks the daemon gone when [`run`] returns, however it returns.
+struct GoneOnDrop<'a>(&'a Control);
+
+impl Drop for GoneOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.publish(Listening::Gone);
+    }
 }
 
 impl Control {
@@ -171,27 +194,42 @@ impl Control {
         self.crash.load(Ordering::SeqCst)
     }
 
-    /// Blocks until the daemon has bound its listener, returning the
-    /// actual address (resolves `:0`). `None` on timeout.
+    /// Blocks until the daemon serves, returning the address it bound
+    /// (resolves `:0`). `None` on timeout, and as soon as [`run`] has
+    /// returned: a daemon that failed before it bound never serves.
     pub fn wait_addr(&self, timeout: Duration) -> Option<SocketAddr> {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.addr.lock().unwrap();
+        // Every update is one assignment, so a poisoned lock still holds a
+        // valid value.
+        let mut guard = self
+            .listening
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(addr) = *guard {
-                return Some(addr);
+            match *guard {
+                Listening::At(addr) => return Some(addr),
+                Listening::Gone => return None,
+                Listening::Starting => {}
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (g, _) = self.addr_ready.wait_timeout(guard, deadline - now).unwrap();
+            let (g, _) = self
+                .listening_changed
+                .wait_timeout(guard, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
             guard = g;
         }
     }
 
-    fn publish_addr(&self, addr: SocketAddr) {
-        *self.addr.lock().unwrap() = Some(addr);
-        self.addr_ready.notify_all();
+    /// Never panics: [`GoneOnDrop`] calls it while `run` may be unwinding.
+    fn publish(&self, listening: Listening) {
+        *self
+            .listening
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = listening;
+        self.listening_changed.notify_all();
     }
 }
 
@@ -275,10 +313,18 @@ pub fn run(
     cfg: &ServeConfig,
     control: &Control,
 ) -> Result<ServeReport, WalError> {
+    let _gone = GoneOnDrop(control);
     if cfg.handle_signals {
         signal::install(signal::SIGINT);
         signal::install(signal::SIGTERM);
     }
+
+    // Bind before creating the WAL, which truncates its file: a daemon that
+    // cannot bind (a second one on the same port and log) must not destroy
+    // the log the first one is writing.
+    let listener = TcpListener::bind(&cfg.addr).map_err(WalError::Io)?;
+    listener.set_nonblocking(true).map_err(WalError::Io)?;
+    let addr = listener.local_addr().map_err(WalError::Io)?;
 
     let initial = cfg
         .resume_state
@@ -299,10 +345,7 @@ pub fn run(
     // One clock domain for every worker's span buffer, so interleaved
     // requests line up on a common timeline in `/debug/trace`.
     let clock = MonotonicClock::default();
-
-    let listener = TcpListener::bind(&cfg.addr).map_err(WalError::Io)?;
-    listener.set_nonblocking(true).map_err(WalError::Io)?;
-    control.publish_addr(listener.local_addr().map_err(WalError::Io)?);
+    control.publish(Listening::At(addr));
 
     std::thread::scope(|s| {
         let (prov, sink, queue, diag) = (&prov, &sink, &queue, &diag);
@@ -383,8 +426,8 @@ pub fn run(
 }
 
 /// The daemon's one provisioner. Workers route on their own instrumented
-/// contexts; the provisioner's own context serves only conflict re-routes
-/// under the write lock and records nothing. Every mutation goes to the WAL.
+/// contexts, conflict re-routes included, so the provisioner's own context
+/// is never routed on and records nothing. Every mutation goes to the WAL.
 type Prov<'a> = NetProvisioner<'a, NoopRecorder, WalSink, NoopTracer>;
 
 #[allow(clippy::too_many_arguments)]
@@ -541,11 +584,8 @@ fn dispatch<WT: WorkerTracer>(
             };
             let footprint_links = route.footprint().links.len() as u32;
 
-            // Commit under the write lock. The state may have moved since
-            // the route was computed; try_commit refuses a conflicting
-            // route without touching the state, after which we re-route
-            // and commit in place — the write lock guarantees no further
-            // movement.
+            // Commit under the write lock, re-routing on this worker's
+            // context if the state moved since the route was computed.
             // The acquire span opens as soon as the route is in hand
             // (`t_route1`), so the read-unlock and footprint bookkeeping
             // above tile into it rather than into an attribution gap.
@@ -559,31 +599,7 @@ fn dispatch<WT: WorkerTracer>(
             tracer.record_span(Phase::LockAcquire, t_route1, t_wl1);
             let seq_before = guard.journal_seq();
             let commit_wall = Instant::now();
-            let t_c0 = tracer.now_ns();
-            let outcome = match guard.try_commit(s, t, route) {
-                Ok(id) => {
-                    close_commit_spans(sink, tracer, guard.journal_mut(), t_c0);
-                    Some(id)
-                }
-                Err(_conflict) => {
-                    sink.add(Counter::ServeConflictRetries, 1);
-                    match guard.route(s, t) {
-                        Ok(route) => {
-                            // The refused commit and the re-route are
-                            // both conflict fallout.
-                            let t_rr1 = tracer.now_ns();
-                            tracer.record_span(Phase::Reroute, t_c0, t_rr1);
-                            let id = guard.commit(s, t, route);
-                            close_commit_spans(sink, tracer, guard.journal_mut(), t_rr1);
-                            Some(id)
-                        }
-                        Err(_) => {
-                            tracer.record_span(Phase::Reroute, t_c0, tracer.now_ns());
-                            None
-                        }
-                    }
-                }
-            };
+            let outcome = commit_or_reroute(&mut guard, ctx, s, t, route);
             // Respond opens here: post-commit bookkeeping (cost lookup,
             // checkpoint cadence, lock release) tiles into the span that
             // ends when the response hits the socket.
@@ -800,6 +816,41 @@ fn dispatch<WT: WorkerTracer>(
     }
 }
 
+/// Commits `route` for `(s, t)`, or re-routes and commits when a mutation
+/// that landed since the route was computed makes `try_commit` refuse it.
+/// The caller holds the write lock, so the state cannot move between the
+/// re-route and its commit. The re-route runs on `ctx`, the worker's
+/// context that routed this request moments ago, so its sync catches up
+/// only on the links the conflicting mutation changed. Returns the
+/// connection id, or `None` when the re-route finds no route.
+///
+/// Spans: the refused commit is `reroute`, the re-route's search records
+/// its routing phases into the same request, and the commit that lands is
+/// `commit` plus `wal_fsync`.
+fn commit_or_reroute<T: Tracer>(
+    prov: &mut Prov<'_>,
+    ctx: &mut RouterCtx<&TelemetrySink, &T>,
+    s: NodeId,
+    t: NodeId,
+    route: ProvisionedRoute,
+) -> Option<u64> {
+    let (sink, tracer) = (*ctx.recorder(), *ctx.tracer());
+    let t_c0 = tracer.now_ns();
+    if let Ok(id) = prov.try_commit(s, t, route) {
+        close_commit_spans(sink, tracer, prov.journal_mut(), t_c0);
+        return Some(id);
+    }
+    sink.add(Counter::ServeConflictRetries, 1);
+    tracer.record_span(Phase::Reroute, t_c0, tracer.now_ns());
+    let rerouted = prov
+        .policy()
+        .reroute_ctx(ctx, prov.net(), prov.state(), s, t);
+    let t_rr1 = tracer.now_ns();
+    let id = prov.commit(s, t, rerouted.ok()?);
+    close_commit_spans(sink, tracer, prov.journal_mut(), t_rr1);
+    Some(id)
+}
+
 /// Closes the commit/WAL span pair for a journalled mutation that
 /// started (on the tracer clock) at `start_ns`: the WAL encode+write time
 /// reported by the journal is carved off the tail of the measured stretch,
@@ -895,5 +946,85 @@ fn maybe_checkpoint(guard: &mut Prov<'_>, every: u64, diag: &Diag) {
         let snapshot = guard.state().clone();
         guard.journal_mut().checkpoint(&snapshot);
         diag.note_checkpoint(seq);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wdm_core::network::NetworkBuilder;
+
+    /// A commit made stale by a conflicting one re-routes on the worker's
+    /// context: it commits the route the policy computes on the state the
+    /// conflict left, the WAL replays to the live hash, the request is
+    /// counted once while the re-route's search is counted, and the
+    /// re-route's spans land in the same request without overlapping.
+    #[test]
+    fn a_refused_commit_reroutes_on_the_workers_context() {
+        let net = NetworkBuilder::nsfnet(8).build();
+        let policy = Policy::Joint {
+            a: std::f64::consts::E,
+        };
+        let path = std::env::temp_dir().join(format!(
+            "wdm-daemon-reroute-{}.wal.jsonl",
+            std::process::id()
+        ));
+        let initial = ResidualState::fresh(&net);
+        let wal = WalSink::create(&path, &net, policy, &initial).expect("create");
+        let mut prov: Prov<'_> =
+            NetProvisioner::with_parts(&net, policy, initial, RouterCtx::new(), wal);
+        let sink = TelemetrySink::new();
+        let spans = SpanBuffer::new();
+        let mut ctx = RouterCtx::with_recorder_and_tracer(&sink, &spans);
+        let (s, t) = (NodeId(0), NodeId(9));
+
+        let route = policy
+            .route_ctx(&mut ctx, &net, prov.state(), s, t)
+            .expect("routable");
+        // Another worker routed the same request on the same state and
+        // committed first.
+        prov.try_commit(s, t, route.clone()).expect("fits");
+        let expected = policy.route(&net, prov.state(), s, t).expect("routable");
+        let searches = sink.counter(Counter::SuurballeSearches);
+
+        let id = commit_or_reroute(&mut prov, &mut ctx, s, t, route).expect("re-routed");
+        assert_eq!(prov.connection(id).expect("committed").route, expected);
+
+        let recovered = crate::wal::recover(&path).expect("recover");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(recovered.seq, prov.journal_seq());
+        assert_eq!(recovered.semantic_hash(), prov.semantic_hash());
+
+        assert_eq!(sink.counter(Counter::ServeConflictRetries), 1);
+        assert!(sink.counter(Counter::SuurballeSearches) > searches);
+        let requests =
+            sink.counter(Counter::RequestsRouted) + sink.counter(Counter::RequestsBlocked);
+        assert_eq!(requests, 1, "the request is counted once");
+
+        assert_eq!(spans.requests_begun(), 1);
+        let mut records = spans.records();
+        assert!(records.iter().all(|r| r.request == 0));
+        let phases: Vec<Phase> = records.iter().map(|r| r.phase).collect();
+        for phase in [Phase::Reroute, Phase::Commit, Phase::WalFsync] {
+            assert_eq!(
+                phases.iter().filter(|&&p| p == phase).count(),
+                1,
+                "{phase:?}"
+            );
+        }
+        assert_eq!(
+            phases.iter().filter(|&&p| p == Phase::SuurballeP1).count(),
+            2,
+            "the route and the re-route each search: {phases:?}"
+        );
+        records.sort_by_key(|r| (r.start_ns, r.end_ns));
+        for pair in records.windows(2) {
+            assert!(
+                pair[0].end_ns <= pair[1].start_ns,
+                "{:?} overlaps {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
     }
 }

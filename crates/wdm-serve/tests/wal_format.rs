@@ -167,3 +167,49 @@ fn a_header_whose_checkpoint_disagrees_with_its_hash_is_refused() {
         ),
     }
 }
+
+/// Recovers the fixture's header followed by one event line, `event` at
+/// seq 1.
+fn recover_header_and(tag: &str, event: &str) -> Result<wal::WalRecovery, wal::WalError> {
+    let fixture = std::fs::read_to_string(FIXTURE).expect("read fixture");
+    let header = fixture.lines().next().expect("a header");
+    let path =
+        std::env::temp_dir().join(format!("wdm-wal-format-{}-{tag}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        format!("{header}\n{{\"seq\":1,\"event\":{event}}}\n"),
+    )
+    .expect("write");
+    let recovered = wal::recover(&path);
+    std::fs::remove_file(&path).ok();
+    recovered
+}
+
+fn assert_replay_refused(recovered: Result<wal::WalRecovery, wal::WalError>, why: &str) {
+    match recovered {
+        Err(wal::WalError::Replay { seq: 1, detail }) => assert!(detail.contains(why), "{detail}"),
+        other => panic!(
+            "expected a refused replay at seq 1, got {:?}",
+            other.map(|r| r.semantic_hash())
+        ),
+    }
+}
+
+/// The fixture's network has 42 links, and the state's mutators index
+/// their per-link flags by the id unchecked.
+#[test]
+fn an_event_on_a_link_outside_the_network_is_refused() {
+    let recovered = recover_header_and("link", "{\"FailLink\":{\"link\":99999}}");
+    assert_replay_refused(recovered, "link outside the network");
+}
+
+/// The fixture's network has W = 8, and the channel masks are shifted by
+/// the wavelength: in a release build wavelength 65 would alias channel 1.
+#[test]
+fn a_hop_on_a_wavelength_beyond_w_is_refused() {
+    let recovered = recover_header_and(
+        "wavelength",
+        "{\"Provision\":{\"id\":0,\"channels\":[{\"edge\":0,\"wavelength\":65}]}}",
+    );
+    assert_replay_refused(recovered, "wavelength outside");
+}

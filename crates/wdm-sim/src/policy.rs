@@ -191,6 +191,23 @@ impl Policy {
         result
     }
 
+    /// Routes `(s, t)` again inside the request the tracer already has
+    /// open: [`Policy::route_ctx`] without opening a span ordinal and
+    /// without the request-level bookkeeping. The daemon re-routes a
+    /// refused commit with it on the context that routed the request, so
+    /// the search spans land in that request and the request is counted
+    /// once; the engines' own counters still count the search.
+    pub fn reroute_ctx<R: Recorder, T: Tracer>(
+        &self,
+        ctx: &mut RouterCtx<R, T>,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        s: NodeId,
+        t: NodeId,
+    ) -> Result<ProvisionedRoute, RoutingError> {
+        self.dispatch(ctx, net, state, s, t)
+    }
+
     fn dispatch<R: Recorder, T: Tracer>(
         &self,
         ctx: &mut RouterCtx<R, T>,

@@ -3,11 +3,13 @@
 //! The daemon routes on several worker contexts against one shared state
 //! and commits later through [`NetProvisioner::try_commit`]; a route that
 //! another worker's commit, a teardown, a fibre cut or a repair made stale
-//! is refused and re-routed in place. This test drives that interleaving
-//! serially from a seed. A refused commit changes nothing, so after every
-//! operation each warm context — both workers' and the provisioner's own —
-//! routes exactly as a fresh one does (same channels, same cost bits), and
-//! the journal replays to the live state, change clocks included.
+//! is refused and re-routed in place on the worker's own context. This
+//! test drives that interleaving serially from a seed. A refused commit
+//! changes nothing, so every re-route and, after every operation, each
+//! warm context — both workers' and the provisioner's own, which failure
+//! recovery routes on — routes exactly as a fresh one does (same channels,
+//! same cost bits), and the journal replays to the live state, change
+//! clocks included.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -96,7 +98,8 @@ fn run(net: &WdmNetwork, policy: Policy, seed: u64) -> [usize; 2] {
                 workers[w].pending = routed.ok().map(|r| (s, t, r));
             }
             // ...and otherwise commits under the "write lock", re-routing
-            // in place when the route went stale, as the daemon does.
+            // in place on its own context when the route went stale, as
+            // the daemon does.
             0..=5 => {
                 let (s, t, route) = workers[w].pending.take().expect("guarded above");
                 match p.try_commit(s, t, route) {
@@ -107,7 +110,15 @@ fn run(net: &WdmNetwork, policy: Policy, seed: u64) -> [usize; 2] {
                             StateError::LinkFailed => conflicts[1] += 1,
                             other => panic!("unexpected conflict {other:?} {at}"),
                         }
-                        if let Ok(route) = p.route(s, t) {
+                        let rerouted =
+                            policy.reroute_ctx(&mut workers[w].ctx, net, p.state(), s, t);
+                        let cold = policy.route(net, p.state(), s, t);
+                        assert_eq!(
+                            key(rerouted.clone()),
+                            key(cold),
+                            "worker {w} re-routed {at}"
+                        );
+                        if let Ok(route) = rerouted {
                             live.push(p.commit(s, t, route));
                         }
                     }

@@ -68,8 +68,9 @@ pub enum Phase {
     LockAcquire,
     /// Daemon: appending the journal event to the WAL and flushing it.
     WalFsync,
-    /// Daemon: a commit refused because the route went stale, plus the
-    /// re-route under the write lock (the re-commit is [`Phase::Commit`]).
+    /// Daemon: a commit refused because the route went stale. The re-route
+    /// under the write lock that follows records its own routing phases
+    /// into the same request, and the re-commit is [`Phase::Commit`].
     Reroute,
     /// Daemon: serialising the response and writing it to the socket.
     Respond,
