@@ -896,6 +896,11 @@ fn serve_on_a_taken_port_exits_at_once_and_keeps_the_log() {
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert_eq!(second.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("in use"), "{stderr}");
+    // A bind failure, not a log failure: the first daemon's log is fine.
+    assert!(
+        stderr.contains("bind") && !stderr.contains("wal"),
+        "{stderr}"
+    );
     assert!(
         took < Duration::from_secs(1),
         "the second daemon took {took:?} to exit"

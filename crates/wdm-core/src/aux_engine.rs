@@ -3,22 +3,30 @@
 //!
 //! `AuxGraph::build` reconstructs the full auxiliary graph — nodes, arcs,
 //! `O(W²)` conversion averages — for every request and every threshold
-//! probe. [`AuxEngine`] splits that work by change frequency:
+//! probe. The engine splits that work by change frequency:
 //!
-//! * **Skeleton (once per network × spec family).** Edge-nodes for *all*
-//!   physical links, their traversal arcs, every conversion arc that could
-//!   ever exist (pairs `(e_in, e_out)` with at least one allowed conversion
-//!   under the links' *full* wavelength sets — availability only shrinks
-//!   those sets, so no other pair can ever appear), and both terminal tap
-//!   slots per link. Arcs are laid out in the same relative order as the
-//!   scratch builder emits them, which makes the enabled subset a
-//!   subsequence of the scratch graph's arc list.
+//! * **Skeleton (once per network).** A [`Skeleton`] holds edge-nodes for
+//!   *all* physical links, their traversal arcs, every conversion arc that
+//!   could ever exist (pairs `(e_in, e_out)` with at least one allowed
+//!   conversion under the links' *full* wavelength sets — availability only
+//!   shrinks those sets, so no other pair can ever appear), and both
+//!   terminal tap slots per link. It depends on the network only, never on
+//!   an [`AuxSpec`], so one `Arc<Skeleton>` serves every [`AuxEngine`] over
+//!   the network: a [`RouterCtx`]'s five engine slots share one, and so do
+//!   the `wdm serve` daemon's workers. Arcs are laid out in the same
+//!   relative order as the scratch builder emits them, which makes the
+//!   enabled subset a subsequence of the scratch graph's arc list.
 //! * **Weight refresh (per dirty link).** [`ResidualState`] stamps every
 //!   mutated link with its monotone change clock; [`AuxEngine::sync`]
 //!   recomputes traversal weights, conversion averages and admission only
 //!   for links stamped after the engine's last sync. The summation loops are
 //!   verbatim copies of the scratch builder's, so refreshed weights are
 //!   bit-identical to a from-scratch build.
+//! * **Full refresh (first sync, [`AuxEngine::invalidate`], a state clock
+//!   that went backwards).** One sequential pass: every link's availability
+//!   once, then every link's traversal weight and admission, then every
+//!   conversion arc once, in emission order. It calls the same per-arc
+//!   helpers as the dirty refresh; the two differ only in visiting order.
 //! * **Admission mask (per threshold change).** Thresholds affect only
 //!   which links are admitted, never any weight, so
 //!   [`AuxEngine::set_threshold`] flags the mask for an `O(m)` admission
@@ -28,9 +36,11 @@
 //!   bits of the old and new terminals' tap arcs; nothing else moves.
 //!
 //! The skeleton exists only as flat CSR arrays: per-arc tail, head and
-//! kind, per-node slot ranges, and slot-ordered weight/enabled mirrors.
-//! Node ids follow a fixed layout — `0` is `s'`, `1` is `t''`, and
-//! `2 + 2e` / `3 + 2e` are the out/in edge-nodes of link `e`.
+//! kind, per-node slot ranges, and a flat link → conversion-arc index. An
+//! engine holds the rest: slot-ordered weight/enabled mirrors, admission,
+//! the conversion counts `K_v` and the sink bound. Node ids follow a fixed
+//! layout — `0` is `s'`, `1` is `t''`, and `2 + 2e` / `3 + 2e` are the
+//! out/in edge-nodes of link `e`.
 //!
 //! Because disabled arcs are filtered (not removed), searches run over a
 //! graph whose enabled arcs appear in the same relative order with the same
@@ -57,8 +67,12 @@
 //! went *backwards* (a fresh or deserialized state) is detected and handled
 //! by a full refresh.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, InLinks, ThresholdBasis};
 use crate::network::{ResidualState, WdmNetwork};
+use crate::wavelength::WavelengthSet;
 use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, SearchArena};
 use wdm_heap::{DaryHeap, MinQueue};
@@ -126,6 +140,29 @@ fn node_kind(v: u32) -> AuxNode {
     }
 }
 
+/// Groups `items` (`(row, value)` pairs) by row, stably: row `r` holds
+/// `values[off[r]..off[r + 1]]` in the order `items` yields them. `items`
+/// is called twice, to count and then to place. Returns `(off, values)`.
+fn group_rows<I: Iterator<Item = (usize, u32)>>(
+    rows: usize,
+    items: impl Fn() -> I,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; rows + 1];
+    for (r, _) in items() {
+        off[r + 1] += 1;
+    }
+    for r in 0..rows {
+        off[r + 1] += off[r];
+    }
+    let mut next = off[..rows].to_vec();
+    let mut values = vec![0u32; off[rows] as usize];
+    for (r, v) in items() {
+        values[next[r] as usize] = v;
+        next[r] += 1;
+    }
+    (off, values)
+}
+
 /// One potential conversion arc `v_in^{e_in} → v_out^{e_out}` of the
 /// skeleton.
 #[derive(Debug, Clone, Copy)]
@@ -138,31 +175,230 @@ struct ConvSlot {
     ein: EdgeId,
     /// Outgoing physical link.
     eout: EdgeId,
-    /// `K_v`: allowed conversion pairs under *current* availability (0 ⇒
-    /// the arc is disabled regardless of admission).
-    k: u32,
 }
 
-/// Incremental auxiliary-graph engine. See the module docs.
-#[derive(Debug, Clone)]
-pub struct AuxEngine {
-    spec: AuxSpec,
+/// The part of the auxiliary graph fixed by the network alone: every
+/// edge-node, every traversal, conversion and tap arc that could ever be
+/// enabled, as CSR arrays, plus the physical adjacency the sink bound
+/// walks. Built once per network and shared, behind an [`Arc`], by every
+/// [`AuxEngine`] over it, whatever its [`AuxSpec`]. See the module docs.
+#[derive(Debug)]
+pub struct Skeleton {
+    /// `(node_count, link_count)` of the network the skeleton was built for.
+    fingerprint: (usize, usize),
     /// Arc-id layout: the traversal arc of link `e` is `e`, the conversion
     /// arcs follow, then the source taps (`tap_base + e`) and the sink taps
     /// (`tap_base + m + e`).
     tap_base: usize,
     /// Semantic role per arc id (physical map-back reads the traversals).
     arc_kind: Vec<AuxArc>,
-    /// All potential conversion arcs, in skeleton emission order.
+    /// Tail / head aux node per arc id.
+    arc_src: Vec<u32>,
+    arc_dst: Vec<u32>,
+    /// All potential conversion arcs, in emission order.
     conv: Vec<ConvSlot>,
-    /// Per physical link: indices into `conv` of the slots touching it.
-    conv_of_link: Vec<Vec<u32>>,
+    /// Flat link → conversion index: the slots touching link `e` are
+    /// `link_conv[link_conv_off[e]..link_conv_off[e + 1]]`, ascending.
+    link_conv_off: Vec<u32>,
+    link_conv: Vec<u32>,
+    /// Row offsets per aux node (`len == node_count + 1`).
+    csr_off: Vec<u32>,
+    /// Destination aux node per CSR slot.
+    csr_head: Vec<u32>,
+    /// Skeleton arc id per CSR slot.
+    csr_arc: Vec<u32>,
+    /// CSR slot per arc id (inverse of `csr_arc`).
+    arc_slot: Vec<u32>,
+    /// The physical in-link adjacency the sink bound's Dijkstra walks.
+    in_links: InLinks,
+    /// Head node per physical link.
+    link_head: Vec<u32>,
+}
+
+impl Skeleton {
+    /// Builds the skeleton of `net`. No state or spec is consulted.
+    pub fn new(net: &WdmNetwork) -> Self {
+        let g = net.graph();
+        let m = net.link_count();
+        // Traversal arcs for every link come first, in link order —
+        // matching the scratch builder's emission order over its admitted
+        // subset.
+        let mut arc_src: Vec<u32> = (0..m).map(out_node).collect();
+        let mut arc_dst: Vec<u32> = (0..m).map(in_node).collect();
+        let mut arc_kind: Vec<AuxArc> =
+            (0..m).map(|e| AuxArc::Traversal(EdgeId::from(e))).collect();
+
+        // Potential conversion arcs: same (node, e_in, e_out) loop order as
+        // the scratch builder, existence decided on the links' full
+        // wavelength sets. Availability is a subset of those sets and the
+        // conversion table is static, so a pair with no allowed conversion
+        // here can never gain one.
+        let mut conv: Vec<ConvSlot> = Vec::new();
+        for v in g.node_ids() {
+            let table = net.conversion(v);
+            for &ein in g.in_edges(v) {
+                let lambda_in = net.lambda(ein);
+                for &eout in g.out_edges(v) {
+                    let lambda_out = net.lambda(eout);
+                    let possible = lambda_in
+                        .iter()
+                        .any(|la| lambda_out.iter().any(|lb| table.allows(la, lb)));
+                    if !possible {
+                        continue;
+                    }
+                    conv.push(ConvSlot {
+                        arc: arc_src.len() as u32,
+                        node: v,
+                        ein,
+                        eout,
+                    });
+                    arc_src.push(in_node(ein.index()));
+                    arc_dst.push(out_node(eout.index()));
+                    arc_kind.push(AuxArc::Conversion(v));
+                }
+            }
+        }
+
+        // Tap slots for every link; the scratch builder emits source taps
+        // (in link order) before sink taps, so both groups stay ordered.
+        let tap_base = arc_src.len();
+        arc_src.extend(std::iter::repeat_n(SOURCE, m));
+        arc_dst.extend((0..m).map(out_node));
+        arc_src.extend((0..m).map(in_node));
+        arc_dst.extend(std::iter::repeat_n(SINK, m));
+        arc_kind.extend(std::iter::repeat_n(AuxArc::Tap, 2 * m));
+
+        // Each slot is listed under both of its links, in slot order.
+        let (link_conv_off, link_conv) = group_rows(m, || {
+            conv.iter().enumerate().flat_map(|(ci, c)| {
+                let ci = ci as u32;
+                std::iter::once((c.ein.index(), ci))
+                    .chain((c.eout != c.ein).then_some((c.eout.index(), ci)))
+            })
+        });
+
+        // CSR layout by a stable counting sort on the tail. Arcs are placed
+        // in id order, so each node's slots hold its arcs in ascending id —
+        // the order the scratch graph's adjacency lists yield them in,
+        // which is what keeps relaxation order and every Dijkstra tie
+        // identical to the scratch oracle.
+        let (csr_off, csr_arc) = group_rows(2 + 2 * m, || {
+            arc_src
+                .iter()
+                .enumerate()
+                .map(|(a, &u)| (u as usize, a as u32))
+        });
+        let csr_head = csr_arc.iter().map(|&a| arc_dst[a as usize]).collect();
+        let mut arc_slot = vec![0u32; csr_arc.len()];
+        for (slot, &a) in csr_arc.iter().enumerate() {
+            arc_slot[a as usize] = slot as u32;
+        }
+
+        Self {
+            fingerprint: (g.node_count(), m),
+            tap_base,
+            arc_kind,
+            arc_src,
+            arc_dst,
+            conv,
+            link_conv_off,
+            link_conv,
+            csr_off,
+            csr_head,
+            csr_arc,
+            arc_slot,
+            in_links: InLinks::new(net),
+            link_head: g.edge_ids().map(|e| g.dst(e).index() as u32).collect(),
+        }
+    }
+
+    /// Whether this skeleton was built for (a network shaped like) `net`.
+    /// A cheap guard, not a content hash: use one skeleton per network.
+    pub(crate) fn matches(&self, net: &WdmNetwork) -> bool {
+        self.fingerprint == (net.graph().node_count(), net.link_count())
+    }
+
+    /// Indices into `link_conv` of the conversion slots touching link `e`.
+    #[inline]
+    fn convs_of(&self, e: usize) -> Range<usize> {
+        self.link_conv_off[e] as usize..self.link_conv_off[e + 1] as usize
+    }
+}
+
+/// The traversal weight of link `e` with availability `avail` under
+/// `weights`: the scratch builder's formula, summation loop for summation
+/// loop.
+fn traversal_weight(
+    weights: AuxWeights,
+    net: &WdmNetwork,
+    state: &ResidualState,
+    e: EdgeId,
+    avail: WavelengthSet,
+) -> f64 {
+    if avail.is_empty() {
+        // Never enabled (empty availability fails admission under every
+        // threshold); avoid the 0/0 in the average formulas.
+        return 0.0;
+    }
+    match weights {
+        AuxWeights::AverageCost => {
+            avail.iter().map(|l| net.link_cost(e, l)).sum::<f64>() / avail.count() as f64
+        }
+        AuxWeights::AverageCostOverN => {
+            avail.iter().map(|l| net.link_cost(e, l)).sum::<f64>() / net.capacity(e) as f64
+        }
+        AuxWeights::CongestionExp { a } => {
+            let n = net.capacity(e) as f64;
+            let u = state.used_count(e) as f64;
+            a.powf((u + 1.0) / n) - a.powf(u / n)
+        }
+    }
+}
+
+/// `K_v` of one conversion slot under the given availabilities, and its
+/// arc weight under `weights` (meaningful only when `K_v > 0`): the scratch
+/// builder's formula, summation loop for summation loop.
+fn conversion_average(
+    weights: AuxWeights,
+    net: &WdmNetwork,
+    slot: ConvSlot,
+    avail_in: WavelengthSet,
+    avail_out: WavelengthSet,
+) -> (u32, f64) {
+    let table = net.conversion(slot.node);
+    let mut total = 0.0;
+    let mut k = 0usize;
+    for la in avail_in.iter() {
+        for lb in avail_out.iter() {
+            if let Some(c) = table.cost(la, lb) {
+                total += c;
+                k += 1;
+            }
+        }
+    }
+    let w = match weights {
+        // No allowed pair: the arc stays disabled and its weight unread.
+        _ if k == 0 => 0.0,
+        AuxWeights::CongestionExp { .. } => 0.0,
+        _ => total / k as f64,
+    };
+    (k as u32, w)
+}
+
+/// Incremental auxiliary-graph engine: the per-spec state over a shared
+/// [`Skeleton`]. See the module docs.
+#[derive(Debug, Clone)]
+pub struct AuxEngine {
+    skel: Arc<Skeleton>,
+    spec: AuxSpec,
     /// Per skeleton arc: participates in the current auxiliary graph.
     enabled: Vec<bool>,
     /// Per physical link: admitted under the current state + threshold.
     admitted: Vec<bool>,
-    /// `(node_count, link_count)` of the network the skeleton was built for.
-    fingerprint: (usize, usize),
+    /// Per conversion slot: `K_v`, the allowed conversion pairs under
+    /// *current* availability (0 ⇒ the arc is disabled regardless of
+    /// admission).
+    conv_k: Vec<u32>,
     /// State change clock at the last sync.
     synced_clock: u64,
     ever_synced: bool,
@@ -176,18 +412,7 @@ pub struct AuxEngine {
     conv_stamp: Vec<u64>,
     pass: u64,
 
-    // ---- CSR layout (the skeleton's only representation) ----
-    /// Row offsets per aux node (`len == node_count + 1`).
-    csr_off: Vec<u32>,
-    /// Destination aux node per CSR slot.
-    csr_head: Vec<u32>,
-    /// Skeleton arc id per CSR slot.
-    csr_arc: Vec<u32>,
-    /// CSR slot per arc id (inverse of `csr_arc`).
-    arc_slot: Vec<u32>,
-    /// Tail / head aux node per arc id.
-    arc_src: Vec<u32>,
-    arc_dst: Vec<u32>,
+    // ---- Weights over the skeleton's CSR layout ----
     /// Weight per arc id (meaningful only while the arc is enabled).
     arc_weight: Vec<f64>,
     /// Whether the arc's weight is exactly its certified key over
@@ -207,10 +432,6 @@ pub struct AuxEngine {
     max_key: u64,
 
     // ---- Sink bound (recomputed by every search) ----
-    /// The physical in-link adjacency the bound's Dijkstra walks.
-    in_links: InLinks,
-    /// Head node per physical link.
-    link_head: Vec<u32>,
     /// `D(v)`: distance from physical node `v` to the current sink over the
     /// admitted links, as of the last search.
     sink_dist: Vec<f64>,
@@ -220,140 +441,41 @@ pub struct AuxEngine {
 }
 
 impl AuxEngine {
-    /// Builds the skeleton for `net` under `spec`. No state is consulted;
-    /// call [`AuxEngine::sync`] before searching.
+    /// Builds a skeleton for `net` and an engine over it under `spec`. No
+    /// state is consulted; call [`AuxEngine::sync`] before searching.
     pub fn new(net: &WdmNetwork, spec: AuxSpec) -> Self {
-        let m = net.link_count();
-        // Arcs as (tail, head, kind), emitted once in the scratch builder's
-        // relative order. Traversal arcs for every link come first, in link
-        // order — matching the scratch builder's emission order over its
-        // admitted subset.
-        let mut arcs: Vec<(u32, u32, AuxArc)> = Vec::with_capacity(4 * m);
-        for ei in 0..m {
-            arcs.push((
-                out_node(ei),
-                in_node(ei),
-                AuxArc::Traversal(EdgeId::from(ei)),
-            ));
-        }
+        Self::with_skeleton(Arc::new(Skeleton::new(net)), spec)
+    }
 
-        // Potential conversion arcs: same (node, e_in, e_out) loop order as
-        // the scratch builder, existence decided on the links' full
-        // wavelength sets. Availability is a subset of those sets and the
-        // conversion table is static, so a pair with no allowed conversion
-        // here can never gain one.
-        let mut conv: Vec<ConvSlot> = Vec::new();
-        let mut conv_of_link: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for v in net.graph().node_ids() {
-            let table = net.conversion(v);
-            for &ein in net.graph().in_edges(v) {
-                let lambda_in = net.lambda(ein);
-                for &eout in net.graph().out_edges(v) {
-                    let lambda_out = net.lambda(eout);
-                    let possible = lambda_in
-                        .iter()
-                        .any(|la| lambda_out.iter().any(|lb| table.allows(la, lb)));
-                    if !possible {
-                        continue;
-                    }
-                    let arc = arcs.len() as u32;
-                    arcs.push((
-                        in_node(ein.index()),
-                        out_node(eout.index()),
-                        AuxArc::Conversion(v),
-                    ));
-                    let idx = conv.len() as u32;
-                    conv.push(ConvSlot {
-                        arc,
-                        node: v,
-                        ein,
-                        eout,
-                        k: 0,
-                    });
-                    conv_of_link[ein.index()].push(idx);
-                    if eout != ein {
-                        conv_of_link[eout.index()].push(idx);
-                    }
-                }
-            }
-        }
-
-        // Tap slots for every link; the scratch builder emits source taps
-        // (in link order) before sink taps, so both groups stay ordered.
-        let tap_base = arcs.len();
-        for ei in 0..m {
-            arcs.push((SOURCE, out_node(ei), AuxArc::Tap));
-        }
-        for ei in 0..m {
-            arcs.push((in_node(ei), SINK, AuxArc::Tap));
-        }
-
-        let edge_count = arcs.len();
-        let conv_count = conv.len();
-
-        // CSR layout by a stable counting sort on the tail. The skeleton
-        // never changes shape, so this is built once; weights/enabled bits
-        // are per-arc array updates from here on. Arcs are placed in id
-        // order, so each node's slots hold its arcs in ascending id — the
-        // order the scratch graph's adjacency lists yield them in, which is
-        // what keeps relaxation order and every Dijkstra tie identical to
-        // the scratch oracle.
-        let n_aux = 2 + 2 * m;
-        let mut csr_off = vec![0u32; n_aux + 1];
-        for &(u, _, _) in &arcs {
-            csr_off[u as usize + 1] += 1;
-        }
-        for v in 0..n_aux {
-            csr_off[v + 1] += csr_off[v];
-        }
-        let mut next_slot = csr_off[..n_aux].to_vec();
-        let mut csr_head = vec![0u32; edge_count];
-        let mut csr_arc = vec![0u32; edge_count];
-        let mut arc_slot = vec![0u32; edge_count];
-        for (a, &(u, v, _)) in arcs.iter().enumerate() {
-            let slot = next_slot[u as usize];
-            next_slot[u as usize] += 1;
-            csr_head[slot as usize] = v;
-            csr_arc[slot as usize] = a as u32;
-            arc_slot[a] = slot;
-        }
-
+    /// An engine under `spec` over an existing skeleton: only the per-spec
+    /// state is allocated. Call [`AuxEngine::sync`] before searching.
+    pub fn with_skeleton(skeleton: Arc<Skeleton>, spec: AuxSpec) -> Self {
+        let (arcs, links, convs) = (
+            skeleton.arc_kind.len(),
+            skeleton.link_head.len(),
+            skeleton.conv.len(),
+        );
         Self {
+            skel: skeleton,
             spec,
-            tap_base,
-            arc_kind: arcs.iter().map(|a| a.2).collect(),
-            conv,
-            conv_of_link,
-            enabled: vec![false; edge_count],
-            admitted: vec![false; m],
-            fingerprint: (net.graph().node_count(), net.link_count()),
+            enabled: vec![false; arcs],
+            admitted: vec![false; links],
+            conv_k: vec![0; convs],
             synced_clock: 0,
             ever_synced: false,
             mask_stale: false,
             cur_s: None,
             cur_t: None,
-            conv_stamp: vec![0; conv_count],
+            conv_stamp: vec![0; convs],
             pass: 0,
-            csr_off,
-            csr_head,
-            csr_arc,
-            arc_slot,
-            arc_src: arcs.iter().map(|a| a.0).collect(),
-            arc_dst: arcs.iter().map(|a| a.1).collect(),
-            // All skeleton weights start at 0.0 == key 0, which certifies.
-            arc_weight: vec![0.0; edge_count],
-            arc_exact: vec![true; edge_count],
-            slot_weight: vec![0.0; edge_count],
-            slot_enabled: vec![false; edge_count],
-            slot_key: vec![0; edge_count],
+            // All weights start at 0.0 == key 0, which certifies.
+            arc_weight: vec![0.0; arcs],
+            arc_exact: vec![true; arcs],
+            slot_weight: vec![0.0; arcs],
+            slot_enabled: vec![false; arcs],
+            slot_key: vec![0; arcs],
             inexact: 0,
             max_key: 0,
-            in_links: InLinks::new(net),
-            link_head: net
-                .graph()
-                .edge_ids()
-                .map(|e| net.graph().dst(e).index() as u32)
-                .collect(),
             sink_dist: Vec::new(),
             sink_heap: DaryHeap::with_capacity(0),
             sink_dist_max: 0.0,
@@ -363,19 +485,19 @@ impl AuxEngine {
     /// Arc id of link `e`'s source tap `s' → u_out^e`.
     #[inline]
     fn src_tap(&self, e: usize) -> usize {
-        self.tap_base + e
+        self.skel.tap_base + e
     }
 
     /// Arc id of link `e`'s sink tap `v_in^e → t''`.
     #[inline]
     fn dst_tap(&self, e: usize) -> usize {
-        self.tap_base + self.admitted.len() + e
+        self.skel.tap_base + self.admitted.len() + e
     }
 
     /// Whether this engine's skeleton was built for (a network shaped like)
     /// `net`. A cheap guard, not a content hash: use one engine per network.
     pub fn matches(&self, net: &WdmNetwork) -> bool {
-        self.fingerprint == (net.graph().node_count(), net.link_count())
+        self.skel.matches(net)
     }
 
     /// The active spec (threshold updates via [`AuxEngine::set_threshold`]
@@ -405,10 +527,11 @@ impl AuxEngine {
 
     /// Brings the engine in line with `state` and the request `(s, t)`:
     /// refreshes weights and admission of links mutated since the last
-    /// sync (all links on first use, after [`AuxEngine::invalidate`], or
-    /// when the state's clock moved backwards), reapplies the admission
-    /// mask if the threshold changed, and retargets the terminal taps.
-    /// Returns what was recomputed (telemetry's cache-outcome signal).
+    /// sync (all links, in one pass, on first use, after
+    /// [`AuxEngine::invalidate`], or when the state's clock moved
+    /// backwards), reapplies the admission mask if the threshold changed,
+    /// and retargets the terminal taps. Returns what was recomputed
+    /// (telemetry's cache-outcome signal).
     pub fn sync(
         &mut self,
         net: &WdmNetwork,
@@ -423,12 +546,14 @@ impl AuxEngine {
             links_refreshed: 0,
             remasked: self.mask_stale,
         };
-        if full || self.mask_stale || state.change_clock() != self.synced_clock {
+        if full {
+            self.refresh_all(net, state);
+            stats.links_refreshed = net.link_count() as u32;
+        } else if self.mask_stale || state.change_clock() != self.synced_clock {
             self.pass += 1;
-            let m = net.link_count();
-            for ei in 0..m {
+            for ei in 0..net.link_count() {
                 let e = EdgeId::from(ei);
-                let dirty = full || state.link_change_clock(e) > self.synced_clock;
+                let dirty = state.link_change_clock(e) > self.synced_clock;
                 if dirty {
                     self.refresh_weights(net, state, e);
                     stats.links_refreshed += 1;
@@ -437,19 +562,41 @@ impl AuxEngine {
                     self.refresh_admission(net, state, e);
                 }
             }
-            self.mask_stale = false;
-            self.synced_clock = state.change_clock();
-            self.ever_synced = true;
         }
+        self.mask_stale = false;
+        self.synced_clock = state.change_clock();
+        self.ever_synced = true;
         self.retarget(net, s, t);
         stats
+    }
+
+    /// The full refresh, in one pass: every link's availability, then every
+    /// link's traversal weight and admission, then every conversion arc
+    /// once, in emission order (both its links' admission is final by
+    /// then).
+    fn refresh_all(&mut self, net: &WdmNetwork, state: &ResidualState) {
+        let avail: Vec<WavelengthSet> = net
+            .graph()
+            .edge_ids()
+            .map(|e| state.avail(net, e))
+            .collect();
+        for (ei, &avail) in avail.iter().enumerate() {
+            let e = EdgeId::from(ei);
+            let w = traversal_weight(self.spec.weights, net, state, e, avail);
+            self.set_arc_weight(ei, w);
+            self.set_admission(net, state, e, avail);
+        }
+        for ci in 0..self.skel.conv.len() {
+            let slot = self.skel.conv[ci];
+            self.refresh_conv(net, ci, avail[slot.ein.index()], avail[slot.eout.index()]);
+        }
     }
 
     /// Writes arc `i`'s weight and its slot mirror, maintaining the integer
     /// certification.
     fn set_arc_weight(&mut self, i: usize, w: f64) {
         self.arc_weight[i] = w;
-        let slot = self.arc_slot[i] as usize;
+        let slot = self.skel.arc_slot[i] as usize;
         self.slot_weight[slot] = w;
         let scaled = w * (1u64 << SCALE_SHIFT) as f64;
         // NaN/negative/huge all fail one of these (NaN.fract() is NaN).
@@ -471,64 +618,37 @@ impl AuxEngine {
         }
     }
 
-    /// Recomputes the traversal weight of `e` and the conversion weights of
-    /// every arc touching `e`, with the scratch builder's exact formulas
-    /// (same summation loops ⇒ bit-identical results).
+    /// Dirty refresh of link `e`'s weights: its traversal weight and the
+    /// conversion weights of every arc touching it.
     fn refresh_weights(&mut self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) {
         let ei = e.index();
-        let avail = state.avail(net, e);
-        let weight = if avail.is_empty() {
-            // Never enabled (empty availability fails admission under every
-            // threshold); avoid the 0/0 in the average formulas.
-            0.0
-        } else {
-            match self.spec.weights {
-                AuxWeights::AverageCost => {
-                    avail.iter().map(|l| net.link_cost(e, l)).sum::<f64>() / avail.count() as f64
-                }
-                AuxWeights::AverageCostOverN => {
-                    avail.iter().map(|l| net.link_cost(e, l)).sum::<f64>() / net.capacity(e) as f64
-                }
-                AuxWeights::CongestionExp { a } => {
-                    let n = net.capacity(e) as f64;
-                    let u = state.used_count(e) as f64;
-                    a.powf((u + 1.0) / n) - a.powf(u / n)
-                }
-            }
-        };
+        let w = traversal_weight(self.spec.weights, net, state, e, state.avail(net, e));
         // The traversal arc of link `e` is arc `e`.
-        self.set_arc_weight(ei, weight);
-        for i in 0..self.conv_of_link[ei].len() {
-            let ci = self.conv_of_link[ei][i] as usize;
+        self.set_arc_weight(ei, w);
+        for i in self.skel.convs_of(ei) {
+            let ci = self.skel.link_conv[i] as usize;
             if self.conv_stamp[ci] != self.pass {
                 self.conv_stamp[ci] = self.pass;
-                self.refresh_conv(net, state, ci);
+                let slot = self.skel.conv[ci];
+                let (avail_in, avail_out) =
+                    (state.avail(net, slot.ein), state.avail(net, slot.eout));
+                self.refresh_conv(net, ci, avail_in, avail_out);
             }
         }
     }
 
-    /// Recomputes one conversion arc's `K_v` and average cost.
-    fn refresh_conv(&mut self, net: &WdmNetwork, state: &ResidualState, ci: usize) {
-        let slot = self.conv[ci];
-        let table = net.conversion(slot.node);
-        let avail_in = state.avail(net, slot.ein);
-        let avail_out = state.avail(net, slot.eout);
-        let mut total = 0.0;
-        let mut k = 0usize;
-        for la in avail_in.iter() {
-            for lb in avail_out.iter() {
-                if let Some(c) = table.cost(la, lb) {
-                    total += c;
-                    k += 1;
-                }
-            }
-        }
-        self.conv[ci].k = k as u32;
+    /// Recomputes one conversion arc's `K_v`, average cost and enabled bit.
+    fn refresh_conv(
+        &mut self,
+        net: &WdmNetwork,
+        ci: usize,
+        avail_in: WavelengthSet,
+        avail_out: WavelengthSet,
+    ) {
+        let slot = self.skel.conv[ci];
+        let (k, w) = conversion_average(self.spec.weights, net, slot, avail_in, avail_out);
+        self.conv_k[ci] = k;
         if k > 0 {
-            let w = match self.spec.weights {
-                AuxWeights::CongestionExp { .. } => 0.0,
-                _ => total / k as f64,
-            };
             self.set_arc_weight(slot.arc as usize, w);
         }
         self.update_conv_enabled(ci);
@@ -539,14 +659,20 @@ impl AuxEngine {
     #[inline]
     fn set_enabled(&mut self, idx: usize, en: bool) {
         self.enabled[idx] = en;
-        self.slot_enabled[self.arc_slot[idx] as usize] = en;
+        self.slot_enabled[self.skel.arc_slot[idx] as usize] = en;
     }
 
-    /// Recomputes admission of `e` and the enabled bits of the arcs that
-    /// depend on it.
-    fn refresh_admission(&mut self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) {
+    /// Sets admission of `e`, whose availability is `avail`, and the
+    /// enabled bits of its traversal arc and taps.
+    fn set_admission(
+        &mut self,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        e: EdgeId,
+        avail: WavelengthSet,
+    ) {
         let ei = e.index();
-        let adm = self.spec.admits(net, state, e);
+        let adm = self.spec.admits_avail(net, state, e, avail);
         self.admitted[ei] = adm;
         // The traversal arc of link `e` is arc `e`.
         self.set_enabled(ei, adm);
@@ -554,17 +680,24 @@ impl AuxEngine {
         self.set_enabled(self.src_tap(ei), src_en);
         let dst_en = adm && self.cur_t == Some(net.graph().dst(e));
         self.set_enabled(self.dst_tap(ei), dst_en);
-        for i in 0..self.conv_of_link[ei].len() {
-            let ci = self.conv_of_link[ei][i] as usize;
-            self.update_conv_enabled(ci);
+    }
+
+    /// Dirty refresh of link `e`'s admission and the enabled bits of the
+    /// arcs that depend on it.
+    fn refresh_admission(&mut self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) {
+        self.set_admission(net, state, e, state.avail(net, e));
+        for i in self.skel.convs_of(e.index()) {
+            self.update_conv_enabled(self.skel.link_conv[i] as usize);
         }
     }
 
     /// A conversion arc participates iff both endpoint links are admitted
     /// and at least one conversion is allowed under current availability.
     fn update_conv_enabled(&mut self, ci: usize) {
-        let slot = self.conv[ci];
-        let en = slot.k > 0 && self.admitted[slot.ein.index()] && self.admitted[slot.eout.index()];
+        let slot = self.skel.conv[ci];
+        let en = self.conv_k[ci] > 0
+            && self.admitted[slot.ein.index()]
+            && self.admitted[slot.eout.index()];
         self.set_enabled(slot.arc as usize, en);
     }
 
@@ -605,13 +738,14 @@ impl AuxEngine {
     /// The flat CSR view of the skeleton (weights and enabled bits reflect
     /// the last [`AuxEngine::sync`]).
     pub fn flat_view(&self) -> FlatView<'_> {
+        let skel = &*self.skel;
         FlatView {
-            offsets: &self.csr_off,
-            heads: &self.csr_head,
-            slot_arc: &self.csr_arc,
-            arc_slot: &self.arc_slot,
-            src: &self.arc_src,
-            dst: &self.arc_dst,
+            offsets: &skel.csr_off,
+            heads: &skel.csr_head,
+            slot_arc: &skel.csr_arc,
+            arc_slot: &skel.arc_slot,
+            src: &skel.arc_src,
+            dst: &skel.arc_dst,
             weight: &self.arc_weight,
             enabled: &self.enabled,
             slot_weight: &self.slot_weight,
@@ -639,7 +773,7 @@ impl AuxEngine {
         let t = self.cur_t.expect("sync before searching");
         let (admitted, weight) = (&self.admitted, &self.arc_weight);
         // The traversal arc of link `e` is arc `e`.
-        self.sink_dist_max = self.in_links.sink_distances(
+        self.sink_dist_max = self.skel.in_links.sink_distances(
             t,
             |e| admitted[e],
             |e| weight[e],
@@ -658,7 +792,7 @@ impl AuxEngine {
             SINK => 0.0,
             _ => {
                 let e = (v - 2) / 2;
-                let d = self.sink_dist[self.link_head[e] as usize];
+                let d = self.sink_dist[self.skel.link_head[e] as usize];
                 match v % 2 {
                     0 => self.arc_weight[e] + d,
                     _ => d,
@@ -715,13 +849,14 @@ impl AuxEngine {
     /// [`AuxGraph::build`](crate::aux_graph::AuxGraph::build) of the same
     /// state and request must reproduce arc for arc.
     pub fn enabled_arcs(&self) -> impl Iterator<Item = (AuxNode, AuxNode, AuxArc, f64)> + '_ {
-        (0..self.arc_kind.len())
+        let skel = &*self.skel;
+        (0..skel.arc_kind.len())
             .filter(|&a| self.enabled[a])
-            .map(|a| {
+            .map(move |a| {
                 (
-                    node_kind(self.arc_src[a]),
-                    node_kind(self.arc_dst[a]),
-                    self.arc_kind[a],
+                    node_kind(skel.arc_src[a]),
+                    node_kind(skel.arc_dst[a]),
+                    skel.arc_kind[a],
                     self.arc_weight[a],
                 )
             })
@@ -732,7 +867,7 @@ impl AuxEngine {
     pub fn physical_edges(&self, path: &Path) -> Vec<EdgeId> {
         path.edges
             .iter()
-            .filter_map(|&ae| match self.arc_kind[ae.index()] {
+            .filter_map(|&ae| match self.skel.arc_kind[ae.index()] {
                 AuxArc::Traversal(pe) => Some(pe),
                 _ => None,
             })
@@ -745,15 +880,34 @@ impl AuxEngine {
     }
 }
 
-/// Persistent routing context: one engine per auxiliary-graph family plus
-/// the shared [`SearchArena`]. Hold one of these per network wherever
-/// requests are routed repeatedly (the simulator owns one per run) and the
-/// skeleton/refresh machinery amortises across every request; one-shot
-/// entry points create a throwaway context internally. What persists is
-/// the engines' skeletons and weights and the arena's buffers; every
-/// search itself starts cold, so a warm context routes exactly as a fresh
-/// one would (`wdm-sim`'s `batch_equivalence.rs` and `conflict_warm_ctx.rs`
-/// check this).
+/// Number of [`RouterCtx`] engine slots: one per auxiliary-graph family.
+const FAMILIES: usize = 5;
+
+/// The [`RouterCtx`] engine slot of `spec`'s family: `G'`, `G_rc` (prose
+/// and as printed), and `G_c` on current and on prospective load.
+fn family(spec: AuxSpec) -> usize {
+    match (spec.weights, spec.basis) {
+        (AuxWeights::AverageCost, _) if spec.threshold.is_none() => 0,
+        (AuxWeights::AverageCost, _) => 1,
+        (AuxWeights::AverageCostOverN, _) => 2,
+        (AuxWeights::CongestionExp { .. }, ThresholdBasis::CurrentLoad) => 3,
+        (AuxWeights::CongestionExp { .. }, ThresholdBasis::ProspectiveLoad) => 4,
+    }
+}
+
+/// Persistent routing context: one engine per auxiliary-graph family, all
+/// over one shared [`Skeleton`], plus the shared [`SearchArena`]. Hold one
+/// of these per network wherever requests are routed repeatedly (the
+/// simulator owns one per run) and the skeleton/refresh machinery
+/// amortises across every request; one-shot entry points create a
+/// throwaway context internally. The context builds the skeleton on its
+/// first search, unless [`RouterCtx::with_skeleton`] handed it one built
+/// elsewhere (the `wdm serve` daemon builds one for all its workers), and
+/// each engine slot then only allocates and fills its own weights. What
+/// persists is the skeleton, the engines' weights and the arena's
+/// buffers; every search itself starts cold, so a warm context routes
+/// exactly as a fresh one would (`wdm-sim`'s `batch_equivalence.rs` and
+/// `conflict_warm_ctx.rs` check this).
 ///
 /// The context is generic over a [`Recorder`] and a [`Tracer`]. The
 /// defaults [`NoopRecorder`] / [`NoopTracer`] monomorphise all
@@ -770,11 +924,10 @@ pub struct RouterCtx<R: Recorder = NoopRecorder, T: Tracer = NoopTracer> {
     pub arena: SearchArena,
     recorder: R,
     tracer: T,
-    g_prime: Option<AuxEngine>,
-    g_c: Option<AuxEngine>,
-    g_c_prospective: Option<AuxEngine>,
-    g_rc: Option<AuxEngine>,
-    g_rc_printed: Option<AuxEngine>,
+    /// The skeleton new engine slots are built over.
+    skeleton: Option<Arc<Skeleton>>,
+    /// One engine per auxiliary-graph family, indexed by [`family`].
+    engines: [Option<AuxEngine>; FAMILIES],
     /// MinCog warm-start memory: `(residual epoch, accepted ladder index)`
     /// of the last §4.1 threshold search (see `mincog::find_two_paths_mincog_ctx`).
     pub(crate) mincog_warm: Option<(u64, u32)>,
@@ -803,13 +956,17 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
             arena: SearchArena::new(),
             recorder,
             tracer,
-            g_prime: None,
-            g_c: None,
-            g_c_prospective: None,
-            g_rc: None,
-            g_rc_printed: None,
+            skeleton: None,
+            engines: Default::default(),
             mincog_warm: None,
         }
+    }
+
+    /// The context with `skeleton`, built elsewhere, as the one its engine
+    /// slots are built over, so it never builds its own for that network.
+    pub fn with_skeleton(mut self, skeleton: Arc<Skeleton>) -> Self {
+        self.skeleton = Some(skeleton);
+        self
     }
 
     /// The attached recorder.
@@ -826,16 +983,7 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
     /// when reusing the context across independent [`ResidualState`]
     /// lineages.
     pub fn invalidate(&mut self) {
-        for e in [
-            &mut self.g_prime,
-            &mut self.g_c,
-            &mut self.g_c_prospective,
-            &mut self.g_rc,
-            &mut self.g_rc_printed,
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for e in self.engines.iter_mut().flatten() {
             e.invalidate();
         }
         // Warm-start memory keys on a change clock that is only meaningful
@@ -843,36 +991,36 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         self.mincog_warm = None;
     }
 
-    /// The engine for `spec`'s family (building it on first use or after a
-    /// network change) with its threshold set. Slot selection and (re)build
-    /// run over the five engine slots borrowed
-    /// individually so callers can keep disjoint borrows of the context's
+    /// The engine for `spec`'s family with its threshold set, created on
+    /// first use or after a network change over the context's skeleton
+    /// (built first if the context holds none for `net`). Returns whether
+    /// a skeleton was built. Takes the skeleton and engine fields rather
+    /// than `self` so callers can keep disjoint borrows of the context's
     /// other fields (arena, tracer) alive alongside the returned engine.
     fn engine_slot<'a>(
-        g_prime: &'a mut Option<AuxEngine>,
-        g_c: &'a mut Option<AuxEngine>,
-        g_c_prospective: &'a mut Option<AuxEngine>,
-        g_rc: &'a mut Option<AuxEngine>,
-        g_rc_printed: &'a mut Option<AuxEngine>,
+        skeleton: &mut Option<Arc<Skeleton>>,
+        engines: &'a mut [Option<AuxEngine>; FAMILIES],
         net: &WdmNetwork,
         spec: AuxSpec,
     ) -> (&'a mut AuxEngine, bool) {
-        let slot = match (spec.weights, spec.basis) {
-            (AuxWeights::AverageCost, _) if spec.threshold.is_none() => g_prime,
-            (AuxWeights::AverageCost, _) => g_rc,
-            (AuxWeights::AverageCostOverN, _) => g_rc_printed,
-            (AuxWeights::CongestionExp { .. }, ThresholdBasis::CurrentLoad) => g_c,
-            (AuxWeights::CongestionExp { .. }, ThresholdBasis::ProspectiveLoad) => g_c_prospective,
-        };
+        let slot = &mut engines[family(spec)];
         let reuse = slot.as_ref().is_some_and(|eng| {
             eng.matches(net) && eng.spec().weights == spec.weights && eng.spec().basis == spec.basis
         });
+        let mut built = false;
         if !reuse {
-            *slot = Some(AuxEngine::new(net, spec));
+            let skel = match skeleton {
+                Some(skel) if skel.matches(net) => skel,
+                _ => {
+                    built = true;
+                    skeleton.insert(Arc::new(Skeleton::new(net)))
+                }
+            };
+            *slot = Some(AuxEngine::with_skeleton(Arc::clone(skel), spec));
         }
         let eng = slot.as_mut().expect("just ensured");
         eng.set_threshold(spec.threshold);
-        (eng, !reuse)
+        (eng, built)
     }
 
     /// Syncs the engine for `spec` and runs Suurballe over the enabled
@@ -890,20 +1038,17 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         let RouterCtx {
             arena,
             tracer,
-            g_prime,
-            g_c,
-            g_c_prospective,
-            g_rc,
-            g_rc_printed,
+            skeleton,
+            engines,
             ..
         } = &mut *self;
         // The refresh span opens before engine selection: a cold slot
-        // builds its whole skeleton here, and that cost belongs to
-        // `AuxRefresh`, not to an attribution gap.
+        // allocates its engine (and a cold context builds the skeleton)
+        // here, and that cost belongs to `AuxRefresh`, not to an
+        // attribution gap.
         let tracing = tracer.enabled();
         let sync_t0 = tracer.now_ns();
-        let (eng, built) =
-            Self::engine_slot(g_prime, g_c, g_c_prospective, g_rc, g_rc_printed, net, spec);
+        let (eng, built) = Self::engine_slot(skeleton, engines, net, spec);
         let sync = eng.sync(net, state, s, t);
         if tracing {
             tracer.record(Phase::AuxRefresh, sync_t0);
@@ -1138,6 +1283,41 @@ mod tests {
         let mut quiet = RouterCtx::new();
         quiet.disjoint_pair(&net, &st, s, t, spec).expect("pair");
         assert_eq!(quiet.arena.settled(), [p1, p2]);
+    }
+
+    /// A context builds one skeleton for all its engine slots, and none at
+    /// all over a skeleton handed to it; the skeleton can cross threads.
+    #[test]
+    fn one_skeleton_serves_every_engine_slot() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Skeleton>();
+
+        let net = fig1_like();
+        let st = ResidualState::fresh(&net);
+        let (s, t) = (NodeId(0), NodeId(3));
+        let specs = [
+            AuxSpec::g_prime(),
+            AuxSpec::g_c(2.0, 0.9),
+            AuxSpec::g_rc(0.9),
+            AuxSpec::g_rc_as_printed(0.9),
+        ];
+        let sink = wdm_telemetry::TelemetrySink::new();
+        let mut ctx = RouterCtx::with_recorder(&sink);
+        for spec in specs {
+            ctx.disjoint_pair(&net, &st, s, t, spec).expect("pair");
+        }
+        assert_eq!(sink.counter(Counter::EngineSkeletonBuilds), 1);
+        assert_eq!(sink.counter(Counter::EngineFullRefreshes), 4);
+
+        let shared = wdm_telemetry::TelemetrySink::new();
+        let skeleton = Arc::new(Skeleton::new(&net));
+        let mut ctx = RouterCtx::with_recorder(&shared).with_skeleton(Arc::clone(&skeleton));
+        for spec in specs {
+            ctx.disjoint_pair(&net, &st, s, t, spec).expect("pair");
+        }
+        assert_eq!(shared.counter(Counter::EngineSkeletonBuilds), 0);
+        // This handle, the context's and one per engine slot.
+        assert_eq!(Arc::strong_count(&skeleton), 2 + specs.len());
     }
 
     #[test]

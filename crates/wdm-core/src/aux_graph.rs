@@ -41,6 +41,7 @@
 //! ≥ 0 while `D` is a shortest-path distance.
 
 use crate::network::{ResidualState, WdmNetwork};
+use crate::wavelength::WavelengthSet;
 use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::traverse::edge_connectivity_filtered;
 use wdm_graph::{DiGraph, EdgeId, NodeId, SearchArena};
@@ -185,7 +186,19 @@ impl AuxSpec {
     /// on this spec's basis. The one admission rule of every auxiliary
     /// graph, scratch or incremental, and of the threshold flow check.
     pub fn admits(&self, net: &WdmNetwork, state: &ResidualState, e: EdgeId) -> bool {
-        if state.avail(net, e).is_empty() {
+        self.admits_avail(net, state, e, state.avail(net, e))
+    }
+
+    /// [`AuxSpec::admits`] for a link whose availability `avail` the caller
+    /// has already computed.
+    pub(crate) fn admits_avail(
+        &self,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        e: EdgeId,
+        avail: WavelengthSet,
+    ) -> bool {
+        if avail.is_empty() {
             return false;
         }
         match (self.threshold, self.basis) {

@@ -68,12 +68,13 @@ impl RouteFootprint {
 
 /// The §3.3 route finder.
 ///
-/// Internally it owns a [`RouterCtx`]: the `G'` skeleton is built on the
-/// first [`RobustRouteFinder::find`] and subsequent requests only refresh
-/// the links the residual state actually changed (and re-run the searches
-/// in preallocated buffers), so a long-lived finder routes in near-zero
-/// allocations per request. `find` therefore takes `&mut self`; create one
-/// finder and reuse it.
+/// Internally it owns a [`RouterCtx`]: the network's auxiliary-graph
+/// skeleton and the `G'` engine over it are built, and fully refreshed in
+/// one pass, on the first [`RobustRouteFinder::find`]; subsequent requests
+/// only refresh the links the residual state actually changed (and re-run
+/// the searches in preallocated buffers), so a long-lived finder routes in
+/// near-zero allocations per request. `find` therefore takes `&mut self`;
+/// create one finder and reuse it.
 ///
 /// ```
 /// use wdm_core::prelude::*;

@@ -51,7 +51,7 @@ pub mod wavelength;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::aux_engine::{AuxEngine, RouterCtx, SyncStats};
+    pub use crate::aux_engine::{AuxEngine, RouterCtx, Skeleton, SyncStats};
     pub use crate::aux_graph::{AuxGraph, AuxSpec, AuxWeights};
     pub use crate::conversion::ConversionTable;
     pub use crate::disjoint::{RobustRouteFinder, RouteFootprint};

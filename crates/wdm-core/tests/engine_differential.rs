@@ -14,14 +14,21 @@
 //! same total-cost bits — which pins route identity (refinement is a
 //! deterministic function of the physical edge sets).
 //!
+//! Each family is checked three ways: an engine over its own skeleton, one
+//! over a skeleton shared with the other families' engines, and one
+//! invalidated before every sync, so that its every sync is the one-pass
+//! full refresh rather than the dirty-link one.
+//!
 //! Finally the persistent-context public entry points
 //! ([`find_two_paths_mincog_ctx`], [`find_two_paths_joint_ctx`]) are
 //! compared against their one-shot counterparts across the same mutation
 //! history.
 
+use std::sync::Arc;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use wdm_core::aux_engine::{AuxEngine, RouterCtx};
+use wdm_core::aux_engine::{AuxEngine, RouterCtx, Skeleton};
 use wdm_core::aux_graph::{AuxArc, AuxGraph, AuxNode, AuxSpec};
 use wdm_core::conversion::ConversionTable;
 use wdm_core::joint::{find_two_paths_joint, find_two_paths_joint_ctx};
@@ -250,9 +257,25 @@ fn engine_equals_scratch_under_random_mutation_sequences() {
         let net = random_net(&mut rng);
         let mut st = ResidualState::fresh(&net);
         let mut arena = SearchArena::new();
-        let mut eng_gp = AuxEngine::new(&net, AuxSpec::g_prime());
-        let mut eng_gc = AuxEngine::new(&net, AuxSpec::g_c(2.0, 0.5));
-        let mut eng_grc = AuxEngine::new(&net, AuxSpec::g_rc(0.5));
+        // Per family: an engine over its own skeleton, one over the
+        // skeleton all three families share, and one invalidated before
+        // every sync, so that every sync is a full refresh.
+        let shared = Arc::new(Skeleton::new(&net));
+        let spec_of = |family: usize, theta: f64| match family {
+            0 => (AuxSpec::g_prime(), "G'"),
+            1 => (AuxSpec::g_c(2.0, theta), "G_c"),
+            _ => (AuxSpec::g_rc(theta), "G_rc"),
+        };
+        let mut engines: Vec<[AuxEngine; 3]> = (0..3)
+            .map(|family| {
+                let spec = spec_of(family, 0.5).0;
+                [
+                    AuxEngine::new(&net, spec),
+                    AuxEngine::with_skeleton(Arc::clone(&shared), spec),
+                    AuxEngine::new(&net, spec),
+                ]
+            })
+            .collect();
         let mut theta = 0.5;
         for _step in 0..40 {
             for _ in 0..rng.gen_range(0..3) {
@@ -266,36 +289,18 @@ fn engine_equals_scratch_under_random_mutation_sequences() {
             if s == t {
                 continue;
             }
-            check_family(
-                &net,
-                &st,
-                &mut eng_gp,
-                &mut arena,
-                s,
-                t,
-                AuxSpec::g_prime(),
-                "G'",
-            );
-            check_family(
-                &net,
-                &st,
-                &mut eng_gc,
-                &mut arena,
-                s,
-                t,
-                AuxSpec::g_c(2.0, theta),
-                "G_c",
-            );
-            check_family(
-                &net,
-                &st,
-                &mut eng_grc,
-                &mut arena,
-                s,
-                t,
-                AuxSpec::g_rc(theta),
-                "G_rc",
-            );
+            for (family, [own, over_shared, full]) in engines.iter_mut().enumerate() {
+                let (spec, label) = spec_of(family, theta);
+                full.invalidate();
+                for (eng, how) in [
+                    (own, ""),
+                    (over_shared, " over a shared skeleton"),
+                    (full, " fully refreshed"),
+                ] {
+                    let label = format!("{label}{how}");
+                    check_family(&net, &st, eng, &mut arena, s, t, spec, &label);
+                }
+            }
         }
     }
 }

@@ -4,20 +4,25 @@
 //! # Architecture (DESIGN.md §5i)
 //!
 //! ```text
+//!          bind ─► WAL header ─► Skeleton::new(net) ─► publish address
+//!                                      │ one Arc, shared
 //!                    accept loop (nonblocking)
 //!                        │  admit / shed 503
 //!                 [ bounded WorkQueue ]
 //!                   │        │       │
-//!                worker    worker  worker      each: warm RouterCtx
-//!                   │        │       │
+//!                worker    worker  worker      each: warm RouterCtx over
+//!                   │        │       │               the shared skeleton
 //!         route under read lock (shared state)
 //!                   │
 //!         commit under write lock ──► WAL (one write per event, no fsync)
 //! ```
 //!
 //! One [`NetProvisioner`] owns the mutation lineage — state, journal,
-//! connection table — behind an `RwLock`. Workers keep their own warm
-//! [`RouterCtx`] and compute routes under the **read** lock, so search
+//! connection table — behind an `RwLock`. Before it serves, [`run`]
+//! builds the network's auxiliary-graph [`Skeleton`] once and hands it to
+//! every worker's [`RouterCtx`], so a worker's first route only allocates
+//! and fills its own engines' weights. Workers keep their warm contexts
+//! and compute routes under the **read** lock, so search
 //! (the expensive part) runs concurrently; the **write** lock serializes
 //! only the commit, which is O(route length). A commit can conflict with
 //! a mutation that landed after the route was computed — then
@@ -58,10 +63,10 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use wdm_core::aux_engine::RouterCtx;
+use wdm_core::aux_engine::{RouterCtx, Skeleton};
 use wdm_core::network::{ResidualState, WdmNetwork};
 use wdm_graph::{EdgeId, NodeId};
 use wdm_sim::policy::{Policy, ProvisionedRoute};
@@ -306,13 +311,55 @@ struct LinkReq {
     link: u32,
 }
 
+/// Why [`run`] failed.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The listener could not be set up on the configured address.
+    Bind {
+        /// The address asked for ([`ServeConfig::addr`]).
+        addr: String,
+        /// The socket error.
+        source: std::io::Error,
+    },
+    /// The write-ahead log could not be created, written or closed.
+    Wal(WalError),
+    /// The shutdown trace file ([`ServeConfig::trace_path`]) could not be
+    /// written.
+    Trace {
+        /// The trace file's path.
+        path: PathBuf,
+        /// The serialization or write error.
+        source: std::io::Error,
+    },
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
+            ServeError::Wal(e) => e.fmt(f),
+            ServeError::Trace { path, source } => {
+                write!(f, "cannot write trace file {}: {source}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<WalError> for ServeError {
+    fn from(e: WalError) -> Self {
+        ServeError::Wal(e)
+    }
+}
+
 /// Runs the daemon until shutdown. Blocks; see [`Control`] for the
 /// caller-side surface.
 pub fn run(
     net: &WdmNetwork,
     cfg: &ServeConfig,
     control: &Control,
-) -> Result<ServeReport, WalError> {
+) -> Result<ServeReport, ServeError> {
     let _gone = GoneOnDrop(control);
     if cfg.handle_signals {
         signal::install(signal::SIGINT);
@@ -322,9 +369,13 @@ pub fn run(
     // Bind before creating the WAL, which truncates its file: a daemon that
     // cannot bind (a second one on the same port and log) must not destroy
     // the log the first one is writing.
-    let listener = TcpListener::bind(&cfg.addr).map_err(WalError::Io)?;
-    listener.set_nonblocking(true).map_err(WalError::Io)?;
-    let addr = listener.local_addr().map_err(WalError::Io)?;
+    let bind_error = |source| ServeError::Bind {
+        addr: cfg.addr.clone(),
+        source,
+    };
+    let listener = TcpListener::bind(&cfg.addr).map_err(bind_error)?;
+    listener.set_nonblocking(true).map_err(bind_error)?;
+    let addr = listener.local_addr().map_err(bind_error)?;
 
     let initial = cfg
         .resume_state
@@ -345,20 +396,27 @@ pub fn run(
     // One clock domain for every worker's span buffer, so interleaved
     // requests line up on a common timeline in `/debug/trace`.
     let clock = MonotonicClock::default();
+    // The one skeleton every worker's context builds its engines over.
+    let skeleton = Arc::new(Skeleton::new(net));
+    sink.add(Counter::EngineSkeletonBuilds, 1);
     control.publish(Listening::At(addr));
 
     std::thread::scope(|s| {
-        let (prov, sink, queue, diag) = (&prov, &sink, &queue, &diag);
+        let (prov, sink, queue, diag, skeleton) = (&prov, &sink, &queue, &diag, &skeleton);
         for _ in 0..cfg.threads.max(1) {
             // Monomorphise the worker per mode: the untraced daemon runs
             // the NoopTracer instantiation, where every span call is an
             // empty inlined body.
             if tracing {
                 let tracer = SpanBuffer::with_clock(clock);
-                s.spawn(move || worker_loop(net, cfg, control, prov, sink, queue, diag, tracer));
+                s.spawn(move || {
+                    worker_loop(net, cfg, control, prov, sink, queue, diag, skeleton, tracer)
+                });
             } else {
                 s.spawn(move || {
-                    worker_loop(net, cfg, control, prov, sink, queue, diag, NoopTracer)
+                    worker_loop(
+                        net, cfg, control, prov, sink, queue, diag, skeleton, NoopTracer,
+                    )
                 });
             }
         }
@@ -408,13 +466,17 @@ pub fn run(
                 diag.flight.total_requests(),
                 diag.flight.dump(),
             );
+            let trace_error = |source| ServeError::Trace {
+                path: path.clone(),
+                source,
+            };
             let text = serde_json::to_string(&trace)
-                .map_err(|e| WalError::Io(std::io::Error::other(e.to_string())))?;
-            std::fs::write(path, text).map_err(WalError::Io)?;
+                .map_err(|e| trace_error(std::io::Error::other(e.to_string())))?;
+            std::fs::write(path, text).map_err(trace_error)?;
         }
     }
     if let Some(e) = prov.journal_mut().take_error() {
-        return Err(WalError::Io(e));
+        return Err(WalError::Io(e).into());
     }
     Ok(ServeReport {
         journal_seq: prov.journal_seq(),
@@ -439,9 +501,11 @@ fn worker_loop<WT: WorkerTracer>(
     sink: &TelemetrySink,
     queue: &WorkQueue<TcpStream>,
     diag: &Diag,
+    skeleton: &Arc<Skeleton>,
     tracer: WT,
 ) {
-    let mut ctx = RouterCtx::with_recorder_and_tracer(sink, &tracer);
+    let mut ctx =
+        RouterCtx::with_recorder_and_tracer(sink, &tracer).with_skeleton(Arc::clone(skeleton));
     loop {
         if control.crashed() {
             return; // Abandon everything, like a kill would.

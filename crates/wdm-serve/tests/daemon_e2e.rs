@@ -136,6 +136,9 @@ fn thousand_mixed_requests_with_zero_lost_mutations() {
     });
 
     assert!(report.clean_shutdown);
+    // The daemon built one auxiliary-graph skeleton before serving, and
+    // none of its four workers built another.
+    assert_eq!(report.counters.get("engine_skeleton_builds"), Some(&1));
     // Zero lost mutations: the WAL replays to exactly the live hash.
     let rec = wal::recover(&wal_path).expect("recover");
     assert_eq!(

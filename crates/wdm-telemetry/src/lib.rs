@@ -57,7 +57,9 @@ pub enum Counter {
     BlockedLoadSearch = 5,
     /// Blocked: destination unreachable even ignoring disjointness.
     BlockedUnreachable = 6,
-    /// Auxiliary-graph skeletons built from scratch (engine cold start).
+    /// Auxiliary-graph skeletons built: one per routing context, or one
+    /// per `wdm serve` daemon, which shares it among its workers. An
+    /// engine created over an existing skeleton is not a build.
     EngineSkeletonBuilds = 7,
     /// Engine syncs that re-weighted every link (threshold change etc.).
     EngineFullRefreshes = 8,

@@ -42,8 +42,10 @@ use std::time::Instant;
 pub enum Phase {
     /// Root span: the whole request, routing plus commit.
     Request,
-    /// Auxiliary-graph engine sync (skeleton build / dirty refresh), and
-    /// the threshold ladder's per-rung flow checks over the admission rule.
+    /// Auxiliary-graph engine sync: a cold engine slot's allocation (and
+    /// the skeleton build, in a context that holds none), the full or
+    /// dirty-link refresh; and the threshold ladder's per-rung flow checks
+    /// over the admission rule.
     AuxRefresh,
     /// Suurballe pass 1: the sink bound (a reverse Dijkstra over the
     /// admitted physical links), then the bound-guided shortest path on the
